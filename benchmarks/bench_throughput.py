@@ -148,7 +148,7 @@ def backend_sweep(cfg: CampaignConfig) -> dict:
             t_input = inputs.generate(p, j)
             grid.extend((b, t_input) for b in bins)
 
-    backends = ["interp", "vm"] + (["c"] if _c_available()[0] else [])
+    backends = ["interp"] + (["c"] if _c_available()[0] else [])
     runs_per_s = {}
     for backend in backends:
         with use_kernel_backend(backend):

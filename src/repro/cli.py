@@ -742,8 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel-backend", dest="kernel_backend",
                    choices=KERNEL_BACKENDS,
                    help="simulator kernel backend: auto (compiled C when "
-                        "a toolchain is available, the default), c, vm, "
-                        "or interp — verdicts are byte-identical, only "
+                        "a toolchain is available, the default), c, or "
+                        "interp — verdicts are byte-identical, only "
                         "throughput changes")
     p.add_argument("--rng-mode", choices=RNG_MODES, dest="rng_mode",
                    help="RNG stream derivation: compat (byte-identical "

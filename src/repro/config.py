@@ -393,7 +393,7 @@ class CampaignConfig:
     #: for every chunk size — units are pure functions of their indices.
     chunk_size: int | None = None
     #: Kernel execution backend for the simulator hot loop: "auto",
-    #: "c", "vm", or "interp" (see repro.sim.backend).  ``None`` leaves
+    #: "c", or "interp" (see repro.sim.backend).  ``None`` leaves
     #: the process default (``REPRO_KERNEL_BACKEND`` or "auto") in
     #: charge.  Verdicts are byte-identical across backends — this is a
     #: speed knob, not a semantics knob — so it is excluded from the

@@ -1,21 +1,21 @@
 """Deterministic execution substrate: interpreter, runtime, counters.
 
 The simulated backend executes generated programs with exact IEEE
-semantics on a virtual clock.  A vendor's "compiler" lowers the AST to
-Python (:mod:`repro.sim.lower`); its "runtime" is a
-:class:`~repro.sim.runtime.RegionExecutor` cost model driven by hooks in
-the lowered code.  The lowered template is also lowered to a typed
-register IR (:mod:`repro.sim.ir`), from which a compiled C kernel
-(:mod:`repro.sim.ckernel`) or a bytecode VM (:mod:`repro.sim.vm`) can
-execute the same program byte-identically — see :mod:`repro.sim.backend`
-for selection and :func:`backend_info` for what is active and why.
+semantics on a virtual clock.  A vendor's "compiler" lowers the AST to a
+typed register IR (:mod:`repro.sim.lower`, :mod:`repro.sim.ir`); its
+"runtime" is a :class:`~repro.sim.runtime.RegionExecutor` cost model
+driven by hooks in the lowered code.  Two kernel backends execute the
+same IR byte-identically: interpreted Python emitted by
+:mod:`repro.sim.pykernel` (the reference) and compiled C emitted by
+:mod:`repro.sim.ckernel` — see :mod:`repro.sim.backend` for selection
+and :func:`backend_info` for what is active and why.
 """
 
 from .backend import (active_kernel_backend, kernel_backend_info,
                       set_kernel_backend, use_kernel_backend)
 from .counters import PerfCounters
 from .events import ProfileRecorder
-from .lower import CostState, Lowerer, LoweredKernel, RegionMeta
+from .lower import CostState, LoweredKernel, RegionMeta
 from .runtime import RegionExecutor
 from .values import (MATH_IMPLS, f32, fdiv, fma_d, fma_f, ftz_d, ftz_f,
                      native_values_active, native_values_info)
@@ -36,7 +36,6 @@ def backend_info() -> dict:
 
 __all__ = [
     "CostState",
-    "Lowerer",
     "LoweredKernel",
     "MATH_IMPLS",
     "PerfCounters",

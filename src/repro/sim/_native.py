@@ -35,8 +35,9 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import threading
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from hashlib import sha256
 from pathlib import Path
 
@@ -265,34 +266,43 @@ def build_shared_object(cc: str, c_source: str, out: Path,
     Shared by the value-helper module and the kernel backend
     (:mod:`repro.sim.ckernel`).  Returns ``(ok, reason)`` — the reason
     is a short diagnostic (including a stderr snippet on compiler
-    errors) instead of the old silent ``False``.  The final rename is
-    atomic, so concurrent builders race harmlessly.
+    errors) instead of the old silent ``False``.  The source and the
+    unrenamed output live under per-builder names beside ``out`` and are
+    removed on success and failure alike (``out`` is content-addressed
+    by its source, so nothing reads the source again); the final rename
+    is atomic, so concurrent builders race harmlessly.
     """
     include = sysconfig.get_paths()["include"]
+    tag = f".tmp{os.getpid()}.{threading.get_ident()}"
+    src = out.with_name(out.name + tag + ".c")
+    tmp = out.with_name(out.name + tag)
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        src = out.with_suffix(".c")
-        src.write_text(c_source)
-    except OSError as exc:
-        return False, f"cannot write build inputs: {exc}"
-    tmp = out.with_name(out.name + f".tmp{os.getpid()}")
-    cmd = [cc, "-O2", "-fPIC", "-shared", *extra_flags, f"-I{include}",
-           str(src), "-o", str(tmp)]
-    if sys.platform == "darwin":
-        cmd[4:4] = ["-undefined", "dynamic_lookup"]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, timeout=120)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        return False, f"compiler did not run: {type(exc).__name__}: {exc}"
-    if proc.returncode != 0:
-        tail = proc.stderr.decode(errors="replace").strip().splitlines()
-        snippet = "; ".join(tail[-3:]) if tail else "no compiler output"
-        return False, f"compiler exited {proc.returncode}: {snippet}"
-    try:
-        os.replace(tmp, out)
-    except OSError as exc:
-        return False, f"cannot install built object: {exc}"
-    return True, ""
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            src.write_text(c_source)
+        except OSError as exc:
+            return False, f"cannot write build inputs: {exc}"
+        cmd = [cc, "-O2", "-fPIC", "-shared", *extra_flags, f"-I{include}",
+               str(src), "-o", str(tmp)]
+        if sys.platform == "darwin":
+            cmd[4:4] = ["-undefined", "dynamic_lookup"]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, timeout=120)
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            return False, f"compiler did not run: {type(exc).__name__}: {exc}"
+        if proc.returncode != 0:
+            tail = proc.stderr.decode(errors="replace").strip().splitlines()
+            snippet = "; ".join(tail[-3:]) if tail else "no compiler output"
+            return False, f"compiler exited {proc.returncode}: {snippet}"
+        try:
+            os.replace(tmp, out)
+        except OSError as exc:
+            return False, f"cannot install built object: {exc}"
+        return True, ""
+    finally:
+        for path in (src, tmp):
+            with suppress(OSError):
+                path.unlink()
 
 
 def _build(cc: str, out: Path) -> bool:

@@ -1,22 +1,17 @@
 """Kernel-backend selection for lowered kernels.
 
-Every lowered kernel shape now carries three executable forms, all built
-from the same :class:`repro.sim.ir.KernelIR` (or, for ``interp``, from
-the Python template emitted in lockstep with it):
+Every lowered kernel shape has two executable forms, both emitted from
+the same :class:`repro.sim.ir.KernelIR`:
 
 ``interp``
-    the original exec'd Python template — always available, the
-    reference semantics,
-``vm``
-    the fused-op bytecode VM of :mod:`repro.sim.vm` — portable, no
-    toolchain needed, mostly useful as an executable cross-check of the
-    IR (it is not faster than the exec'd template),
+    Python source emitted by :mod:`repro.sim.pykernel` and exec'd —
+    always available, the reference semantics and the fallback,
 ``c``
     whole-kernel C emitted by :mod:`repro.sim.ckernel` and built through
     the :mod:`repro.sim._native` machinery — the fast path.
 
 Selection is process-global: ``REPRO_KERNEL_BACKEND`` picks
-``auto``/``c``/``vm``/``interp`` (default ``auto`` = ``c`` when the
+``auto``/``c``/``interp`` (default ``auto`` = ``c`` when the
 toolchain and native value helpers are available, else ``interp``), and
 :func:`set_kernel_backend` / :func:`use_kernel_backend` override it in
 process (the campaign engines apply ``CampaignConfig.kernel_backend``
@@ -32,7 +27,7 @@ import os
 import warnings
 from contextlib import contextmanager
 
-BACKENDS = ("auto", "c", "vm", "interp")
+BACKENDS = ("auto", "c", "interp")
 
 #: process-level override (set_kernel_backend); None → environment
 _OVERRIDE: str | None = None
@@ -85,7 +80,7 @@ def _resolve() -> str:
             f"unknown kernel backend {requested!r}; "
             f"expected one of {', '.join(BACKENDS)}")
     _INFO["requested"] = requested
-    if requested == "interp" or requested == "vm":
+    if requested == "interp":
         _INFO["active"] = requested
         _INFO["reason"] = "explicitly selected"
         return requested
@@ -110,7 +105,7 @@ def _resolve() -> str:
 
 def active_kernel_backend() -> str:
     """The backend ``LoweredKernel.bind()`` uses right now — one of
-    ``c``/``vm``/``interp`` (``auto`` is resolved, never returned)."""
+    ``c`` or ``interp`` (``auto`` is resolved, never returned)."""
     return _resolve()
 
 

@@ -5,7 +5,7 @@ cost, K)``: FP scalars are C ``double`` locals, int scalars are ``long``,
 arrays are malloc'd ``double*`` copies of the input lists, and the four
 cost-accumulator lanes live in registers between the Flush/Reload points
 — the Python interpreter is only re-entered at runtime hooks, which is
-what buys the order-of-magnitude throughput over the exec'd template.
+what buys the order-of-magnitude throughput over the interpreted kernel.
 
 Bit-exactness contract (the reason the C backend requires
 :func:`repro.sim.values.native_values_active`):
@@ -24,7 +24,7 @@ Bit-exactness contract (the reason the C backend requires
   (``float.hex()``), which round-trip exactly;
 * int arithmetic uses Python's floored ``%``/``//`` semantics and array
   indexing wraps negative indices / raises ``IndexError`` exactly like
-  the template's list accesses.
+  the interpreted kernel's list accesses.
 
 Shared objects are content-addressed by source hash in the same
 per-uid, trust-checked cache directory as the value helpers (one build
@@ -194,7 +194,7 @@ class _Emitter:
         return var
 
     def chk(self) -> None:
-        """Raise the template's IndexError after a statement whose
+        """Raise the interpreted kernel's IndexError after a statement whose
         expressions indexed an array (the flag is sticky per statement;
         expressions themselves are pure, so deferring the check to the
         statement boundary cannot change observable behaviour)."""

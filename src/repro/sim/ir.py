@@ -1,37 +1,37 @@
-"""Typed register IR for lowered kernels — the backend-neutral middle layer.
+"""Typed register IR for lowered kernels — the lowering's only product.
 
-The structural pass (:class:`repro.sim.lower.StructuralLowerer`) emits two
-artifacts from one AST walk: the Python template that the interpreted
-backend ``exec``'s, and a :class:`KernelIR` — a small typed IR whose ops
-mirror the template line for line.  Building both from the same walk is
-what makes the compiled backends (:mod:`repro.sim.vm`,
-:mod:`repro.sim.ckernel`) byte-identical to the interpreter by
-construction: every operation the template performs — each FP op with its
-f32/FTZ/FMA/libm wrap, each fused cost charge against the ``_K``
-constants tuple, each runtime hook in order — has exactly one IR op, and
-the backends only differ in how they *execute* that op.
+The structural pass (:class:`repro.sim.lower.StructuralLowerer`) lowers
+each kernel shape to one :class:`KernelIR`, and both kernel backends are
+emitted from it: :mod:`repro.sim.pykernel` writes the Python function
+the interpreted reference ``exec``'s, :mod:`repro.sim.ckernel` the C
+extension.  That is what makes the compiled backend byte-identical to the
+interpreter by construction: every operation a kernel performs — each FP
+op with its f32/FTZ/FMA/libm wrap, each fused cost charge against the
+``_K`` constants tuple, each runtime hook in order — is exactly one IR
+op, and the backends only differ in how they *execute* that op.
 
 Value semantics carried by the IR:
 
 * **FP expressions** evaluate in binary64; each op result carries a wrap
   code (:data:`W_NONE`/:data:`W_F32`/:data:`W_F32Z`/:data:`W_FTZ`)
   selecting the same rounding/flush helpers of :mod:`repro.sim.values`
-  the template calls.  :class:`FFma` keeps the long-double contraction
+  the kernels call.  :class:`FFma` keeps the long-double contraction
   model; :class:`FCall` names a :data:`repro.sim.values.MATH_IMPLS`
   entry.  Division is IEEE-total (``x/0 -> ±inf``, ``0/0 -> nan``).
 * **Index expressions** are exact Python ``int`` arithmetic, including
   Python's floored ``%``/``//`` and negative-index wrap-around on array
-  access (out-of-range raises ``IndexError``, as the template would).
+  access (out-of-range raises ``IndexError``, as a Python list does).
 * **Cost charges** add ``_K``-slot constants (and branch literals) to
   the four local accumulator lanes; :class:`Flush`/:class:`Reload`
   exchange the lanes with the shared
-  :class:`~repro.sim.lower.CostState` exactly where the template does.
+  :class:`~repro.sim.lower.CostState` around the runtime hooks that
+  observe it.
 * **Hooks** call the :class:`~repro.sim.runtime.RegionExecutor` by
   method name, with or without the ``_tid`` argument.
 
-The IR is deliberately structured (loops and ifs nest, like the
-template) rather than a flat CFG: the backends are a tree-walking
-bytecode compiler and a C emitter, and neither needs more.
+The IR is deliberately structured (loops and ifs nest) rather than a
+flat CFG: both backends are tree-walking source emitters, and neither
+needs more.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class FBin:
     """One arithmetic op; ``op`` in ``'+-*/'``; result gets ``wrap``.
 
     Division is IEEE-total (:func:`repro.sim.values.fdiv` semantics);
-    the template's plain-``/`` fast path only triggers for nonzero
+    the Python kernel's plain-``/`` fast path only triggers for nonzero
     constant divisors, where the two are bit-identical.
     """
 
@@ -119,7 +119,8 @@ class FFma:
     binary64, final round to binary32) versus
     :func:`~repro.sim.values.fma_d` (x87 long-double recovery, NaN
     operands propagate); ``ftz`` applies the matching flush *after* the
-    contraction, exactly as the template chains ``_ftzf(_fmaf(...))``.
+    contraction, exactly as the Python kernel chains
+    ``_ftzf(_fmaf(...))``.
     """
 
     a: "FExpr"
@@ -245,7 +246,7 @@ class Charge:
     (``None`` when that component is structurally zero); ``br`` is the
     vendor-independent branch literal.  Runtime-parameter constants
     (atomic RMW, single arrival, ...) are a ``Charge`` with only
-    ``k_cy`` set — always on lane 0, like the template.
+    ``k_cy`` set — always on lane 0.
     """
 
     lane: int
@@ -449,9 +450,9 @@ class IrBuilder:
     """Block-structured emission helper for :class:`StructuralLowerer`.
 
     ``emit`` appends to the innermost open block; ``push``/``pop``
-    bracket loop and branch bodies around the existing ``block()``
-    recursion, so the op order inside each block is exactly the
-    template's line order.
+    bracket loop and branch bodies around the lowerer's ``block()``
+    recursion, so the op order inside each block is the order the
+    lowerer visits the statements.
     """
 
     def __init__(self) -> None:

@@ -6,25 +6,27 @@ programs again and again.  :class:`KernelCache` memoizes both lowering
 phases behind bounded LRU maps:
 
 * **structural entries** — keyed by ``(fingerprint, ftz, fma_mode)``:
-  the expensive pass (AST walk, source emission, ``compile()``).  The
-  key is the *kernel shape*: the program text plus the only two vendor
-  traits that change emitted code, so vendors whose shapes coincide
-  (e.g. every vendor at ``-O0``/``-O1``, where contraction is off) share
-  one compiled template;
+  the expensive pass (AST walk, constant folding, IR construction).
+  The key is the *kernel shape*: the program text plus the only two
+  vendor traits that change the lowered ops, so vendors whose shapes
+  coincide (e.g. every vendor at ``-O0``/``-O1``, where contraction is
+  off) share one IR — and the executables the backends build from it
+  on first bind (a compiled Python code object, a C extension), which
+  the entry keeps in its ``backend_cache``;
 * **kernel entries** — keyed by ``(fingerprint, vendor, opt_level,
   fast_armed, slow_armed)``: the bound
-  :class:`~repro.sim.lower.LoweredKernel` (template + that vendor's
-  ``_K`` constants).  Bound kernels also memoize their exec'd callable
-  (:meth:`~repro.sim.lower.LoweredKernel.bind`), so a cache hit skips
-  the module exec as well.
+  :class:`~repro.sim.lower.LoweredKernel` (shape + that vendor's
+  ``_K`` constants).  Bound kernels also memoize their callable per
+  backend (:meth:`~repro.sim.lower.LoweredKernel.bind`), so a cache hit
+  skips the bind as well.
 
 Invalidation is purely capacity-based (LRU eviction): every component of
 a key is content-derived — the fingerprint hashes the emitted C++
 translation unit, and the fault arms are deterministic functions of
 ``(fingerprint, vendor)`` — so an entry can never go stale, only cold.
-Capacities bound worst-case memory (a compiled template plus metadata is
-a few tens of KB); the defaults hold a full 200-program campaign with
-room to spare.
+Capacities bound worst-case memory (a shape's IR and charge sites, plus
+the compiled Python code once it runs under ``interp``); the defaults
+hold a full 200-program campaign with room to spare.
 
 The cache is **process-local** by design: worker processes of a
 :class:`~repro.driver.engine.ProcessPoolEngine` each warm their own copy
@@ -134,7 +136,7 @@ class KernelCache:
                 self._shits += 1
                 return hit
             self._smisses += 1
-        value = build()  # built outside the lock: compile() can be slow
+        value = build()  # built outside the lock: lowering can be slow
         with self._lock:
             self._structural.put(key, value)
         return value

@@ -1,13 +1,15 @@
-"""AST -> Python lowering: the execution half of a simulated compiler.
+"""AST -> kernel IR lowering: the execution half of a simulated compiler.
 
 A vendor "compiles" a generated program by (1) applying its FP transforms
-(:mod:`repro.vendors.optimizer`) and (2) lowering the result to a Python
-function via this module.  The lowered code:
+(:mod:`repro.vendors.optimizer`) and (2) lowering the result to a typed
+register IR (:mod:`repro.sim.ir`) via this module; a kernel backend then
+makes the IR executable — Python source for the interpreted reference
+(:mod:`repro.sim.pykernel`) or a C extension (:mod:`repro.sim.ckernel`).
+The lowered kernel:
 
-* evaluates with exact IEEE semantics (``float`` is binary64; binary32
-  programs wrap each operation in :func:`repro.sim.values.f32`; division
-  and math calls go through IEEE-behaved helpers; Intel's FTZ wraps every
-  result),
+* evaluates with exact IEEE semantics (binary64 values; binary32
+  programs round each operation result to binary32; division and math
+  calls are IEEE-total; Intel's FTZ flushes every result),
 * charges **statically pre-computed** cost constants per straight-line
   segment into local accumulators (``_cy``/``_ins``/``_br``; blocks
   inside critical sections charge the ``_ccy`` lane instead) that are
@@ -31,26 +33,27 @@ Lowering is split into two passes so the three simulated vendors stop
 re-walking identical trees:
 
 1. a **structural pass** (:class:`StructuralLowerer`) — expression and
-   statement emission, region metadata, charge-site discovery — runs once
-   per *kernel shape* ``(program, ftz, fma_mode)`` and produces a
-   :class:`StructuralKernel`: compiled template code whose cost constants
-   are a tuple parameter ``_K``;
+   statement lowering, constant folding, region metadata, charge-site
+   discovery — runs once per *kernel shape* ``(program, ftz, fma_mode)``
+   and produces a :class:`StructuralKernel`: the shape's
+   :class:`~repro.sim.ir.KernelIR`, whose cost charges read slots of a
+   constants tuple ``_K``;
 2. a **cost pass** (:func:`bind_costs`) — pure arithmetic over the
    vendor's :class:`~repro.vendors.base.OpCosts` and scale factors —
    fills in the per-vendor ``_K`` values without touching the AST or the
-   compiler, yielding a :class:`LoweredKernel`.
+   IR, yielding a :class:`LoweredKernel`.
 
 The cost pass reproduces the exact floating-point evaluation order of the
 classic single-pass lowerer (including its ``%.1f`` constant rounding),
 so two-phase kernels are byte-identical in behaviour to the seed
-reproduction.  :class:`Lowerer` remains as the one-shot facade running
-both passes; campaign compiles go through
-:class:`repro.sim.kcache.KernelCache` instead, which caches both phases.
+reproduction.  Campaign compiles go through
+:class:`repro.sim.kcache.KernelCache`, which caches both phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import isfinite
 
 from ..core.nodes import (
@@ -86,8 +89,8 @@ from typing import TYPE_CHECKING
 from ..core.types import AssignOpKind, BinOpKind, FPType
 from . import ir as _ir
 from .fptransforms import FusedMulAdd, opt_cycle_scale
+from .pykernel import bind_py
 from .values import MATH_IMPLS, f32, f32z, fdiv, fma_d, fma_f, ftz_d, ftz_f
-from .writer_util import PyWriter
 
 if TYPE_CHECKING:  # typing-only: breaks the sim <-> vendors import cycle
     from ..vendors.base import VendorModel
@@ -133,31 +136,8 @@ class RegionMeta:
     schedules: tuple[str, ...] = ()
 
 
-_HELPERS = {
-    "_div": fdiv,
-    "_f32": f32,
-    "_f32z": f32z,
-    "_fma": fma_d,
-    "_fmaf": fma_f,
-    "_ftz": ftz_d,
-    "_ftzf": ftz_f,
-    "_MATH": MATH_IMPLS,
-}
-
-#: helper parameter defaults appended to the kernel signature so every
-#: hot-loop helper reference is a LOAD_FAST instead of a LOAD_GLOBAL
-_HELPER_PARAMS = ("_f32", "_f32z", "_ftz", "_ftzf", "_div", "_fma",
-                  "_fmaf", "_MATH")
-
 _OPSYM = {BinOpKind.ADD: "+", BinOpKind.SUB: "-", BinOpKind.MUL: "*",
           BinOpKind.DIV: "/"}
-
-#: accumulator synchronization snippets: lowered code mirrors the four
-#: CostState lanes in fast locals and exchanges them with the shared
-#: object only around runtime hooks that read, mutate, or may abort with
-#: a partial cost (see RegionExecutor's hook classification)
-_FLUSH = "_c.cy = _cy; _c.ccy = _ccy; _c.ins = _ins; _c.br = _br"
-_RELOAD = "_cy = _c.cy; _ccy = _c.ccy; _ins = _c.ins; _br = _c.br"
 
 
 # ======================================================================
@@ -282,7 +262,7 @@ class ChargeSite:
 
     ``k_cy``/``k_ins`` are indices into the kernel's ``_K`` constants
     tuple (``None`` when that component is structurally zero); ``br`` is
-    vendor-independent and baked into the template as a literal.
+    vendor-independent and baked into the IR as a literal.
     """
 
     __slots__ = ("stmts", "extra", "br", "in_crit", "k_cy", "k_ins")
@@ -315,35 +295,25 @@ class RuntimeConstSite:
 
 @dataclass
 class StructuralKernel:
-    """Phase-1 output: vendor-shape template plus charge-site metadata."""
+    """Phase-1 output: one kernel shape's IR plus charge-site metadata."""
 
-    template: str
-    code: object  # types.CodeType, shared by every vendor of this shape
+    ir: _ir.KernelIR = field(repr=False)
     sites: tuple[object, ...]  # ChargeSite | RuntimeConstSite, in _K order
-    n_constants: int
     regions: list[RegionMeta]
-    uses_math: tuple[str, ...]
-    #: the backend-neutral typed IR built during the same walk that
-    #: emitted the template (see :mod:`repro.sim.ir`)
-    ir: object = field(default=None, repr=False, compare=False)
-    #: per-shape compiled artifacts (VM bytecode, C extension module),
-    #: lazily populated by the backends and shared across vendors
+    #: per-shape executables (compiled Python code, C extension module),
+    #: built lazily by the backends on first bind, shared across vendors
     backend_cache: dict = field(default_factory=dict, repr=False,
                                 compare=False)
 
 
 @dataclass
 class LoweredKernel:
-    """Output of lowering: template code bound to one vendor's constants."""
+    """Output of lowering: one kernel shape bound to one vendor's
+    constants."""
 
-    source: str
-    code: object  # types.CodeType (shared across same-shape kernels)
+    structural: StructuralKernel = field(repr=False, compare=False)
     constants: tuple[float, ...] = ()
     regions: list[RegionMeta] = field(default_factory=list)
-    uses_math: tuple[str, ...] = ()
-    #: the shape this kernel was bound from (the compiled backends need
-    #: its IR; ``None`` only for hand-built kernels in tests)
-    structural: object = field(default=None, repr=False, compare=False)
     _entries: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bind(self, backend: str | None = None) -> object:
@@ -352,8 +322,8 @@ class LoweredKernel:
 
         Entries are memoized per backend, so repeated binds (every
         execution site, every input) reuse one callable instead of
-        re-exec'ing / re-compiling.  The compiled backends fall back to
-        the interpreted entry — recording why — when unavailable.
+        re-exec'ing / re-building.  The C backend falls back to the
+        interpreted entry — recording why — when unavailable.
         """
         if backend is None:
             from .backend import active_kernel_backend
@@ -365,22 +335,14 @@ class LoweredKernel:
         return entry
 
     def _make_entry(self, backend: str) -> object:
-        if backend != "interp" and self.structural is not None \
-                and getattr(self.structural, "ir", None) is not None:
-            if backend == "vm":
-                from .vm import bind_vm
-                return bind_vm(self.structural, self.constants)
-            if backend == "c":
-                from .ckernel import bind_c
-                entry = bind_c(self.structural, self.constants)
-                if entry is not None:
-                    return entry
-                # unavailable (no toolchain / untrusted cache / build
-                # failure): sim.backend recorded the reason and warned
-        ns = dict(_HELPERS)
-        ns["_K"] = self.constants
-        exec(self.code, ns)  # noqa: S102 - our own generated code
-        return ns["_kernel"]
+        if backend == "c":
+            from .ckernel import bind_c
+            entry = bind_c(self.structural, self.constants)
+            if entry is not None:
+                return entry
+            # unavailable (no toolchain / untrusted cache / build
+            # failure): sim.backend recorded the reason and warned
+        return bind_py(self.structural, self.constants)
 
 
 # ======================================================================
@@ -388,9 +350,9 @@ class LoweredKernel:
 # ======================================================================
 
 class StructuralLowerer:
-    """Lowers one (FP-transformed) program to a vendor-shape template.
+    """Lowers one (FP-transformed) program to its kernel-shape IR.
 
-    ``ftz`` is the only vendor trait that changes emitted *code* (the
+    ``ftz`` is the only vendor trait that changes the lowered *ops* (the
     FMA mode changed the input tree before this pass); everything else a
     vendor contributes — per-op costs, cycle/instruction scales, fault
     scaling — lives in the ``_K`` constants tuple that
@@ -401,8 +363,6 @@ class StructuralLowerer:
         self.program = program
         self.fp32 = program.fp_type is FPType.FLOAT
         self.ftz = ftz
-        self.w = PyWriter()
-        #: IR built in lockstep with the template (same walk, same order)
         self.b = _ir.IrBuilder()
         self._wrapc = _ir.wrap_code(self.fp32, ftz)
         self.regions: list[RegionMeta] = []
@@ -412,167 +372,117 @@ class StructuralLowerer:
         #: name substitution (comp -> reduction private copy inside regions)
         self._subst: dict[str, str] = {}
         self._in_crit = False
-        #: team size of the region being emitted (section-arm assignment)
+        #: team size of the region being lowered (section-arm assignment)
         self._region_threads = 1
-        #: per-arm task-queue emission state (no nesting: one at a time)
+        #: per-arm task-queue lowering state (no nesting: one at a time)
         self._arm: dict | None = None
         self._uniq = 0
 
     # ==================================================================
-    # expression emission
+    # expressions
     # ==================================================================
-    def _wrap(self, text: str) -> str:
-        """Apply binary32 rounding and/or FTZ to one operation result."""
-        if self.fp32:
-            if self.ftz:
-                return f"_f32z({text})"  # fused f32 + binary32 FTZ
-            return f"_f32({text})"
-        if self.ftz:
-            return f"_ftz({text})"
-        return text
-
     def _wrap_value(self, v: float) -> float:
-        """The value :meth:`_wrap` would produce at runtime — same helper
-        functions, so folded constants are bit-identical to executing the
-        operation in the kernel."""
+        """The value an op result gets under this shape's wrap code —
+        same helper functions the kernel calls, so folded constants are
+        bit-identical to executing the operation in the kernel."""
         if self.fp32:
             return f32z(v) if self.ftz else f32(v)
         if self.ftz:
             return ftz_d(v)
         return v
 
-    def expr(self, e: Expr) -> str:
-        return self._expr(e)[0]
-
-    def _expr(self, e: Expr) -> tuple[str, float | None, object]:
-        """(source text, folded constant value or None, IR expression).
+    def _expr(self, e: Expr) -> tuple[float | None, object]:
+        """(folded constant value or None, IR expression).
 
         Subtrees whose leaves are all numerals are evaluated once at
-        lowering time — with the very helper functions the emitted code
-        would call — and emitted as a single ``repr`` literal (``repr``
-        round-trips floats exactly).  Folding changes only the executed
-        bytecode: the static cost model still charges the full tree, so
-        costs, counters, and results match unfolded execution exactly.
-        The IR mirrors the emitted text op for op (folded subtrees
-        become :class:`~repro.sim.ir.FLit` of the same float), so every
-        backend evaluates exactly what the template evaluates.
+        lowering time — with the very helper functions the kernel would
+        call — and become one :class:`~repro.sim.ir.FLit` of the result.
+        Folding changes only the executed ops: the static cost model
+        still charges the full tree, so costs, counters, and results
+        match unfolded execution exactly.  Non-finite results stay ops
+        (the Python kernel has no literal for inf/nan).
         """
         if isinstance(e, FPNumeral):
             v = f32(e.value) if self.fp32 else e.value
-            return repr(v), v, _ir.FLit(v)
+            return v, _ir.FLit(v)
         if isinstance(e, IntNumeral):
             v = float(e.value)
-            return repr(v), v, _ir.FLit(v)
+            return v, _ir.FLit(v)
         if isinstance(e, VarRef):
             name = self._subst.get(e.var.name, e.var.name)
             if e.var.is_fp:
-                return name, None, _ir.FVar(self.b.fvar(name))
-            return (f"float({name})", None,
-                    _ir.IToF(_ir.IVar(self.b.ivar(name))))
+                return None, _ir.FVar(self.b.fvar(name))
+            return None, _ir.IToF(_ir.IVar(self.b.ivar(name)))
         if isinstance(e, ArrayRef):
-            idx, idx_ir = self._index(e.index)
-            return (f"{e.var.name}[{idx}]", None,
-                    _ir.ALoad(self.b.array(e.var.name), idx_ir))
+            idx = self._index(e.index)
+            return None, _ir.ALoad(self.b.array(e.var.name), idx)
         if isinstance(e, ThreadIdx):
-            return "float(_tid)", None, _ir.IToF(_ir.IVar("_tid"))
+            return None, _ir.IToF(_ir.IVar("_tid"))
         if isinstance(e, Paren):
-            return self._expr(e.inner)  # grouping is explicit in our output
+            return self._expr(e.inner)  # grouping is explicit in the IR
         if isinstance(e, UnaryOp):
-            inner, v, iv = self._expr(e.operand)
+            v, inner = self._expr(e.operand)
             if e.op == "+":
-                return inner, v, iv
+                return v, inner
             if v is not None:
-                folded = -v
-                return repr(folded), folded, _ir.FLit(folded)
-            return f"(-({inner}))", None, _ir.FNeg(iv)
+                return -v, _ir.FLit(-v)
+            return None, _ir.FNeg(inner)
         if isinstance(e, BinOp):
-            (lhs, lv, li), (rhs, rv, ri) = self._expr(e.lhs), self._expr(e.rhs)
-            if e.op is BinOpKind.DIV:
-                if lv is not None and rv is not None:
-                    folded = self._wrap_value(fdiv(lv, rv))
-                    if isfinite(folded):  # inf/nan have no source literal
-                        return repr(folded), folded, _ir.FLit(folded)
-                div_ir = _ir.FBin("/", li, ri, self._wrapc)
-                if rv is not None and rv != 0.0:
-                    # nonzero (or nan) constant divisor: Python's own `/`
-                    # is IEEE-identical and never raises — skip the
-                    # ZeroDivisionError-translating helper call
-                    return self._wrap(f"({lhs} / {rhs})"), None, div_ir
-                return self._wrap(f"_div({lhs}, {rhs})"), None, div_ir
+            (lv, lhs), (rv, rhs) = self._expr(e.lhs), self._expr(e.rhs)
             if lv is not None and rv is not None:
                 op = e.op
-                raw = (lv + rv if op is BinOpKind.ADD else
+                raw = (fdiv(lv, rv) if op is BinOpKind.DIV else
+                       lv + rv if op is BinOpKind.ADD else
                        lv - rv if op is BinOpKind.SUB else lv * rv)
                 folded = self._wrap_value(raw)
                 if isfinite(folded):
-                    return repr(folded), folded, _ir.FLit(folded)
-            sym = _OPSYM[e.op]
-            return (self._wrap(f"({lhs} {sym} {rhs})"), None,
-                    _ir.FBin(sym, li, ri, self._wrapc))
+                    return folded, _ir.FLit(folded)
+            return None, _ir.FBin(_OPSYM[e.op], lhs, rhs, self._wrapc)
         if isinstance(e, FusedMulAdd):
-            a, av, ai = self._expr(e.a)
-            b, bv, bi = self._expr(e.b)
-            c, cv, ci = self._expr(e.c)
-            if av is not None and e.negate_product:
-                av, a = -av, repr(-av)
-                ai = _ir.FLit(av)
-            elif e.negate_product:
-                a, ai = f"(-({a}))", _ir.FNeg(ai)
+            av, a = self._expr(e.a)
+            bv, b = self._expr(e.b)
+            cv, c = self._expr(e.c)
+            if e.negate_product:
+                if av is not None:
+                    av = -av
+                    a = _ir.FLit(av)
+                else:
+                    a = _ir.FNeg(a)
             if av is not None and bv is not None and cv is not None:
                 folded = fma_f(av, bv, cv) if self.fp32 else fma_d(av, bv, cv)
                 if self.ftz:
                     folded = ftz_f(folded) if self.fp32 else ftz_d(folded)
                 if isfinite(folded):
-                    return repr(folded), folded, _ir.FLit(folded)
-            fn = "_fmaf" if self.fp32 else "_fma"
-            text = f"{fn}({a}, {b}, {c})"
-            if self.ftz:
-                text = f"_ftzf({text})" if self.fp32 else f"_ftz({text})"
-            return text, None, _ir.FFma(ai, bi, ci, self.fp32, self.ftz)
+                    return folded, _ir.FLit(folded)
+            return None, _ir.FFma(a, b, c, self.fp32, self.ftz)
         if isinstance(e, MathCall):
             self.math_used.add(e.func)
-            arg, av, argi = self._expr(e.arg)
+            av, arg = self._expr(e.arg)
             if av is not None:
                 folded = self._wrap_value(MATH_IMPLS[e.func](av))
                 if isfinite(folded):
-                    return repr(folded), folded, _ir.FLit(folded)
-            return (self._wrap(f"_m_{e.func}({arg})"), None,
-                    _ir.FCall(e.func, argi, self._wrapc))
+                    return folded, _ir.FLit(folded)
+            return None, _ir.FCall(e.func, arg, self._wrapc)
         raise TypeError(f"cannot lower expression {type(e).__name__}")
 
-    def index(self, idx) -> str:
-        return self._index(idx)[0]
-
-    def _index(self, idx) -> tuple[str, object]:
+    def _index(self, idx) -> object:
         if isinstance(idx, IntNumeral):
-            return str(idx.value), _ir.ILit(idx.value)
+            return _ir.ILit(idx.value)
         if isinstance(idx, VarRef):
-            name = self._subst.get(idx.var.name, idx.var.name)
-            return name, _ir.IVar(self.b.ivar(name))
+            return _ir.IVar(self.b.ivar(self._subst.get(idx.var.name,
+                                                         idx.var.name)))
         if isinstance(idx, ThreadIdx):
-            return "_tid", _ir.IVar("_tid")
+            return _ir.IVar("_tid")
         if isinstance(idx, ModIdx):
-            base, base_ir = self._index(idx.base)
-            return (f"({base}) % {idx.modulus}",
-                    _ir.IMod(base_ir, idx.modulus))
+            return _ir.IMod(self._index(idx.base), idx.modulus)
         raise TypeError(f"cannot lower index {type(idx).__name__}")
 
-    def bool_expr(self, b: BoolExpr) -> str:
-        return self._bool(b)[0]
-
-    def _bool(self, b: BoolExpr) -> tuple[str, object]:
-        if isinstance(b.lhs, VarRef):
-            lhs, _, lhs_ir = self._expr(b.lhs)
-        else:
-            idx, idx_ir = self._index(b.lhs.index)
-            lhs = f"{b.lhs.var.name}[{idx}]"
-            lhs_ir = _ir.ALoad(self.b.array(b.lhs.var.name), idx_ir)
-        rhs, _, rhs_ir = self._expr(b.rhs)
-        return (f"({lhs}) {b.op.value} ({rhs})",
-                _ir.Cmp(lhs_ir, b.op.value, rhs_ir))
+    def _bool(self, b: BoolExpr) -> _ir.Cmp:
+        lhs = self._expr(b.lhs)[1]  # a scalar or an array element
+        return _ir.Cmp(lhs, b.op.value, self._expr(b.rhs)[1])
 
     # ==================================================================
-    # charge-site emission
+    # charge sites
     # ==================================================================
     def _alloc(self) -> int:
         k = self._n_constants
@@ -590,20 +500,13 @@ class StructuralLowerer:
         """
         site = ChargeSite(stmts, extra, br, self._in_crit)
         ref_cy, ref_ins = _REF_MODEL.site_cost(site)
-        lane = "_ccy" if self._in_crit else "_cy"
-        parts = []
         if ref_cy:
             site.k_cy = self._alloc()
-            parts.append(f"{lane} += _K{site.k_cy}")
         if ref_ins:
             site.k_ins = self._alloc()
-            parts.append(f"_ins += _K{site.k_ins}")
-        if br:
-            parts.append(f"_br += {br:.0f}")
         if site.k_cy is not None or site.k_ins is not None:
             self.sites.append(site)
-        if parts:
-            self.w.line("; ".join(parts))
+        if site.k_cy is not None or site.k_ins is not None or br:
             self.b.emit(_ir.Charge(1 if self._in_crit else 0, site.k_cy,
                                    site.k_ins, float(br)))
 
@@ -613,59 +516,42 @@ class StructuralLowerer:
         regardless of the critical lane)."""
         k = self._alloc()
         self.sites.append(RuntimeConstSite(param, k))
-        self.w.line(f"_cy += _K{k}")
         self.b.emit(_ir.Charge(0, k, None, 0.0))
 
     # ==================================================================
-    # statement emission
+    # statements
     # ==================================================================
     def _emit_assignment(self, s: Assignment) -> None:
-        rhs, rv, rhs_ir = self._expr(s.expr)
+        rhs = self._expr(s.expr)[1]
         if isinstance(s.target, VarRef):
             name = self._subst.get(s.target.var.name, s.target.var.name)
-            idx_ir = None
-            load_ir: object = _ir.FVar(self.b.fvar(name))
+            idx = None
+            load: object = _ir.FVar(self.b.fvar(name))
         else:
-            idx, idx_ir = self._index(s.target.index)
-            name = f"{s.target.var.name}[{idx}]"
-            load_ir = _ir.ALoad(self.b.array(s.target.var.name), idx_ir)
-
-        def store(e_ir: object) -> None:
-            if idx_ir is None:
-                self.b.emit(_ir.SetVar(name, e_ir))
-            else:
-                self.b.emit(_ir.AStore(s.target.var.name, idx_ir, e_ir))
-
-        if s.op is AssignOpKind.ASSIGN:
-            self.w.line(f"{name} = {rhs}")
-            store(rhs_ir)
-            return
+            name = s.target.var.name
+            idx = self._index(s.target.index)
+            load = _ir.ALoad(self.b.array(name), idx)
         binop = s.op.binop
-        assert binop is not None
-        if binop is BinOpKind.DIV:
-            if rv is not None and rv != 0.0:  # see the BinOp DIV fast path
-                self.w.line(f"{name} = {self._wrap(f'({name} / {rhs})')}")
-            else:
-                self.w.line(f"{name} = {self._wrap(f'_div({name}, {rhs})')}")
-            store(_ir.FBin("/", load_ir, rhs_ir, self._wrapc))
+        if binop is not None:  # compound: read-modify-write
+            rhs = _ir.FBin(_OPSYM[binop], load, rhs, self._wrapc)
+        if idx is None:
+            self.b.emit(_ir.SetVar(name, rhs))
         else:
-            self.w.line(
-                f"{name} = {self._wrap(f'({name} {_OPSYM[binop]} {rhs})')}")
-            store(_ir.FBin(_OPSYM[binop], load_ir, rhs_ir, self._wrapc))
+            self.b.emit(_ir.AStore(name, idx, rhs))
 
     def _emit_simple(self, s) -> None:
         if isinstance(s, Assignment):
             self._emit_assignment(s)
         elif isinstance(s, DeclAssign):
-            text, _, e_ir = self._expr(s.expr)
-            self.w.line(f"{s.var.name} = {text}")
+            e_ir = self._expr(s.expr)[1]
             self.b.emit(_ir.SetVar(self.b.fvar(s.var.name), e_ir))
         else:  # pragma: no cover
             raise TypeError(type(s).__name__)
 
     def block(self, b: Block, *, extra: tuple | None = None,
               tid_var: str | None = None) -> None:
-        """Emit a block: segments of simple statements get one fused charge."""
+        """Lower a block: segments of simple statements get one fused
+        charge."""
         pending: list = []
         first = True
 
@@ -696,14 +582,13 @@ class StructuralLowerer:
         flush()
 
     def stmt(self, s, *, tid_var: str | None = None) -> None:
+        b = self.b
         if isinstance(s, IfBlock):
             self._charge((), ("if", s.cond.rhs), 1.0)
-            cond, cond_ir = self._bool(s.cond)
-            self.w.open(f"if {cond}:")
-            self.b.push()
+            cond = self._bool(s.cond)
+            b.push()
             self.block(s.body, tid_var=tid_var)
-            self.w.close()
-            self.b.emit(_ir.If(cond_ir, self.b.pop()))
+            b.emit(_ir.If(cond, b.pop()))
             return
         if isinstance(s, ForLoop):
             self._emit_for(s, tid_var=tid_var)
@@ -711,16 +596,13 @@ class StructuralLowerer:
         if isinstance(s, OmpCritical):
             # crit_enter may abort with the livelock fault: the shared
             # cost state must be current when the driver reads it
-            self.w.line(_FLUSH)
-            self.b.emit(_ir.Flush())
-            self.w.line("_rt.crit_enter()")
-            self.b.emit(_ir.Hook("crit_enter", False))
+            b.emit(_ir.Flush())
+            b.emit(_ir.Hook("crit_enter", False))
             was = self._in_crit
             self._in_crit = True
             self.block(s.body, tid_var=tid_var)
             self._in_crit = was
-            self.w.line("_rt.crit_exit()")
-            self.b.emit(_ir.Hook("crit_exit", False))
+            b.emit(_ir.Hook("crit_exit", False))
             return
         if isinstance(s, OmpAtomic):
             assert tid_var is not None, "atomic outside a parallel region"
@@ -729,8 +611,7 @@ class StructuralLowerer:
             # inline so the hook stays cost-transparent
             self._charge((s.update,))
             self._runtime_const("atomic_rmw_cycles")
-            self.w.line("_rt.atomic_update()")
-            self.b.emit(_ir.Hook("atomic_update", False))
+            b.emit(_ir.Hook("atomic_update", False))
             self._emit_assignment(s.update)
             return
         if isinstance(s, OmpSingle):
@@ -740,19 +621,15 @@ class StructuralLowerer:
             # are restricted to team-uniform values, making any choice of
             # executor equivalent (and the native run deterministic)
             self._charge((), ("branch",), 1.0)
-            self.w.open(f"if {tid_var} == 0:")
-            self.b.push()
+            b.push()
             self.block(s.body, tid_var=tid_var)
-            self.w.close()
-            self.b.emit(_ir.IfIntEq(tid_var, 0, self.b.pop()))
+            b.emit(_ir.IfIntEq(tid_var, 0, b.pop()))
             self._runtime_const("single_arrival_cycles")
-            self.w.line(f"_rt.single_done({tid_var})")
-            self.b.emit(_ir.Hook("single_done", True))
+            b.emit(_ir.Hook("single_done", True))
             return
         if isinstance(s, OmpBarrier):
             assert tid_var is not None, "barrier outside a parallel region"
-            self.w.line(f"_rt.barrier({tid_var})")
-            self.b.emit(_ir.Hook("barrier", True))
+            b.emit(_ir.Hook("barrier", True))
             return
         if isinstance(s, OmpSections):
             assert tid_var is not None, "sections outside a parallel region"
@@ -770,63 +647,44 @@ class StructuralLowerer:
             return
         raise TypeError(f"cannot lower statement {type(s).__name__}")
 
-    def _bound_text(self, bound) -> str:
-        return self._bound(bound)[0]
-
-    def _bound(self, bound) -> tuple[str, object]:
+    def _bound(self, bound) -> object:
         if isinstance(bound, IntNumeral):
-            return str(bound.value), _ir.ILit(bound.value)
-        return (f"max(0, {bound.var.name})",
-                _ir.IMax0(self.b.ivar(bound.var.name)))
+            return _ir.ILit(bound.value)
+        return _ir.IMax0(self.b.ivar(bound.var.name))
 
-    def _iter_source(self, s: ForLoop, tid_var: str, n_text: str,
-                     n_ir: object, lv: str) -> tuple[str, tuple]:
-        """Python iterable expression assigning ``n_text`` iterations of a
-        worksharing loop to ``tid_var`` under the loop's schedule clause,
-        plus the IR iteration plan (``('range', lo, hi)`` after emitting
-        the :class:`~repro.sim.ir.Chunk` op, or ``('assign', ...)``)."""
+    def _schedule(self, s: ForLoop, n: object, label: str, var: str):
+        """The loop op (awaiting its body) that runs ``var`` over the
+        iterations of ``n`` that ``s``'s schedule clause assigns to the
+        current thread; the default schedule first emits its
+        :class:`~repro.sim.ir.Chunk`."""
         if s.schedule is None or (s.schedule.value == "static"
                                   and not s.schedule_chunk):
             # the default schedule: static contiguous blocks — keep the
             # cheap two-endpoint form on this hot path
-            self.w.line(f"_lo_{lv}, _hi_{lv} = _rt.chunk({tid_var}, {n_text})")
-            self.b.emit(_ir.Chunk(lv, n_ir))
-            self.b.ivar(f"_lo_{lv}")
-            self.b.ivar(f"_hi_{lv}")
-            return (f"range(_lo_{lv}, _hi_{lv})",
-                    ("range", _ir.IVar(f"_lo_{lv}"), _ir.IVar(f"_hi_{lv}")))
-        return ((f"_rt.assign({tid_var}, {n_text}, "
-                 f"{s.schedule.value!r}, {s.schedule_chunk})"),
-                ("assign", n_ir, s.schedule.value, s.schedule_chunk))
+            self.b.emit(_ir.Chunk(label, n))
+            return partial(_ir.ForRange, var,
+                           _ir.IVar(self.b.ivar(f"_lo_{label}")),
+                           _ir.IVar(self.b.ivar(f"_hi_{label}")))
+        return partial(_ir.ForAssign, var, n, s.schedule.value,
+                       s.schedule_chunk)
 
     def _emit_for(self, s: ForLoop, *, tid_var: str | None) -> None:
         lv = s.loop_var.name
         if s.omp_for and s.collapse == 2:
             self._emit_collapsed_for(s, tid_var=tid_var)
             return
+        n = self._bound(s.bound)
         if s.omp_for:
             assert tid_var is not None, "omp for outside region"
-            n, n_ir = self._bound(s.bound)
-            src, plan = self._iter_source(s, tid_var, n, n_ir, lv)
-            self.w.open(f"for {lv} in {src}:")
+            loop = self._schedule(s, n, lv, lv)
         else:
-            n, n_ir = self._bound(s.bound)
-            plan = ("range", _ir.ILit(0), n_ir)
-            self.w.open(f"for {lv} in range({n}):")
+            loop = partial(_ir.ForRange, lv, _ir.ILit(0), n)
         self.b.ivar(lv)
         self.b.push()
         self.block(s.body, extra=("loop", 1, 1.0), tid_var=tid_var)
-        self.w.close()
-        self._emit_loop_ir(lv, plan, self.b.pop())
+        self.b.emit(loop(self.b.pop()))
         if s.omp_for:
-            self.w.line(f"_rt.omp_for_done({tid_var})")
             self.b.emit(_ir.Hook("omp_for_done", True))
-
-    def _emit_loop_ir(self, lv: str, plan: tuple, body: list) -> None:
-        if plan[0] == "range":
-            self.b.emit(_ir.ForRange(lv, plan[1], plan[2], body))
-        else:
-            self.b.emit(_ir.ForAssign(lv, plan[1], plan[2], plan[3], body))
 
     def _emit_collapsed_for(self, s: ForLoop, *, tid_var: str | None) -> None:
         """``collapse(2)``: iterate the flattened n1*n2 space and derive
@@ -835,34 +693,23 @@ class StructuralLowerer:
         assert tid_var is not None, "omp for outside region"
         inner = s.body.stmts[0]
         assert isinstance(inner, ForLoop) and not inner.omp_for
+        b = self.b
         lv, ilv = s.loop_var.name, inner.loop_var.name
-        n1, n1_ir = self._bound(s.bound)
-        n2, n2_ir = self._bound(inner.bound)
-        self.w.line(f"_n2_{lv} = {n2}")
-        self.b.emit(_ir.SetIVar(self.b.ivar(f"_n2_{lv}"), n2_ir))
-        self.w.line(f"_n_{lv} = ({n1}) * _n2_{lv}")
-        self.b.emit(_ir.SetIVar(self.b.ivar(f"_n_{lv}"),
-                                _ir.IMul(n1_ir, _ir.IVar(f"_n2_{lv}"))))
-        src, plan = self._iter_source(s, tid_var, f"_n_{lv}",
-                                      _ir.IVar(f"_n_{lv}"), lv)
-        kv = f"_k_{lv}"
-        self.w.open(f"for {kv} in {src}:")
-        self.b.ivar(kv)
-        self.b.push()
-        self.w.line(f"{lv} = {kv} // _n2_{lv}")
-        self.b.emit(_ir.SetIVar(self.b.ivar(lv),
-                                _ir.IFloorDiv(_ir.IVar(kv),
-                                              _ir.IVar(f"_n2_{lv}"))))
-        self.w.line(f"{ilv} = {kv} % _n2_{lv}")
-        self.b.emit(_ir.SetIVar(self.b.ivar(ilv),
-                                _ir.IModV(_ir.IVar(kv),
-                                          _ir.IVar(f"_n2_{lv}"))))
+        n2v, nv, kv = f"_n2_{lv}", f"_n_{lv}", f"_k_{lv}"
+        n1, n2 = self._bound(s.bound), self._bound(inner.bound)
+        b.emit(_ir.SetIVar(b.ivar(n2v), n2))
+        b.emit(_ir.SetIVar(b.ivar(nv), _ir.IMul(n1, _ir.IVar(n2v))))
+        loop = self._schedule(s, _ir.IVar(nv), lv, kv)
+        b.ivar(kv)
+        b.push()
+        b.emit(_ir.SetIVar(b.ivar(lv),
+                           _ir.IFloorDiv(_ir.IVar(kv), _ir.IVar(n2v))))
+        b.emit(_ir.SetIVar(b.ivar(ilv),
+                           _ir.IModV(_ir.IVar(kv), _ir.IVar(n2v))))
         # two loop heads' worth of bookkeeping per flattened iteration
         self.block(inner.body, extra=("loop", 2, 2.0), tid_var=tid_var)
-        self.w.close()
-        self._emit_loop_ir(kv, plan, self.b.pop())
-        self.w.line(f"_rt.omp_for_done({tid_var})")
-        self.b.emit(_ir.Hook("omp_for_done", True))
+        b.emit(loop(b.pop()))
+        b.emit(_ir.Hook("omp_for_done", True))
 
     # ==================================================================
     # worksharing-graph constructs: sections arms + task queue
@@ -882,12 +729,9 @@ class StructuralLowerer:
         self._runtime_const("sections_dispatch_cycles")
         for i, sec in enumerate(s.sections):
             self._charge((), ("branch",), 1.0)
-            self.w.open(f"if {tid_var} == {i % t}:")
             self.b.push()
             self._emit_arm_body(sec.body, tid_var)
-            self.w.close()
             self.b.emit(_ir.IfIntEq(tid_var, i % t, self.b.pop()))
-        self.w.line(f"_rt.sections_done({tid_var})")
         self.b.emit(_ir.Hook("sections_done", True))
 
     def _emit_arm_body(self, body: Block, tid_var: str) -> None:
@@ -895,9 +739,7 @@ class StructuralLowerer:
         uid = self._uniq
         self._uniq += 1
         qn = f"_tq{uid}"
-        has_tasks = any(isinstance(st, OmpTask) for st in body.stmts)
-        if has_tasks:
-            self.w.line(f"{qn} = []")
+        if any(isinstance(st, OmpTask) for st in body.stmts):
             self.b.emit(_ir.QNew(self.b.queue(qn)))
         prev = self._arm
         self._arm = {"qn": qn, "uid": uid, "tasks": [], "pending": False,
@@ -920,16 +762,13 @@ class StructuralLowerer:
         # deferral is bookkeeping, not execution: charge the runtime's
         # spawn cost now, run the body when the queue drains
         self._runtime_const("task_spawn_cycles")
-        self.w.line(f"{arm['qn']}.append({k})")
         self.b.emit(_ir.QPush(arm["qn"], k))
-        self.w.line(f"_rt.task_spawn({arm['tid_var']})")
         self.b.emit(_ir.Hook("task_spawn", True))
 
     def _emit_taskwait(self, tid_var: str) -> None:
         arm = self._arm
         assert arm is not None, "taskwait outside a section arm"
         self._runtime_const("taskwait_cycles")
-        self.w.line(f"_rt.taskwait({tid_var})")
         self.b.emit(_ir.Hook("taskwait", True))
         if arm["tasks"]:
             self._emit_task_drain()
@@ -940,22 +779,17 @@ class StructuralLowerer:
         thread drains its own queue at the join point)."""
         arm = self._arm
         assert arm is not None and arm["tasks"]
-        qn, uid = arm["qn"], arm["uid"]
-        tk = f"_tk{uid}"
-        self.w.open(f"for {tk} in {qn}:")
-        self.b.ivar(tk)
-        self.b.push()
+        b = self.b
+        qn, tk = arm["qn"], f"_tk{arm['uid']}"
+        b.ivar(tk)
+        b.push()
         for k, task in enumerate(arm["tasks"]):
             self._charge((), ("branch",), 1.0)
-            self.w.open(f"if {tk} == {k}:")
-            self.b.push()
+            b.push()
             self.block(task.body, tid_var=arm["tid_var"])
-            self.w.close()
-            self.b.emit(_ir.IfIntEq(tk, k, self.b.pop()))
-        self.w.close()
-        self.b.emit(_ir.ForList(qn, tk, self.b.pop()))
-        self.w.line(f"del {qn}[:]")
-        self.b.emit(_ir.QClear(qn))
+            b.emit(_ir.IfIntEq(tk, k, b.pop()))
+        b.emit(_ir.ForList(qn, tk, b.pop()))
+        b.emit(_ir.QClear(qn))
         arm["pending"] = False
 
     # ==================================================================
@@ -998,143 +832,80 @@ class StructuralLowerer:
         meta = self._region_meta(s)
         self.regions.append(meta)
         self._region_threads = meta.n_threads
-        w = self.w
         privs = list(s.clauses.private)
         fprivs = list(s.clauses.firstprivate)
         reduction = s.clauses.reduction
+        comp = self.program.comp.name
 
         # region_enter charges spawn instructions/branches and may abort
         # with the miscompile fault: synchronize both directions
         b = self.b
-        w.line(_FLUSH)
         b.emit(_ir.Flush())
-        w.line(f"_rt.region_enter({rid})")
         b.emit(_ir.RegionEnter(rid))
-        w.line(_RELOAD)
         b.emit(_ir.Reload())
         for v in privs + fprivs:
-            w.line(f"_save_{v.name} = {v.name}")
             b.emit(_ir.SetVar(b.fvar(f"_save_{v.name}"),
                               _ir.FVar(b.fvar(v.name))))
         if reduction is not None:
-            w.line("_partials = []")
             b.emit(_ir.InitPartials())
-        w.open(f"for _tid in range({meta.n_threads}):")
         b.ivar("_tid")
         b.push()
         # thread_begin snapshots the shared lanes; they are current here
         # because the previous thread's charges were flushed at its
         # thread_end and nothing in between charges
-        w.line("_rt.thread_begin(_tid)")
         b.emit(_ir.Hook("thread_begin", True))
         for v in fprivs:
-            w.line(f"{v.name} = _save_{v.name}")
             b.emit(_ir.SetVar(v.name, _ir.FVar(f"_save_{v.name}")))
         if reduction is not None:
             # the OpenMP-specified initializer: 0 / 1 / largest / smallest
             # representable value of the program's fp type
             ident = reduction.identity(self.program.fp_type)
-            w.line(f"_rcomp = {ident!r}")
             b.emit(_ir.SetVar(b.fvar("_rcomp"), _ir.FLit(ident)))
-            self._subst[self.program.comp.name] = "_rcomp"
+            self._subst[comp] = "_rcomp"
         try:
             self.block(s.body, tid_var="_tid")
         finally:
-            self._subst.pop(self.program.comp.name, None)
+            self._subst.pop(comp, None)
         if reduction is not None:
-            w.line("_partials.append(_rcomp)")
             b.emit(_ir.AppendPartial("_rcomp"))
-        w.line(_FLUSH)
         b.emit(_ir.Flush())
-        w.line("_rt.thread_end(_tid)")
         b.emit(_ir.Hook("thread_end", True))
-        w.close()
         b.emit(_ir.ForRange("_tid", _ir.ILit(0), _ir.ILit(meta.n_threads),
                             b.pop()))
-        comp = self.program.comp.name
-        if reduction is not None:
-            w.line(f"{comp} = _rt.region_exit({rid}, {comp}, _partials, "
-                   f"{reduction.value!r})")
-            b.emit(_ir.RegionExit(rid, b.fvar(comp), True, reduction.value))
-        else:
-            w.line(f"{comp} = _rt.region_exit({rid}, {comp}, None, None)")
-            b.emit(_ir.RegionExit(rid, b.fvar(comp), False, None))
-        w.line(_RELOAD)  # region_exit rewrote the shared lanes
-        b.emit(_ir.Reload())
+        b.emit(_ir.RegionExit(rid, b.fvar(comp), reduction is not None,
+                              None if reduction is None
+                              else reduction.value))
+        b.emit(_ir.Reload())  # region_exit rewrote the shared lanes
         for v in privs + fprivs:
-            w.line(f"{v.name} = _save_{v.name}")
             b.emit(_ir.SetVar(v.name, _ir.FVar(f"_save_{v.name}")))
 
     # ==================================================================
     # whole kernel
     # ==================================================================
     def lower(self) -> StructuralKernel:
-        w, b = self.w, self.b
-        helpers = ", ".join(f"{h}={h}" for h in _HELPER_PARAMS)
-        w.open(f"def _kernel(_args, _rt, _c, _K=_K, {helpers}):")
-        w.line("_rt.prologue()")
+        b = self.b
         b.emit(_ir.Hook("prologue", False))
-        for name in sorted(self._collect_math()):
-            w.line(f"_m_{name} = _MATH[{name!r}]")
         for p in self.program.params:
             if p.is_int:
-                w.line(f"{p.name} = _args[{p.name!r}]")
                 b.emit(_ir.LoadInt(b.ivar(p.name)))
             elif p.is_array:
                 if self.ftz:  # DAZ: inputs flushed on load; also copy
-                    fn = "_ftzf" if self.fp32 else "_ftz"
-                    w.line(f"{p.name} = [{fn}(_x) for _x in _args[{p.name!r}]]")
                     mode = _ir.A_FTZ_F if self.fp32 else _ir.A_FTZ_D
                 else:
-                    w.line(f"{p.name} = list(_args[{p.name!r}])")
                     mode = _ir.A_COPY
                 b.emit(_ir.LoadArray(b.array(p.name), mode))
             else:
-                val = f"_args[{p.name!r}]"
-                if self.fp32:
-                    val = f"_f32z({val})" if self.ftz else f"_f32({val})"
-                elif self.ftz:
-                    val = f"_ftz({val})"
-                w.line(f"{p.name} = {val}")
                 b.emit(_ir.LoadScalar(b.fvar(p.name), self._wrapc))
-        w.line(_RELOAD)  # seed the local accumulator mirror
-        b.emit(_ir.Reload())
+        b.emit(_ir.Reload())  # seed the local accumulator mirror
         self.block(self.program.body)
-        w.line(_FLUSH)  # the driver reads the shared state after return
-        b.emit(_ir.Flush())
-        w.line(f"return {self.program.comp.name}")
+        b.emit(_ir.Flush())  # the driver reads the shared state after return
         b.emit(_ir.Return(b.fvar(self.program.comp.name)))
-        w.close()
-        body = w.text()
-        # unpack the constants tuple into fast locals once per invocation
-        if self._n_constants:
-            names = ", ".join(f"_K{i}" for i in range(self._n_constants))
-            unpack = f"    {names}{',' if self._n_constants == 1 else ''} = _K\n"
-            head, _, rest = body.partition("\n")
-            body = head + "\n" + unpack + rest
-        source = body
-        code = compile(
-            source,
-            f"<lowered:{self.program.name}:"
-            f"{'f32' if self.fp32 else 'f64'}{'+ftz' if self.ftz else ''}>",
-            "exec")
         kernel_ir = b.finish(n_constants=self._n_constants,
                              comp=self.program.comp.name,
                              math_funcs=tuple(sorted(self.math_used)),
                              fp32=self.fp32, ftz=self.ftz)
-        return StructuralKernel(template=source, code=code,
-                                sites=tuple(self.sites),
-                                n_constants=self._n_constants,
-                                regions=self.regions,
-                                uses_math=tuple(sorted(self.math_used)),
-                                ir=kernel_ir)
-
-    def _collect_math(self) -> set[str]:
-        from ..core.nodes import walk
-
-        return {n.func for n in walk(self.program)
-                if isinstance(n, (MathCall, FusedMulAdd)) and
-                isinstance(n, MathCall)}
+        return StructuralKernel(ir=kernel_ir, sites=tuple(self.sites),
+                                regions=self.regions)
 
 
 # ======================================================================
@@ -1146,7 +917,7 @@ def bind_costs(structural: StructuralKernel, vendor: "VendorModel",
                slow_armed: bool = False) -> LoweredKernel:
     """Fill a structural kernel's ``_K`` slots with one vendor's costs.
 
-    Pure arithmetic — no AST walk, no string emission, no ``compile()``;
+    Pure arithmetic — no AST walk, no IR rewrite, no code generation;
     the constants reproduce the classic lowerer's values exactly,
     including its ``%.1f`` source-literal rounding.
     """
@@ -1157,7 +928,7 @@ def bind_costs(structural: StructuralKernel, vendor: "VendorModel",
                 * (vendor.faults.slow_factor if slow_armed else 1.0))
     ins_scale = vendor.traits.instr_scale
     model = CostModel(vendor.ops)
-    constants = [0.0] * structural.n_constants
+    constants = [0.0] * structural.ir.n_constants
     for site in structural.sites:
         if isinstance(site, RuntimeConstSite):
             constants[site.k] = float(getattr(vendor.runtime, site.param))
@@ -1167,41 +938,5 @@ def bind_costs(structural: StructuralKernel, vendor: "VendorModel",
             constants[site.k_cy] = float(f"{cy * cy_scale:.1f}")
         if site.k_ins is not None:
             constants[site.k_ins] = float(f"{ins * ins_scale:.1f}")
-    ktuple = tuple(constants)
-    source = (f"# {vendor.name} {opt_level} constants: _K = {ktuple!r}\n"
-              + structural.template)
-    return LoweredKernel(source=source, code=structural.code,
-                         constants=ktuple, regions=structural.regions,
-                         uses_math=structural.uses_math,
-                         structural=structural)
-
-
-# ======================================================================
-# one-shot facade
-# ======================================================================
-
-class Lowerer:
-    """Classic single-call interface: both phases, no caching.
-
-    Campaign compiles go through :class:`repro.sim.kcache.KernelCache`
-    (see :func:`repro.vendors.toolchain.compile_binary`), which shares
-    the structural pass across vendors and the bound kernel across
-    repeated compiles; this facade exists for direct/diagnostic use and
-    keeps the seed API (``Lowerer(program, vendor, opt).lower()``).
-    """
-
-    def __init__(self, program: Program, vendor: "VendorModel",
-                 opt_level: str, *, fast_armed: bool = False,
-                 slow_armed: bool = False):
-        self.program = program
-        self.vendor = vendor
-        self.opt_level = opt_level
-        self.fast_armed = fast_armed
-        self.slow_armed = slow_armed
-
-    def lower(self) -> LoweredKernel:
-        structural = StructuralLowerer(
-            self.program, ftz=self.vendor.traits.flush_subnormals).lower()
-        return bind_costs(structural, self.vendor, self.opt_level,
-                          fast_armed=self.fast_armed,
-                          slow_armed=self.slow_armed)
+    return LoweredKernel(structural=structural, constants=tuple(constants),
+                         regions=structural.regions)

@@ -1,0 +1,242 @@
+"""Python backend: emit the interpreted kernel from :mod:`repro.sim.ir`.
+
+The twin of :mod:`repro.sim.ckernel`: one kernel shape becomes one
+Python function ``_kernel(_args, _rt, _c)`` whose body performs the
+IR's ops in order — FP ops through the :mod:`repro.sim.values` helpers
+(bound as parameter defaults, so every hot-loop reference is a
+``LOAD_FAST``), cost charges into four fast-local accumulator lanes,
+runtime hooks on ``_rt``.  This is the reference semantics every other
+backend is checked against, and the fallback whenever the C backend
+cannot build.
+
+The source is compiled once per kernel shape, on the first interp bind,
+and the code object is cached in ``StructuralKernel.backend_cache``, so
+vendors of one shape share it and the C path never compiles Python.
+Each vendor's ``_K`` constants tuple is bound as a default argument and
+unpacked into ``_K0, _K1, ...`` locals once per call.
+"""
+
+from __future__ import annotations
+
+from . import ir as _ir
+from .values import MATH_IMPLS, f32, f32z, fdiv, fma_d, fma_f, ftz_d, ftz_f
+
+_HELPERS = {
+    "_div": fdiv,
+    "_f32": f32,
+    "_f32z": f32z,
+    "_fma": fma_d,
+    "_fmaf": fma_f,
+    "_ftz": ftz_d,
+    "_ftzf": ftz_f,
+    "_MATH": MATH_IMPLS,
+}
+
+#: helper parameter defaults appended to the kernel signature so every
+#: hot-loop helper reference is a LOAD_FAST instead of a LOAD_GLOBAL
+_HELPER_PARAMS = ("_f32", "_f32z", "_ftz", "_ftzf", "_div", "_fma",
+                  "_fmaf", "_MATH")
+
+#: accumulator synchronization: the kernel mirrors the four CostState
+#: lanes in fast locals and exchanges them with the shared object only
+#: around runtime hooks that read, mutate, or may abort with a partial
+#: cost (see RegionExecutor's hook classification)
+_FLUSH = "_c.cy = _cy; _c.ccy = _ccy; _c.ins = _ins; _c.br = _br"
+_RELOAD = "_cy = _c.cy; _ccy = _c.ccy; _ins = _c.ins; _br = _c.br"
+
+#: the helper each wrap code applies to an op result
+_WRAPPY = {_ir.W_NONE: None, _ir.W_F32: "_f32", _ir.W_F32Z: "_f32z",
+           _ir.W_FTZ: "_ftz"}
+
+#: int expressions that need no parentheses as an operand
+_IATOMS = (_ir.ILit, _ir.IVar, _ir.IMax0)
+
+
+def _wrap(code: int, text: str) -> str:
+    fn = _WRAPPY[code]
+    return text if fn is None else f"{fn}({text})"
+
+
+class _Emitter:
+    """IR -> Python source for one kernel shape."""
+
+    def __init__(self, kir: _ir.KernelIR) -> None:
+        self.kir = kir
+        self.lines: list[str] = []
+        self.depth = 0
+
+    def w(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    # -- expressions ---------------------------------------------------
+    def fexpr(self, e) -> str:
+        t = type(e)
+        if t is _ir.FLit:
+            return repr(e.v)  # repr round-trips floats exactly
+        if t is _ir.FVar:
+            return e.name
+        if t is _ir.ALoad:
+            return f"{e.arr}[{self.iexpr(e.idx)}]"
+        if t is _ir.IToF:
+            return f"float({self.iexpr(e.ix)})"
+        if t is _ir.FNeg:
+            return f"(-({self.fexpr(e.x)}))"
+        if t is _ir.FBin:
+            a, b = self.fexpr(e.a), self.fexpr(e.b)
+            if e.op == "/" and not (type(e.b) is _ir.FLit and e.b.v != 0.0):
+                # only a nonzero (or nan) constant divisor may use
+                # Python's own `/`, which raises on zero
+                return _wrap(e.wrap, f"_div({a}, {b})")
+            return _wrap(e.wrap, f"({a} {e.op} {b})")
+        if t is _ir.FFma:
+            text = (f"{'_fmaf' if e.fp32 else '_fma'}({self.fexpr(e.a)}, "
+                    f"{self.fexpr(e.b)}, {self.fexpr(e.c)})")
+            if e.ftz:
+                text = f"{'_ftzf' if e.fp32 else '_ftz'}({text})"
+            return text
+        if t is _ir.FCall:
+            return _wrap(e.wrap, f"_m_{e.func}({self.fexpr(e.arg)})")
+        raise TypeError(f"unknown FP expr {t.__name__}")
+
+    def iexpr(self, e) -> str:
+        t = type(e)
+        if t is _ir.ILit:
+            return str(e.v)
+        if t is _ir.IVar:
+            return e.name
+        if t is _ir.IMax0:
+            return f"max(0, {e.name})"
+        if t is _ir.IMod:
+            return f"({self.iexpr(e.base)}) % {e.modulus}"
+        if t is _ir.IMul:
+            return f"({self.iexpr(e.a)}) * {self.iatom(e.b)}"
+        if t is _ir.IFloorDiv:
+            return f"{self.iatom(e.a)} // {self.iatom(e.b)}"
+        if t is _ir.IModV:
+            return f"{self.iatom(e.a)} % {self.iatom(e.b)}"
+        raise TypeError(f"unknown int expr {t.__name__}")
+
+    def iatom(self, e) -> str:
+        text = self.iexpr(e)
+        return text if isinstance(e, _IATOMS) else f"({text})"
+
+    # -- statements ----------------------------------------------------
+    def block(self, header: str, ops: list) -> None:
+        self.w(header)
+        self.depth += 1
+        if not ops:
+            self.w("pass")
+        for op in ops:
+            self.stmt(op)
+        self.depth -= 1
+
+    def stmt(self, op) -> None:  # noqa: C901 - one arm per IR op
+        t = type(op)
+        if t is _ir.Charge:
+            lane = "_ccy" if op.lane else "_cy"
+            parts = []
+            if op.k_cy is not None:
+                parts.append(f"{lane} += _K{op.k_cy}")
+            if op.k_ins is not None:
+                parts.append(f"_ins += _K{op.k_ins}")
+            if op.br:
+                parts.append(f"_br += {op.br:.0f}")
+            self.w("; ".join(parts))
+        elif t is _ir.SetVar:
+            self.w(f"{op.name} = {self.fexpr(op.e)}")
+        elif t is _ir.SetIVar:
+            self.w(f"{op.name} = {self.iexpr(op.e)}")
+        elif t is _ir.AStore:
+            self.w(f"{op.arr}[{self.iexpr(op.idx)}] = {self.fexpr(op.e)}")
+        elif t is _ir.Flush:
+            self.w(_FLUSH)
+        elif t is _ir.Reload:
+            self.w(_RELOAD)
+        elif t is _ir.Hook:
+            self.w(f"_rt.{op.name}({'_tid' if op.tid else ''})")
+            if op.name == "prologue":  # libm helpers into fast locals
+                for name in self.kir.math_funcs:
+                    self.w(f"_m_{name} = _MATH[{name!r}]")
+        elif t is _ir.RegionEnter:
+            self.w(f"_rt.region_enter({op.rid})")
+        elif t is _ir.RegionExit:
+            tail = (f"_partials, {op.op!r}" if op.has_partials
+                    else "None, None")
+            self.w(f"{op.comp} = _rt.region_exit({op.rid}, {op.comp}, "
+                   f"{tail})")
+        elif t is _ir.InitPartials:
+            self.w("_partials = []")
+        elif t is _ir.AppendPartial:
+            self.w(f"_partials.append({op.name})")
+        elif t is _ir.Chunk:
+            self.w(f"_lo_{op.label}, _hi_{op.label} = "
+                   f"_rt.chunk(_tid, {self.iexpr(op.n)})")
+        elif t is _ir.ForRange:
+            hi = self.iexpr(op.hi)
+            span = (hi if op.lo == _ir.ILit(0)
+                    else f"{self.iexpr(op.lo)}, {hi}")
+            self.block(f"for {op.var} in range({span}):", op.body)
+        elif t is _ir.ForAssign:
+            self.block(f"for {op.var} in _rt.assign(_tid, "
+                       f"{self.iexpr(op.n)}, {op.kind!r}, {op.chunk}):",
+                       op.body)
+        elif t is _ir.ForList:
+            self.block(f"for {op.var} in {op.queue}:", op.body)
+        elif t is _ir.QNew:
+            self.w(f"{op.queue} = []")
+        elif t is _ir.QPush:
+            self.w(f"{op.queue}.append({op.k})")
+        elif t is _ir.QClear:
+            self.w(f"del {op.queue}[:]")
+        elif t is _ir.If:
+            c = op.cond
+            self.block(f"if ({self.fexpr(c.lhs)}) {c.op} "
+                       f"({self.fexpr(c.rhs)}):", op.body)
+        elif t is _ir.IfIntEq:
+            self.block(f"if {op.var} == {op.k}:", op.body)
+        elif t is _ir.LoadInt:
+            self.w(f"{op.name} = _args[{op.name!r}]")
+        elif t is _ir.LoadScalar:
+            self.w(f"{op.name} = {_wrap(op.wrap, f'_args[{op.name!r}]')}")
+        elif t is _ir.LoadArray:
+            arg = f"_args[{op.name!r}]"
+            if op.mode == _ir.A_COPY:
+                self.w(f"{op.name} = list({arg})")
+            else:  # DAZ: inputs flushed on load
+                fn = "_ftzf" if op.mode == _ir.A_FTZ_F else "_ftz"
+                self.w(f"{op.name} = [{fn}(_x) for _x in {arg}]")
+        elif t is _ir.Return:
+            self.w(f"return {op.name}")
+        else:
+            raise TypeError(f"unknown IR op {t.__name__}")
+
+    # -- whole function ------------------------------------------------
+    def emit(self) -> str:
+        helpers = ", ".join(f"{h}={h}" for h in _HELPER_PARAMS)
+        self.block(f"def _kernel(_args, _rt, _c, _K=_K, {helpers}):",
+                   self.kir.ops)
+        n = self.kir.n_constants
+        if n:  # unpack the constants tuple into fast locals once per call
+            names = ", ".join(f"_K{i}" for i in range(n))
+            self.lines.insert(1, f"    {names}{',' if n == 1 else ''} = _K")
+        return "\n".join(self.lines) + "\n"
+
+
+def emit_py(kir: _ir.KernelIR) -> str:
+    """The Python source of one kernel shape (defines ``_kernel``)."""
+    return _Emitter(kir).emit()
+
+
+def bind_py(structural, constants: tuple[float, ...]):
+    """The interpreted entry for one vendor's binding of a kernel shape;
+    compiles the shape's source on its first bind in this process."""
+    code = structural.backend_cache.get("py")
+    if code is None:
+        kir = structural.ir
+        shape = f"{'f32' if kir.fp32 else 'f64'}{'+ftz' if kir.ftz else ''}"
+        code = compile(emit_py(kir), f"<lowered:{shape}>", "exec")
+        structural.backend_cache["py"] = code
+    ns = dict(_HELPERS)
+    ns["_K"] = constants
+    exec(code, ns)  # noqa: S102 - our own generated code
+    return ns["_kernel"]

@@ -8,8 +8,8 @@ available OpenMP implementation.  For a simulated vendor that means:
 2. decide the deterministic latent faults for (fingerprint, vendor),
 3. apply the vendor's FP lowering (FMA contraction per its
    ``-ffp-contract`` default at the requested ``-O`` level),
-4. lower the result to executable Python with the vendor's cost model
-   baked into per-site constants.
+4. lower the result to the kernel IR, with the vendor's cost model
+   bound as per-site constants.
 
 Step (4) runs through the two-phase pipeline of :mod:`repro.sim.lower`
 behind the process-local :class:`~repro.sim.kcache.KernelCache`: the

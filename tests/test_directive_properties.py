@@ -304,9 +304,9 @@ class TestWorkshareGraphCampaign:
         after = cache.stats()
         assert b2.kernel is b1.kernel  # the bound kernel itself is reused
         assert after.kernel_hits == before.kernel_hits + 1
-        # same-shape vendors share one structural template
+        # same-shape vendors share one structural kernel
         b3 = compile_binary(p, "clang", "-O1")
-        assert b3.kernel.code is b1.kernel.code
+        assert b3.kernel.structural is b1.kernel.structural
 
 
 class TestAcceptanceSweep:

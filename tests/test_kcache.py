@@ -8,7 +8,7 @@ from repro.config import MachineConfig
 from repro.core.generator import ProgramGenerator
 from repro.core.inputs import InputGenerator
 from repro.sim.kcache import KernelCache, get_kernel_cache, set_kernel_cache
-from repro.sim.lower import Lowerer, StructuralLowerer, bind_costs
+from repro.sim.lower import StructuralLowerer, bind_costs
 from repro.driver.execution import run_binary
 from repro.vendors.clang import CLANG
 from repro.vendors.gcc import GCC
@@ -51,7 +51,7 @@ class TestKernelCache:
         stats = cache.stats()
         assert stats.structural_misses == 1
         assert stats.structural_hits == 1
-        assert a.kernel.code is b.kernel.code  # same compiled template
+        assert a.kernel.structural is b.kernel.structural  # same shape
         assert a.kernel.constants != b.kernel.constants  # vendor costs
 
     def test_lru_eviction_bounds_entries(self, program_stream):
@@ -121,50 +121,60 @@ class TestKernelCache:
 
 
 class TestTwoPhaseLowering:
-    def test_facade_matches_cached_pipeline(self, program):
-        # the facade (like the seed Lowerer) lowers the tree it is given;
-        # compile_binary applies the vendor FMA transform first
-        from repro.vendors.optimizer import effective_fma_mode, lower_block
-        from repro.vendors.toolchain import replace_body
-
-        fma = effective_fma_mode(GCC.traits.fma_mode, "-O3")
-        transformed = replace_body(program, lower_block(program.body, fma))
-        via_facade = Lowerer(transformed, GCC, "-O3").lower()
-        via_cache = compile_binary(program, "gcc",
-                                   cache=KernelCache()).kernel
-        assert via_facade.constants == via_cache.constants
-        assert via_facade.source == via_cache.source
-
     def test_bind_is_memoized(self, program):
-        kernel = Lowerer(program, CLANG, "-O3").lower()
+        kernel = bind_costs(StructuralLowerer(program, ftz=False).lower(),
+                            CLANG, "-O3")
         assert kernel.bind() is kernel.bind()
 
     def test_cost_pass_needs_no_ast(self, program):
         structural = StructuralLowerer(program, ftz=False).lower()
         gcc_kernel = bind_costs(structural, GCC, "-O3")
         clang_kernel = bind_costs(structural, CLANG, "-O3")
-        assert gcc_kernel.code is clang_kernel.code
-        assert len(gcc_kernel.constants) == structural.n_constants
+        assert gcc_kernel.structural is clang_kernel.structural
+        assert len(gcc_kernel.constants) == structural.ir.n_constants
         assert gcc_kernel.constants != clang_kernel.constants
 
     def test_fault_scaling_changes_only_constants(self, program):
         structural = StructuralLowerer(program, ftz=False).lower()
         plain = bind_costs(structural, GCC, "-O3")
         slow = bind_costs(structural, GCC, "-O3", slow_armed=True)
-        assert plain.code is slow.code
+        assert plain.structural is slow.structural
         assert plain.constants != slow.constants
 
     def test_opt_level_changes_only_constants(self, program):
         # -O2 and -O3 share the gcc shape (same fma mode) but cost
-        # differently; the compiled template is reused across levels
+        # differently; the structural kernel is reused across levels
         cache = KernelCache()
         o2 = compile_binary(program, "gcc", "-O2", cache=cache)
         o3 = compile_binary(program, "gcc", "-O3", cache=cache)
-        assert o2.kernel.code is o3.kernel.code
+        assert o2.kernel.structural is o3.kernel.structural
         assert o2.kernel.constants != o3.kernel.constants
 
+    def test_interp_code_compiled_once_per_shape(self, program):
+        # the first interp bind compiles the shape's Python; every vendor
+        # bound from the same shape reuses that code object
+        structural = StructuralLowerer(program, ftz=False).lower()
+        assert "py" not in structural.backend_cache
+        gcc = bind_costs(structural, GCC, "-O3").bind("interp")
+        clang = bind_costs(structural, CLANG, "-O3").bind("interp")
+        assert "py" in structural.backend_cache
+        assert gcc.__code__ is clang.__code__
+        assert gcc is not clang  # each binds its own constants
+
+    def test_c_bind_compiles_no_python(self, program):
+        from repro.sim.backend import _c_available
+
+        ok, why = _c_available()
+        if not ok:
+            pytest.skip(f"C kernel backend unavailable: {why}")
+        structural = StructuralLowerer(program, ftz=False).lower()
+        bind_costs(structural, GCC, "-O3").bind("c")
+        assert "c" in structural.backend_cache
+        assert "py" not in structural.backend_cache
+
     def test_regions_metadata_preserved(self, program):
-        kernel = Lowerer(program, GCC, "-O3").lower()
+        kernel = bind_costs(StructuralLowerer(program, ftz=False).lower(),
+                            GCC, "-O3")
         legacy_meta = [m.n_threads for m in kernel.regions]
         assert legacy_meta  # generated programs always have a region
 
@@ -184,5 +194,5 @@ class TestVendorVariantKeys:
         variant = compile_binary(program, variant_model, cache=cache)
         assert variant_model.name == GCC.name
         assert stock.kernel.constants != variant.kernel.constants
-        # the structural template is shape-keyed and still shared
-        assert stock.kernel.code is variant.kernel.code
+        # the structural kernel is shape-keyed and still shared
+        assert stock.kernel.structural is variant.kernel.structural

@@ -280,6 +280,29 @@ class TestNativeLoader:
         with _native.scoped_load_info():
             assert _native.load() is None
 
+    def test_successful_build_leaves_only_the_object(self, tmp_path):
+        from repro.sim import _native
+        cc = _native._find_cc()
+        if cc is None:
+            pytest.skip("no C compiler found")
+        out = tmp_path / "_probe.so"
+        ok, why = _native.build_shared_object(
+            cc, "int probe(void) { return 1; }\n", out)
+        assert ok, why
+        assert [p.name for p in tmp_path.iterdir()] == ["_probe.so"]
+
+    def test_failed_build_leaves_nothing(self, tmp_path):
+        from repro.sim import _native
+        out = tmp_path / "_broken.so"
+        ok, why = _native.build_shared_object(
+            str(tmp_path / "no-such-cc"), "int x;\n", out)
+        assert not ok and "did not run" in why
+        cc = _native._find_cc()
+        if cc is not None:
+            ok, why = _native.build_shared_object(cc, "not C at all\n", out)
+            assert not ok and "compiler exited" in why
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_rejects_wrong_math(self):
         from repro.sim import _native, values
 
