@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import math
 
+from repro.backends import get_backend
 from repro.config import CampaignConfig
 from repro.core.generator import ProgramGenerator
 from repro.core.inputs import FPCategory, TestInput, sample_category
-from repro.driver.execution import run_differential
 from repro.driver.records import values_equal
 from repro.rng import Rng
-from repro.vendors import compile_all
 
 CFG = CampaignConfig(seed=20240915)
+BACKENDS = [get_backend(name) for name in CFG.compilers]
 N_PROGRAMS = 12
 CATEGORIES = (FPCategory.NORMAL, FPCategory.SUBNORMAL, FPCategory.ALMOST_INF,
               FPCategory.ALMOST_SUBNORMAL, FPCategory.ZERO)
@@ -46,7 +46,7 @@ def _forced_input(program, category: FPCategory, rng: Rng) -> TestInput:
 def test_input_category_sensitivity(benchmark):
     gen = ProgramGenerator(CFG.generator, seed=CFG.seed)
     programs = [gen.generate(i) for i in range(N_PROGRAMS)]
-    binaries = {p.name: compile_all(p, CFG.compilers, CFG.opt_level)
+    binaries = {p.name: [b.compile(p, CFG.opt_level) for b in BACKENDS]
                 for p in programs}
 
     def sweep():
@@ -56,7 +56,8 @@ def test_input_category_sensitivity(benchmark):
             divergent = nonfinite = crash = 0
             for p in programs:
                 inp = _forced_input(p, cat, rng)
-                records = run_differential(binaries[p.name], inp, CFG.machine)
+                records = [b.execute(exe, inp, CFG.machine) for b, exe
+                           in zip(BACKENDS, binaries[p.name])]
                 ok = [r for r in records if r.ok]
                 crash += len(records) - len(ok)
                 if len(ok) >= 2 and not all(

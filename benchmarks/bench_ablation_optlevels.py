@@ -13,7 +13,7 @@ from repro.core.generator import ProgramGenerator
 from repro.core.inputs import InputGenerator
 from repro.driver.execution import run_binary
 from repro.driver.records import values_equal
-from repro.vendors import compile_binary
+from repro.vendors import CLANG, GCC, compile_binary
 
 LEVELS = ("-O0", "-O1", "-O2", "-O3")
 CFG = CampaignConfig(seed=20240915)
@@ -31,15 +31,15 @@ def test_opt_level_timing_and_divergence(benchmark):
             times = {}
             values = {}
             for lvl in LEVELS:
-                rec = run_binary(compile_binary(program, "gcc", lvl), inp,
+                rec = run_binary(compile_binary(program, GCC, lvl), inp,
                                  CFG.machine)
                 times[lvl] = rec.time_us
                 values[lvl] = rec.comp
             diverged = {}
             for lvl in LEVELS:
-                g = run_binary(compile_binary(program, "gcc", lvl), inp,
+                g = run_binary(compile_binary(program, GCC, lvl), inp,
                                CFG.machine).comp
-                c = run_binary(compile_binary(program, "clang", lvl), inp,
+                c = run_binary(compile_binary(program, CLANG, lvl), inp,
                                CFG.machine).comp
                 diverged[lvl] = not values_equal(g, c)
             rows.append((program.name, times, diverged))

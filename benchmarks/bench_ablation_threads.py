@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.backends.gcc_native import _with_threads
 from repro.core.inputs import InputGenerator
 from repro.driver.execution import run_binary
-from repro.vendors import compile_binary
+from repro.vendors import GCC, INTEL, compile_binary
 
 THREADS = (2, 4, 8, 16, 32)
 
@@ -29,8 +29,8 @@ def test_contention_scaling(benchmark, case1, paper_cfg):
         for t in THREADS:
             program = _with_threads(case1.program, t)
             inp = inputs.generate(program, 0)
-            gcc = _time_for(program, "gcc", inp, paper_cfg.machine)
-            intel = _time_for(program, "intel", inp, paper_cfg.machine)
+            gcc = _time_for(program, GCC, inp, paper_cfg.machine)
+            intel = _time_for(program, INTEL, inp, paper_cfg.machine)
             rows.append((t, gcc, intel, intel / gcc))
         return rows
 

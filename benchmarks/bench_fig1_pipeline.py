@@ -12,13 +12,24 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import analyze_test
+from repro.backends import get_backend
 from repro.config import CampaignConfig
 from repro.core.generator import ProgramGenerator
 from repro.core.inputs import InputGenerator
-from repro.driver import run_differential
-from repro.vendors import compile_all
 
 CFG = CampaignConfig(seed=20240915)
+BACKENDS = [get_backend(name) for name in CFG.compilers]
+
+
+def compile_stage(program):
+    """Stage (b): one executable per implementation."""
+    return [b.compile(program, CFG.opt_level) for b in BACKENDS]
+
+
+def execute_stage(binaries, test_input):
+    """Stage (c): every implementation's executable on one input."""
+    return [b.execute(exe, test_input, CFG.machine)
+            for b, exe in zip(BACKENDS, binaries)]
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +38,8 @@ def pipeline_pieces():
     inputs = InputGenerator(CFG.generator, seed=CFG.seed + 1)
     program = gen.generate(0)
     test_input = inputs.generate(program, 0)
-    binaries = compile_all(program, CFG.compilers, CFG.opt_level)
-    records = run_differential(binaries, test_input, CFG.machine)
+    binaries = compile_stage(program)
+    records = execute_stage(binaries, test_input)
     return gen, inputs, program, test_input, binaries, records
 
 
@@ -41,15 +52,14 @@ def test_stage_a_generation(benchmark):
 
 def test_stage_b_compilation(benchmark, pipeline_pieces):
     _, _, program, _, _, _ = pipeline_pieces
-    binaries = benchmark(lambda: compile_all(program, CFG.compilers,
-                                             CFG.opt_level))
+    binaries = benchmark(lambda: compile_stage(program))
     assert len(binaries) == 3
 
 
 def test_stage_c_execution(benchmark, pipeline_pieces):
     _, _, _, test_input, binaries, _ = pipeline_pieces
     records = benchmark.pedantic(
-        lambda: run_differential(binaries, test_input, CFG.machine),
+        lambda: execute_stage(binaries, test_input),
         rounds=5, iterations=1)
     assert all(r.time_us >= 0 for r in records)
 
@@ -67,8 +77,7 @@ def test_full_pipeline(benchmark):
     def pipeline(index: int = 0):
         program = gen.generate(index)
         test_input = inputs.generate(program, 0)
-        binaries = compile_all(program, CFG.compilers, CFG.opt_level)
-        records = run_differential(binaries, test_input, CFG.machine)
+        records = execute_stage(compile_stage(program), test_input)
         return analyze_test(records, CFG.outliers)
 
     verdict = benchmark.pedantic(pipeline, rounds=3, iterations=1)

@@ -54,9 +54,9 @@ def test_fig9_hang_is_input_reproducible(benchmark, case3, paper_cfg):
 
     from repro.core.inputs import InputGenerator
     from repro.driver.execution import run_binary
-    from repro.vendors import compile_binary
+    from repro.vendors import INTEL, compile_binary
 
-    binary = compile_binary(case3.program, "intel", paper_cfg.opt_level)
+    binary = compile_binary(case3.program, INTEL, paper_cfg.opt_level)
     if not binary.hang_armed:
         binary = dataclasses.replace(binary, hang_armed=True)
     inputs = InputGenerator(paper_cfg.generator, seed=paper_cfg.seed + 1)

@@ -5,7 +5,9 @@ at 1, 2, and 4 workers (each worker is a separate process pulling leases
 over the socket queue), asserts every fleet run reproduces the serial
 verdict stream byte-identically *in grid order*, and records wall-clock
 plus tests/s as a trajectory point in ``BENCH_fleet.json`` at the repo
-root.
+root.  One untimed pass first builds every C kernel and warms the kernel
+cache, so each timed leg measures its engine rather than the one-time
+kernel builds.
 
 Interpretation guide: fleet workers are processes, so scaling tracks the
 process engine minus the lease/transport overhead — a 1-worker fleet
@@ -59,6 +61,7 @@ def run_fleet_comparison() -> dict:
         "engines": {},
     }
 
+    CampaignSession(cfg, engine="serial").run()  # untimed cache prime
     t0 = time.perf_counter()
     serial = CampaignSession(cfg, engine="serial").run()
     serial_wall = time.perf_counter() - t0

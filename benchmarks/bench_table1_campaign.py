@@ -21,23 +21,22 @@ rates land in the paper's bands.
 from __future__ import annotations
 
 from repro.analysis.outliers import OutlierKind
-from repro.harness.campaign import CampaignRunner
+from repro.core.generator import ProgramGenerator
+from repro.core.inputs import InputGenerator
 from repro.harness.report import render_campaign_summary, render_table1
+from repro.reduce.reducer import run_differential_test
 
 
 def test_table1_outlier_overview(benchmark, campaign_cfg, campaign_result):
     # Bench cost: re-running one program of the campaign grid end to end
-    runner = CampaignRunner(campaign_cfg)
-    program = runner.programs.generate(0)
-    from repro.vendors import compile_all
-    from repro.driver import run_differential
-    from repro.analysis import analyze_test
+    cfg = campaign_cfg
+    program = ProgramGenerator(cfg.generator, seed=cfg.seed).generate(0)
+    inputs = InputGenerator(cfg.generator, seed=cfg.seed + 1)
 
     def one_test():
-        bins = compile_all(program, campaign_cfg.compilers)
-        inp = runner.inputs.generate(program, 0)
-        return analyze_test(run_differential(bins, inp, campaign_cfg.machine),
-                            campaign_cfg.outliers)
+        return run_differential_test(program, inputs.generate(program, 0),
+                                     cfg.compilers, cfg.opt_level,
+                                     cfg.machine, cfg.outliers)
 
     benchmark.pedantic(one_test, rounds=3, iterations=1)
 

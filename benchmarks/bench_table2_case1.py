@@ -25,13 +25,13 @@ from repro.driver.execution import run_binary
 
 
 def test_table2_counters_gcc_fast_case(benchmark, case1, paper_cfg):
-    from repro.vendors import compile_binary
+    from repro.vendors import INTEL, compile_binary
     from repro.core.inputs import InputGenerator
 
     # bench cost: one profiled run of the case-study test on Intel
     inputs = InputGenerator(paper_cfg.generator, seed=paper_cfg.seed + 1)
     inp = inputs.generate(case1.program, 0)
-    intel_binary = compile_binary(case1.program, "intel",
+    intel_binary = compile_binary(case1.program, INTEL,
                                   paper_cfg.opt_level)
     benchmark.pedantic(
         lambda: run_binary(intel_binary, inp, paper_cfg.machine,

@@ -24,12 +24,12 @@ from repro.driver.execution import run_binary
 
 
 def test_table3_counters_clang_slow_case(benchmark, case2, paper_cfg):
-    from repro.vendors import compile_binary
+    from repro.vendors import CLANG, compile_binary
     from repro.core.inputs import InputGenerator
 
     inputs = InputGenerator(paper_cfg.generator, seed=paper_cfg.seed + 1)
     inp = inputs.generate(case2.program, 0)
-    clang_binary = compile_binary(case2.program, "clang",
+    clang_binary = compile_binary(case2.program, CLANG,
                                   paper_cfg.opt_level)
     benchmark.pedantic(
         lambda: run_binary(clang_binary, inp, paper_cfg.machine,

@@ -37,6 +37,7 @@ from pathlib import Path
 from repro.analysis.outliers import analyze_test
 from repro.config import CampaignConfig
 from repro.core.generator import ProgramGenerator
+from repro.backends import get_backend
 from repro.core.inputs import InputGenerator
 from repro.driver.execution import run_binary
 from repro.harness.session import CampaignSession
@@ -75,29 +76,30 @@ def profile_stages(cfg: CampaignConfig) -> dict:
     """
     gen = ProgramGenerator(cfg.generator, seed=cfg.seed)
     inputs = InputGenerator(cfg.generator, seed=cfg.seed + 1)
+    vendors = [get_backend(name).vendor for name in cfg.compilers]
 
     t0 = time.perf_counter()
     programs = [gen.generate(i) for i in range(cfg.n_programs)]
     t_generate = time.perf_counter() - t0
 
     cold_cache = KernelCache()
-    mark = cold_cache.snapshot()
+    mark = cold_cache.stats()
     t0 = time.perf_counter()
     binaries = {}
     for p in programs:
-        binaries[p.name] = [compile_binary(p, name, cfg.opt_level,
+        binaries[p.name] = [compile_binary(p, v, cfg.opt_level,
                                            cache=cold_cache)
-                            for name in cfg.compilers]
+                            for v in vendors]
     t_lower_cold = time.perf_counter() - t0
-    cache_cold = cold_cache.snapshot().since(mark).as_dict()
+    cache_cold = cold_cache.stats().since(mark).as_dict()
 
-    mark = cold_cache.snapshot()
+    mark = cold_cache.stats()
     t0 = time.perf_counter()
     for p in programs:
-        for name in cfg.compilers:
-            compile_binary(p, name, cfg.opt_level, cache=cold_cache)
+        for v in vendors:
+            compile_binary(p, v, cfg.opt_level, cache=cold_cache)
     t_lower_warm = time.perf_counter() - t0
-    cache_warm = cold_cache.snapshot().since(mark).as_dict()
+    cache_warm = cold_cache.stats().since(mark).as_dict()
 
     t0 = time.perf_counter()
     all_records = []
@@ -121,7 +123,7 @@ def profile_stages(cfg: CampaignConfig) -> dict:
         "execute_s": round(t_execute, 3),
         "verdict_s": round(t_verdict, 3),
         "cache": cold_cache.stats().as_dict(),
-        # per-stage deltas (snapshot/since), not totals: the cold pass
+        # per-stage deltas (stats/since), not totals: the cold pass
         # must read all-miss, the warm pass all-hit — a regression in
         # either shows up here without cross-stage smearing
         "cache_lower_cold": cache_cold,
@@ -140,10 +142,10 @@ def backend_sweep(cfg: CampaignConfig) -> dict:
     gen = ProgramGenerator(cfg.generator, seed=cfg.seed)
     inputs = InputGenerator(cfg.generator, seed=cfg.seed + 1)
     programs = [gen.generate(i) for i in range(cfg.n_programs)]
+    vendors = [get_backend(name).vendor for name in cfg.compilers]
     grid = []
     for p in programs:
-        bins = [compile_binary(p, name, cfg.opt_level)
-                for name in cfg.compilers]
+        bins = [compile_binary(p, v, cfg.opt_level) for v in vendors]
         for j in range(cfg.inputs_per_program):
             t_input = inputs.generate(p, j)
             grid.extend((b, t_input) for b in bins)

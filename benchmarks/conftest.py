@@ -16,8 +16,8 @@ import os
 import pytest
 
 from repro.config import CampaignConfig
-from repro.harness.campaign import CampaignRunner
 from repro.harness.casestudies import case_study_1, case_study_2, case_study_3
+from repro.harness.session import CampaignSession
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 
@@ -33,7 +33,7 @@ def campaign_cfg() -> CampaignConfig:
 
 @pytest.fixture(scope="session")
 def campaign_result(campaign_cfg):
-    return CampaignRunner(campaign_cfg).run()
+    return CampaignSession(campaign_cfg).run()
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import sys
 from repro.analysis.outliers import OutlierKind
 from repro.config import CampaignConfig
 from repro.harness import (
-    CampaignRunner,
+    CampaignSession,
     render_campaign_summary,
     render_table1,
     render_versions_table,
@@ -43,7 +43,7 @@ def main() -> int:
     def progress(done: int, total: int) -> None:
         print(f"\r  {done}/{total} tests", end="", flush=True)
 
-    result = CampaignRunner(cfg).run(progress=progress)
+    result = CampaignSession(cfg).run(progress=progress)
     print(f"\n  done in {result.elapsed_seconds:.1f}s\n")
 
     table = result.table

@@ -18,10 +18,10 @@ import sys
 
 from repro.analysis.profiles import render_children, render_flat
 from repro.analysis.threadstate import render_backtrace, render_thread_groups
+from repro.backends import get_backend
 from repro.codegen import emit_translation_unit
 from repro.config import CampaignConfig
 from repro.harness.casestudies import case_study_1, case_study_2, case_study_3
-from repro.vendors import VENDORS
 
 
 def show_case1(cfg: CampaignConfig) -> None:
@@ -54,7 +54,7 @@ def show_case2(cfg: CampaignConfig) -> None:
     print()
     for vendor in ("intel", "clang"):
         print(render_children(
-            cs.record_for(vendor).profile, VENDORS[vendor],
+            cs.record_for(vendor).profile, get_backend(vendor).vendor,
             title=f"--- {vendor} profile, children mode (Fig. 7) ---"))
         print()
     print("--- the offending source pattern (parallel inside a serial loop) ---")

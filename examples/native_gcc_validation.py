@@ -22,7 +22,7 @@ from repro.core.generator import ProgramGenerator
 from repro.core.inputs import InputGenerator
 from repro.driver import run_binary
 from repro.driver.records import values_equal
-from repro.vendors import compile_binary
+from repro.vendors import CLANG, compile_binary
 
 
 def main() -> int:
@@ -67,7 +67,7 @@ def main() -> int:
                                             num_threads=None)
         if not native.ok:
             continue
-        sim = run_binary(compile_binary(program, "clang", "-O1"), inp,
+        sim = run_binary(compile_binary(program, CLANG, "-O1"), inp,
                          machine)
         same = values_equal(sim.comp, native.comp)
         checked += 1

@@ -34,8 +34,8 @@ The pipeline is organized in three pluggable layers:
 * **backends** (:mod:`repro.backends.registry`) — every OpenMP
   implementation behind one ``compile``/``execute`` contract; register
   your own with :func:`~repro.backends.registry.register_backend`;
-* **engines** (:mod:`repro.driver.engine`) — serial, thread-pool, or
-  process-pool scheduling of the campaign grid;
+* **engines** (:mod:`repro.driver.engine`) — serial, process-pool, or
+  fleet scheduling of the campaign grid;
 * **sessions** (:mod:`repro.harness.session`) — streaming, resumable
   campaign state on top of both.
 """

@@ -96,9 +96,6 @@ class TestVerdict:
     def times(self) -> dict[str, float]:
         return {r.vendor: r.time_us for r in self.records}
 
-    def has_outlier(self) -> bool:
-        return bool(self.outliers)
-
     def identity(self) -> tuple:
         """Hashable full-fidelity identity for equivalence comparisons.
 

@@ -1,19 +1,22 @@
 """Backend protocol and registry: one contract for every OpenMP toolchain.
 
-Fig. 1 step (b) says "compile with every OpenMP implementation" — but the
-seed codebase spoke two incompatible dialects: the simulated vendors went
-through ``vendors.toolchain.compile_all`` while the native GCC toolchain
-(``backends.gcc_native``) had its own ``compile_native``/``run_native``
-pair.  This module unifies them behind a single :class:`Backend` contract:
+Fig. 1 step (b) says "compile with every OpenMP implementation".  The
+simulated vendors (:func:`~repro.vendors.toolchain.compile_binary` +
+:func:`~repro.driver.execution.run_binary`) and the native GCC toolchain
+(``backends.gcc_native``'s ``compile_native``/``run_native``) speak
+different dialects; this module unifies them behind a single
+:class:`Backend` contract:
 
     ``compile(program, opt_level) -> Executable``
     ``execute(executable, test_input, machine=None) -> RunRecord``
 
 and a process-wide registry (:func:`register_backend` /
-:func:`get_backend` / :func:`available_backends`) that the execution
-engines resolve compiler *names* against.  The three simulated vendors of
-the paper's evaluation and the native g++ backend are pre-registered at
-import time; users plug in additional implementations::
+:func:`get_backend` / :func:`available_backends`), the one map from
+implementation *names* to implementations: engines, case studies, the
+reducer and the CLI all resolve compiler names against it.  The three
+simulated vendors of the paper's evaluation and the native g++ backend
+are pre-registered at import time; users plug in additional
+implementations::
 
     from repro.backends import register_backend
 

@@ -280,7 +280,7 @@ def _triage_progress(done: int, total: int) -> None:
 
 
 def cmd_reduce(args) -> int:
-    from .driver.engine import create_engine
+    from .driver.engine import resolve_engine
     from .harness.session import CampaignSession
     from .reduce.bundle import write_triage_artifacts
     from .reduce.jobs import TriageJob, run_triage_job
@@ -300,19 +300,7 @@ def cmd_reduce(args) -> int:
                   file=sys.stderr)
             return 2
         cfg = _load_config(args)
-        # CampaignSession's engine conventions, mirrored: CLI flags win,
-        # then the config file's engine/jobs, and --jobs alone upgrades a
-        # config-default serial engine to the process pool
-        engine_name = args.engine
-        jobs = args.jobs
-        if engine_name is None:
-            engine_name = cfg.engine
-            if jobs is not None and engine_name == "serial":
-                engine_name = "process"
-        if jobs is None and engine_name != "serial":
-            jobs = cfg.jobs
-        engine = create_engine(engine_name,
-                               jobs if engine_name != "serial" else None)
+        engine = resolve_engine(cfg, args.engine, args.jobs)
         from .core.races import find_races
         from .reduce.reducer import run_differential_test
 
@@ -644,7 +632,7 @@ def cmd_casestudy(args) -> int:
     from .harness import casestudies
     from .analysis.profiles import render_children, render_flat
     from .analysis.threadstate import render_backtrace, render_thread_groups
-    from .vendors import VENDORS
+    from .backends.registry import get_backend
 
     cfg = CampaignConfig(seed=_seed(args))
     if args.number == 1:
@@ -663,7 +651,7 @@ def cmd_casestudy(args) -> int:
         print()
         for vendor in ("intel", "clang"):
             rec = cs.record_for(vendor)
-            print(render_children(rec.profile, VENDORS[vendor],
+            print(render_children(rec.profile, get_backend(vendor).vendor,
                                   title=f"[{vendor} stack profile, children mode]"))
             print()
     else:

@@ -40,7 +40,7 @@ from .errors import ConfigError
 #: the execution engines of :mod:`repro.driver.engine` (plus the fleet
 #: adapter of :mod:`repro.fleet`) — the single source of truth for
 #: config validation, the engine factory, and the CLI
-ENGINE_NAMES = ("serial", "thread", "process", "fleet")
+ENGINE_NAMES = ("serial", "process", "fleet")
 
 #: the program sources of :mod:`repro.corpus` — "random" is the paper's
 #: pure-random stream (and the compatibility default), "mutation" edits
@@ -378,13 +378,13 @@ class CampaignConfig:
     machine: MachineConfig = field(default_factory=MachineConfig)
     outliers: OutlierConfig = field(default_factory=OutlierConfig)
     triage: TriageConfig = field(default_factory=TriageConfig)
-    # Execution engine for the campaign grid: "serial", "thread",
-    # "process" (see repro.driver.engine), or "fleet" (lease-queue
-    # worker processes, see repro.fleet); jobs = worker count for the
-    # pooled/fleet engines (None = one per CPU).
+    # Execution engine for the campaign grid: "serial", "process" (see
+    # repro.driver.engine), or "fleet" (lease-queue worker processes,
+    # see repro.fleet); jobs = worker count for the process/fleet
+    # engines (None = one per CPU).
     engine: str = "serial"
     jobs: int | None = None
-    #: Work units dispatched per pooled-engine submission.  Each unit is
+    #: Work units dispatched per process-engine submission.  Each unit is
     #: one program with its input batch; batching ``chunk_size`` of them
     #: amortizes future bookkeeping, pickling, and progress accounting
     #: over the chunk.  ``None`` sizes chunks automatically from the grid

@@ -182,19 +182,6 @@ class ExprGen:
             return MathCall(self.rng.choice(MATH_FUNCS), e)
         return e
 
-    def simple_init_expr(self) -> Expr:
-        """A small expression safe for initializing private copies at region
-        start: a numeral or a readable firstprivate/shared scalar."""
-        rng = self.rng
-        if rng.coin(0.5):
-            scalars = self._readable_scalars()
-            if scalars:
-                return VarRef(rng.choice(scalars))
-        if rng.coin(0.3):
-            return UnaryOp(rng.choice(("+", "-")),
-                           FPNumeral(float(rng.randint(0, 3))))
-        return FPNumeral(float(rng.randint(0, 3)))
-
     def bool_expression(self) -> BoolExpr | None:
         """``<bool-expression> ::= <id> <bool-op> <expression>``.
 

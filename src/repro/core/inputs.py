@@ -152,11 +152,6 @@ class TestInput:
             "argv": self.argv(program),
         }
 
-    def has_extreme(self) -> bool:
-        """True when any fp parameter is subnormal / almost-inf / zero —
-        the inputs most likely to trip numerical-exception paths."""
-        return any(c is not FPCategory.NORMAL for c in self.categories.values())
-
     def extreme_count(self) -> int:
         """How many fp parameters fall in the two *hard* extreme
         categories (subnormal, almost-infinity).  The latent miscompile

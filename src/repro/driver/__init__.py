@@ -6,14 +6,13 @@ from .engine import (
     ExecutionPlan,
     ProcessPoolEngine,
     SerialEngine,
-    ThreadPoolEngine,
     UnitOutcome,
     WorkUnit,
     create_engine,
     execute_unit,
     plan_units,
 )
-from .execution import build_args, run_binary, run_differential
+from .execution import build_args, run_binary
 from .records import RunRecord, RunStatus, values_equal
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "RunRecord",
     "RunStatus",
     "SerialEngine",
-    "ThreadPoolEngine",
     "UnitOutcome",
     "WorkUnit",
     "build_args",
@@ -32,6 +30,5 @@ __all__ = [
     "execute_unit",
     "plan_units",
     "run_binary",
-    "run_differential",
     "values_equal",
 ]

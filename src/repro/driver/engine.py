@@ -12,22 +12,24 @@ pure function of ``(config, index)`` (see
 :class:`~repro.core.generator.ProgramGenerator`), so a
 :class:`WorkUnit` pickles as two integers and a worker process rebuilds
 everything it needs from the :class:`ExecutionPlan`.  That is what lets
-the same unit run unchanged on all three engines:
+the same unit run unchanged on every engine:
 
 * :class:`SerialEngine`       — in-order, zero overhead, the reference;
-* :class:`ThreadPoolEngine`   — concurrent futures over threads (wins
-  when backends release the GIL, e.g. the native g++ backend's
-  subprocess calls; simulated backends are pure Python and gain little);
 * :class:`ProcessPoolEngine`  — one interpreter per worker, true
-  parallelism for the pure-Python simulated pipeline.
+  parallelism for the pure-Python simulated pipeline;
+* :class:`~repro.fleet.coordinator.FleetEngine` — lease-queue worker
+  processes (:mod:`repro.fleet`).
 
-The pooled engines dispatch units in **chunks**
+The process engine dispatches units in **chunks**
 (:attr:`~repro.config.CampaignConfig.chunk_size`, auto-sized by
 default): one future per chunk amortizes executor bookkeeping, pickling,
 and progress accounting, and each worker's process-local
 :class:`~repro.sim.kcache.KernelCache` stays warm across a chunk's
 units.  Chunking never changes results — outcomes are yielded per unit
-and verdicts are byte-identical for every chunk size.
+and verdicts are byte-identical for every chunk size.  Campaign units
+and :meth:`~ExecutionEngine.map_unordered` items share one pool loop, so
+both retry a chunk whose worker died once on a fresh pool, and both fold
+each worker's telemetry into the parent registry.
 
 All engines yield :class:`UnitOutcome`\\ s as they complete (completion
 order for the pooled engines).  The progress callback fires once per
@@ -39,9 +41,11 @@ differential test — per ``(program, input)``, not per program — unless a
 from __future__ import annotations
 
 import os
+import time
 from abc import ABC, abstractmethod
-from concurrent.futures import BrokenExecutor, Future, as_completed
+from concurrent.futures import BrokenExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from ..analysis.outliers import TestVerdict, analyze_test
@@ -145,7 +149,7 @@ def execute_unit(plan: ExecutionPlan, unit: WorkUnit) -> UnitOutcome:
     """Run one work unit start to finish (generate, filter, compile, run).
 
     Pure function of ``(plan, unit)``: generators are re-derived from the
-    campaign seed, so any worker — same thread, pool thread, or forked
+    campaign seed, so any worker — the calling thread or a forked
     process — produces bit-identical outcomes for the same unit.
     """
     from ..backends.registry import get_backend
@@ -200,12 +204,6 @@ def _execute_unit_body(plan: ExecutionPlan, unit: WorkUnit,
     return outcome
 
 
-def execute_chunk(plan: ExecutionPlan,
-                  units: Sequence[WorkUnit]) -> list[UnitOutcome]:
-    """Run a batch of units in order (one pooled-engine submission)."""
-    return [execute_unit(plan, unit) for unit in units]
-
-
 # ----------------------------------------------------------------------
 # engines
 # ----------------------------------------------------------------------
@@ -237,7 +235,6 @@ class ExecutionEngine(ABC):
         """
 
     def map_unordered(self, fn: Callable, items: Sequence, *,
-                      chunk_size: int = 1,
                       progress: ProgressFn | None = None) -> Iterator:
         """Apply ``fn`` to independent ``items``, yielding as completed.
 
@@ -250,8 +247,6 @@ class ExecutionEngine(ABC):
         engines yield in completion order.  ``progress`` fires once per
         completed item with ``(done, total)``.
         """
-        if chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1")
         total = len(items)
         for done, item in enumerate(items, 1):
             result = fn(item)
@@ -315,165 +310,35 @@ class SerialEngine(ExecutionEngine):
             yield outcome
 
 
-def _call_chunk(fn: Callable, items: tuple) -> list:
-    """Apply ``fn`` to a batch of items (one pooled-map submission)."""
-    return [fn(item) for item in items]
-
-
-class _PoolEngine(ExecutionEngine):
-    """Shared machinery for the two concurrent.futures engines."""
-
-    def __init__(self, jobs: int | None = None):
-        if jobs is not None and jobs < 1:
-            raise ConfigError("jobs must be >= 1 (or None for auto)")
-        #: what was asked for (None = auto); checkpoints persist this so
-        #: resuming on a different host re-resolves to *its* CPU count
-        self.requested_jobs = jobs
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-
-    def _make_executor(self, plan: ExecutionPlan):
-        raise NotImplementedError
-
-    def _make_map_executor(self):
-        """Executor for :meth:`map_unordered` (no campaign plan to ship)."""
-        raise NotImplementedError
-
-    def _submit(self, executor, plan: ExecutionPlan,
-                chunk: tuple[WorkUnit, ...]) -> Future:
-        raise NotImplementedError
-
-    def map_unordered(self, fn: Callable, items: Sequence, *,
-                      chunk_size: int = 1,
-                      progress: ProgressFn | None = None) -> Iterator:
-        if chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1")
-        total = len(items)
-        if not total:
-            return
-        # (chunk, attempt) pairs still owed results.  A worker death
-        # (os._exit, OOM kill) breaks the whole executor and poisons
-        # every outstanding future with BrokenExecutor; each poisoned
-        # chunk gets ONE retry on a fresh pool — re-executed from its
-        # start, which is safe because fn must already be pure for the
-        # process transport — before the failure surfaces.
-        pending = [(tuple(items[i:i + chunk_size]), 0)
-                   for i in range(0, total, chunk_size)]
-        done = 0
-        while pending:
-            executor = self._make_map_executor()
-            futures = {executor.submit(_call_chunk, fn, c): (c, a)
-                       for c, a in pending}
-            pending = []
-            try:
-                for fut in as_completed(list(futures)):
-                    chunk, attempt = futures.pop(fut)
-                    try:
-                        results = fut.result()
-                    except BrokenExecutor:
-                        if attempt >= 1:
-                            raise
-                        pending.append((chunk, attempt + 1))
-                        continue  # siblings that finished still yield
-                    for result in results:
-                        done += 1
-                        if progress is not None:
-                            progress(done, total)
-                        yield result
-            finally:
-                executor.shutdown(wait=True, cancel_futures=True)
-
-    def run(self, plan: ExecutionPlan, units: Sequence[WorkUnit], *,
-            progress: ProgressFn | None = None,
-            progress_every: int | None = None,
-            salvage: SalvageFn | None = None) -> Iterator[UnitOutcome]:
-        step = self._progress_stepper(units, progress, progress_every)
-        size = resolve_chunk_size(plan.config, len(units), self.jobs)
-        chunks = [tuple(units[i:i + size])
-                  for i in range(0, len(units), size)]
-        executor = self._make_executor(plan)
-        pending = {self._submit(executor, plan, c): c for c in chunks}
-        #: completed outcomes of the chunk currently being yielded — an
-        #: interrupt can land between two yields of one chunk, and the
-        #: rest of that chunk is finished work the salvage hook must see
-        unyielded: list[UnitOutcome] = []
-        try:
-            for fut in as_completed(list(pending)):
-                outcomes = fut.result()
-                chunk = pending.pop(fut)
-                unyielded = list(outcomes)
-                for unit, outcome in zip(chunk, outcomes):
-                    step(unit)
-                    unyielded.pop(0)
-                    yield outcome
-        finally:
-            # also reached via generator .close(): cancel what never
-            # started so an interrupted stream() doesn't keep burning CPU,
-            # then hand back the units that finished while we waited —
-            # they are done work and must not be lost to the interrupt
-            executor.shutdown(wait=True, cancel_futures=True)
-            if salvage is not None:
-                for outcome in unyielded:
-                    salvage(outcome)
-                for fut in pending:
-                    if (fut.done() and not fut.cancelled()
-                            and fut.exception() is None):
-                        for outcome in fut.result():
-                            salvage(outcome)
-
-
-class ThreadPoolEngine(_PoolEngine):
-    """Thread-pooled execution (``jobs`` worker threads)."""
-
-    name = "thread"
-
-    def _make_executor(self, plan: ExecutionPlan):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..sim.values import silence_fp_warnings
-
-        return ThreadPoolExecutor(max_workers=self.jobs,
-                                  thread_name_prefix="repro-engine",
-                                  initializer=silence_fp_warnings)
-
-    def _make_map_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..sim.values import silence_fp_warnings
-
-        return ThreadPoolExecutor(max_workers=self.jobs,
-                                  thread_name_prefix="repro-map",
-                                  initializer=silence_fp_warnings)
-
-    def _submit(self, executor, plan: ExecutionPlan,
-                chunk: tuple[WorkUnit, ...]) -> Future:
-        return executor.submit(execute_chunk, plan, chunk)
-
-
 # -- process-pool plumbing ---------------------------------------------
-# the plan is shipped once per worker via the initializer instead of
-# once per chunk; workers then receive only tuples of
-# (program_index, input_indices) pairs
 
-_WORKER_PLAN: ExecutionPlan | None = None
-
-
-def _process_worker_init(plan: ExecutionPlan) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = plan
+def _worker_init() -> None:
+    # a forked worker inherits the parent's counters; start it from zero
+    # so its snapshots hold only its own work
+    _obs.REGISTRY.reset()
 
 
-def _process_worker_run(unit: WorkUnit) -> UnitOutcome:
-    assert _WORKER_PLAN is not None, "worker used before initialization"
-    return execute_unit(_WORKER_PLAN, unit)
+def _run_chunk(fn: Callable,
+               items: tuple) -> tuple[list, int, int, dict | None]:
+    """Apply ``fn`` to one chunk in a pool worker.
+
+    Returns the results with the worker's pid, a monotonic timestamp
+    that orders the worker's reports, and its cumulative telemetry
+    snapshot (``None`` with telemetry off), so the parent can fold each
+    worker's last snapshot in exactly once.
+    """
+    results = [fn(item) for item in items]
+    snapshot = _obs.registry_snapshot() if _obs.enabled() else None
+    return results, os.getpid(), time.monotonic_ns(), snapshot
 
 
-def _process_worker_run_chunk(
-        chunk: tuple[WorkUnit, ...]) -> list[UnitOutcome]:
-    assert _WORKER_PLAN is not None, "worker used before initialization"
-    return execute_chunk(_WORKER_PLAN, chunk)
+def _keep_latest(reports: dict, pid: int, stamp: int,
+                 snapshot: dict | None) -> None:
+    if stamp > reports.get(pid, (-1, None))[0]:
+        reports[pid] = (stamp, snapshot)
 
 
-class ProcessPoolEngine(_PoolEngine):
+class ProcessPoolEngine(ExecutionEngine):
     """Process-pooled execution: real parallelism for the Python pipeline.
 
     Outcomes (verdicts, records, features) cross the process boundary by
@@ -484,38 +349,114 @@ class ProcessPoolEngine(_PoolEngine):
 
     name = "process"
 
-    def _make_executor(self, plan: ExecutionPlan):
+    def __init__(self, jobs: int | None = None):
+        if jobs is not None and jobs < 1:
+            raise ConfigError("jobs must be >= 1 (or None for auto)")
+        #: what was asked for (None = auto); checkpoints persist this so
+        #: resuming on a different host re-resolves to *its* CPU count
+        self.requested_jobs = jobs
+        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
+
+    def run(self, plan: ExecutionPlan, units: Sequence[WorkUnit], *,
+            progress: ProgressFn | None = None,
+            progress_every: int | None = None,
+            salvage: SalvageFn | None = None) -> Iterator[UnitOutcome]:
+        step = self._progress_stepper(units, progress, progress_every)
+        size = resolve_chunk_size(plan.config, len(units), self.jobs)
+        chunks = [tuple(units[i:i + size])
+                  for i in range(0, len(units), size)]
+        yield from self._dispatch(partial(execute_unit, plan), chunks, step,
+                                  salvage)
+
+    def map_unordered(self, fn: Callable, items: Sequence, *,
+                      progress: ProgressFn | None = None) -> Iterator:
+        total = len(items)
+        done = 0
+
+        def step(_item) -> None:
+            nonlocal done
+            done += 1
+            if progress is not None:
+                progress(done, total)
+
+        yield from self._dispatch(fn, [(item,) for item in items], step)
+
+    def _dispatch(self, fn: Callable, chunks: list[tuple],
+                  step: Callable[[object], None],
+                  salvage: Callable[[object], None] | None = None) -> Iterator:
+        """The one pool loop behind :meth:`run` and :meth:`map_unordered`.
+
+        Submits one future per chunk and yields ``fn``'s results as their
+        chunks complete, calling ``step(item)`` before each.  A worker
+        death (``os._exit``, OOM kill) breaks the whole pool and poisons
+        every outstanding future; each poisoned chunk gets ONE retry on a
+        fresh pool — re-run from its start, which is safe because ``fn``
+        is pure — before the failure surfaces.  Teardown (also reached via
+        generator ``close()``) cancels what never started, waits for what
+        is running, hands finished but unyielded results to ``salvage``,
+        and folds each worker's last telemetry snapshot into this
+        process's registry.
+        """
+        # imported here: it loads multiprocessing, which serial runs and
+        # every process's start-up would otherwise pay for
         from concurrent.futures import ProcessPoolExecutor
 
-        return ProcessPoolExecutor(max_workers=self.jobs,
-                                   initializer=_process_worker_init,
-                                   initargs=(plan,))
-
-    def _make_map_executor(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        # no plan initializer: map tasks carry their own context (the
-        # same coordinates-not-objects contract as campaign work units)
-        return ProcessPoolExecutor(max_workers=self.jobs)
-
-    def _submit(self, executor, plan: ExecutionPlan,
-                chunk: tuple[WorkUnit, ...]) -> Future:
-        return executor.submit(_process_worker_run_chunk, chunk)
+        pending = [(chunk, 0) for chunk in chunks]
+        while pending:
+            pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                       initializer=_worker_init)
+            futures = {pool.submit(_run_chunk, fn, chunk): (chunk, attempt)
+                       for chunk, attempt in pending}
+            pending = []
+            #: pid -> (timestamp, snapshot) of its latest report
+            reports: dict[int, tuple[int, dict | None]] = {}
+            #: finished (item, result) pairs not yet yielded — an interrupt
+            #: can land between two yields of one chunk
+            unyielded: list[tuple] = []
+            try:
+                for fut in as_completed(list(futures)):
+                    chunk, attempt = futures.pop(fut)
+                    try:
+                        results, *report = fut.result()
+                    except BrokenExecutor:
+                        if attempt >= 1:
+                            raise
+                        pending.append((chunk, attempt + 1))
+                        continue  # siblings that finished still yield
+                    _keep_latest(reports, *report)
+                    unyielded = list(zip(chunk, results))
+                    while unyielded:
+                        # progress before the pop: if the callback raises
+                        # (Ctrl-C), the result is still salvaged
+                        step(unyielded[0][0])
+                        yield unyielded.pop(0)[1]
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+                for fut, (chunk, _) in futures.items():
+                    if (fut.done() and not fut.cancelled()
+                            and fut.exception() is None):
+                        results, *report = fut.result()
+                        _keep_latest(reports, *report)
+                        unyielded.extend(zip(chunk, results))
+                if salvage is not None:
+                    for _, result in unyielded:
+                        salvage(result)
+                for _, snapshot in reports.values():
+                    if snapshot is not None:
+                        _obs.REGISTRY.absorb(snapshot)
 
 
 def create_engine(name: str, jobs: int | None = None) -> ExecutionEngine:
-    """Engine factory: ``"serial"``, ``"thread"``, ``"process"``, or
-    ``"fleet"`` (lease-queue worker processes, :mod:`repro.fleet`)."""
+    """Engine factory: ``"serial"``, ``"process"``, or ``"fleet"``
+    (lease-queue worker processes, :mod:`repro.fleet`)."""
     if name == "serial":
         if jobs is not None:
             # an explicit worker count is a parallelism request; dropping
             # it silently would mis-size the run with no signal
             raise ConfigError(
-                "jobs requires a pooled engine (thread or process); "
+                "jobs requires a pooled engine (process or fleet); "
                 "the serial engine always runs one worker")
         return SerialEngine()
-    if name == "thread":
-        return ThreadPoolEngine(jobs)
     if name == "process":
         return ProcessPoolEngine(jobs)
     if name == "fleet":
@@ -525,3 +466,23 @@ def create_engine(name: str, jobs: int | None = None) -> ExecutionEngine:
         return FleetEngine(jobs)
     raise ConfigError(
         f"unknown execution engine {name!r}; choose from {ENGINE_NAMES}")
+
+
+def resolve_engine(config: CampaignConfig, engine: str | None = None,
+                   jobs: int | None = None) -> ExecutionEngine:
+    """The engine a campaign over ``config`` runs on.
+
+    An explicit ``engine`` name wins over ``config.engine``.  ``jobs``
+    without an engine name upgrades a config-default serial engine to
+    ``process``: asking for workers means "go parallel" unless serial was
+    requested explicitly.  ``config.jobs`` sizes a pooled engine when
+    ``jobs`` is not given; a serial engine ignores it, so only an
+    explicit ``jobs`` conflicts with serial.
+    """
+    if engine is None:
+        engine = config.engine
+        if jobs is not None and engine == "serial":
+            engine = "process"
+    if jobs is None and engine != "serial":
+        jobs = config.jobs
+    return create_engine(engine, jobs)

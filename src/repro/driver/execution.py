@@ -4,10 +4,12 @@
 corresponding inputs in the systems.  The driver checks the outputs of the
 tests and whether there is a correctness issue with any test."
 
-The driver builds the kernel argument environment from a
-:class:`~repro.core.inputs.TestInput`, instantiates the vendor's
-:class:`~repro.sim.runtime.RegionExecutor`, executes the lowered kernel,
-and classifies the outcome:
+:func:`run_binary` is the simulated backends' ``execute``: a differential
+test calls it once per implementation through
+:mod:`repro.backends.registry`.  It builds the kernel argument
+environment from a :class:`~repro.core.inputs.TestInput`, instantiates
+the vendor's :class:`~repro.sim.runtime.RegionExecutor`, executes the
+lowered kernel, and classifies the outcome:
 
 * normal return → ``OK`` with the printed ``comp`` and virtual time,
 * :class:`~repro.errors.SimulatedCrash` → ``CRASH`` (partial time),
@@ -38,9 +40,11 @@ _BASE_MISS_RATE = 0.004
 class _GcPause:
     """Reference-counted pause of the cyclic collector.
 
-    ``gc.disable()`` is process-global: with the thread-pool engine,
-    naive disable/enable pairs flap — the first kernel to finish would
-    re-enable collection under every sibling still executing.  Counting
+    ``gc.disable()`` is process-global, and kernels can run on several
+    threads of one process (:class:`~repro.fleet.chaos.ChaosWorkerFleet`
+    runs its workers on threads): naive disable/enable pairs would flap —
+    the first kernel to finish would re-enable collection under every
+    sibling still executing.  Counting
     overlapping pauses keeps the collector off until the *last* kernel
     leaves, and only restores it if it was enabled when the first
     entered.
@@ -178,11 +182,3 @@ def run_binary(binary: Binary, test_input: TestInput,
         detail=detail,
         thread_states=thread_states,
     )
-
-
-def run_differential(binaries: list[Binary], test_input: TestInput,
-                     machine: MachineConfig | None = None, *,
-                     collect_profile: bool = False) -> list[RunRecord]:
-    """Run every vendor's binary on the same input (one differential test)."""
-    return [run_binary(b, test_input, machine, collect_profile=collect_profile)
-            for b in binaries]

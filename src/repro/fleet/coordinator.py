@@ -51,6 +51,10 @@ from .worker import _worker_process_entry, worker_loop
 log = logging.getLogger(__name__)
 
 
+#: how long the engine's pump loop sleeps between queue sweeps
+_ENGINE_POLL_S = 0.02
+
+
 def _spawn_worker(address: tuple[str, int], authkey: bytes, *,
                   batch: int = 1, poll_s: float = 0.05) -> mp.Process:
     proc = mp.Process(target=_worker_process_entry,
@@ -84,27 +88,13 @@ class FleetEngine(ExecutionEngine):
 
     name = "fleet"
 
-    def __init__(self, jobs: int | None = None, *,
-                 lease_seconds: float = 60.0,
-                 max_attempts: int = 3,
-                 backoff_s: float = 0.25,
-                 straggler_after: float | None = None,
-                 batch: int = 1,
-                 poll_s: float = 0.02,
-                 authkey: bytes | None = None):
+    def __init__(self, jobs: int | None = None):
         if jobs is not None and jobs < 1:
             raise ConfigError("jobs must be >= 1 (or None for auto)")
         #: what was asked for (None = auto); checkpoints persist this so
         #: resuming on a different host re-resolves to *its* CPU count
         self.requested_jobs = jobs
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.lease_seconds = lease_seconds
-        self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
-        self.straggler_after = straggler_after
-        self.batch = batch
-        self.poll_s = poll_s
-        self.authkey = authkey
 
     def run(self, plan: ExecutionPlan, units: Sequence[WorkUnit], *,
             progress: ProgressFn | None = None,
@@ -114,14 +104,10 @@ class FleetEngine(ExecutionEngine):
             return
         step = self._progress_stepper(units, progress, progress_every)
         by_id = {u.program_index: u for u in units}
-        queue = WorkQueue(plan, units,
-                          lease_seconds=self.lease_seconds,
-                          max_attempts=self.max_attempts,
-                          backoff_s=self.backoff_s,
-                          straggler_after=self.straggler_after)
-        authkey = self.authkey or secrets.token_bytes(16)
+        queue = WorkQueue(plan, units)
+        authkey = secrets.token_bytes(16)
         server = QueueServer(queue, authkey=authkey)
-        procs = [_spawn_worker(server.address, authkey, batch=self.batch)
+        procs = [_spawn_worker(server.address, authkey)
                  for _ in range(self.jobs)]
         restarts = 2 * self.jobs
         #: completions pulled off the queue but not yet yielded — an
@@ -139,8 +125,7 @@ class FleetEngine(ExecutionEngine):
                 procs = [p for p in procs if p.is_alive()]
                 while len(procs) < self.jobs and restarts > 0:
                     restarts -= 1
-                    procs.append(_spawn_worker(server.address, authkey,
-                                               batch=self.batch))
+                    procs.append(_spawn_worker(server.address, authkey))
                 if not procs:
                     # graceful degradation: the distributed substrate is
                     # gone (every worker died, restart budget spent) but
@@ -155,10 +140,9 @@ class FleetEngine(ExecutionEngine):
                         "fleet degraded: %s; finishing the remaining "
                         "units in-process", queue.stats())
                     _obs.inc("repro_degradation_events_total")
-                    worker_loop(queue, worker_id="fleet-inline-degraded",
-                                batch=self.batch)
+                    worker_loop(queue, worker_id="fleet-inline-degraded")
                     continue
-                time.sleep(self.poll_s)
+                time.sleep(_ENGINE_POLL_S)
             dead = queue.dead_units()
             if dead:
                 raise _dead_unit_error(dead)

@@ -2,7 +2,6 @@
 
 from .campaign import (
     CampaignResult,
-    CampaignRunner,
     SingleTestResult,
     differential_test_single,
 )
@@ -18,7 +17,6 @@ from .results import dump_campaign_artifacts, read_verdict_rows, write_verdicts
 
 __all__ = [
     "CampaignResult",
-    "CampaignRunner",
     "CampaignSession",
     "SingleTestResult",
     "differential_test_single",

@@ -1,39 +1,34 @@
-"""Campaign orchestration: the complete Figure-1 pipeline.
+"""Campaign results: the complete Figure-1 pipeline's output.
 
 ``config file -> generate programs+inputs -> compile with every OpenMP
 implementation -> run -> compare results & find anomalies``
 
-:class:`CampaignRunner` executes the whole grid (``n_programs x
-inputs_per_program x len(compilers)`` runs, the paper's 200 x 3 x 3 =
-1,800) and produces a :class:`CampaignResult` with per-test verdicts, the
-Table-I outlier table, and feature statistics.  The paper's manual
-data-race filtering step is automated: when the generator runs in its
-limitation-reproducing ``allow_data_races`` mode, racy programs are
-detected statically and excluded from analysis (and counted).
+:class:`~repro.harness.session.CampaignSession` executes the whole grid
+(``n_programs x inputs_per_program x len(compilers)`` runs, the paper's
+200 x 3 x 3 = 1,800) and produces a :class:`CampaignResult` with
+per-test verdicts, the Table-I outlier table, and feature statistics.
+The paper's manual data-race filtering step is automated: when the
+generator runs in its limitation-reproducing ``allow_data_races`` mode,
+racy programs are detected statically and excluded from analysis (and
+counted).  :func:`differential_test_single` runs one test of the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 from ..config import CampaignConfig
 from ..core.features import ProgramFeatures
 from ..core.generator import ProgramGenerator
 from ..core.inputs import InputGenerator, TestInput
 from ..core.nodes import Program
-from ..core.races import find_races
-from ..driver.execution import run_differential
 from ..driver.records import RunRecord
-from ..vendors.toolchain import compile_all
 from ..analysis.outliers import (
     OutlierTable,
     TestVerdict,
     analyze_test,
     build_outlier_table,
 )
-
-ProgressFn = Callable[[int, int], None]
 
 
 @dataclass
@@ -53,62 +48,6 @@ class CampaignResult:
     @property
     def n_runs(self) -> int:
         return sum(len(v.records) for v in self.verdicts)
-
-    def analyzed_verdicts(self) -> list[TestVerdict]:
-        return [v for v in self.verdicts if v.analyzed]
-
-    def outliers(self):
-        for v in self.verdicts:
-            yield from v.outliers
-
-    def verdicts_for(self, program_name: str) -> list[TestVerdict]:
-        return [v for v in self.verdicts if v.program_name == program_name]
-
-
-class CampaignRunner:
-    """Runs one differential-testing campaign under a configuration."""
-
-    def __init__(self, config: CampaignConfig | None = None):
-        self.config = config if config is not None else CampaignConfig()
-        self.programs = ProgramGenerator(self.config.generator,
-                                         seed=self.config.seed)
-        self.inputs = InputGenerator(self.config.generator,
-                                     seed=self.config.seed + 1)
-
-    # ------------------------------------------------------------------
-    def iter_tests(self) -> Iterator[tuple[Program, TestInput]]:
-        """Yield every (program, input) pair of the campaign grid.
-
-        Applies the same static race filtering as :meth:`run`: in the
-        limitation-reproducing ``allow_data_races`` mode, racy programs
-        are excluded here exactly as they are from the executed grid, so
-        the two views of the campaign always agree.
-        """
-        for i in range(self.config.n_programs):
-            program = self.programs.generate(i)
-            if self.config.generator.allow_data_races and find_races(program):
-                continue
-            for j in range(self.config.inputs_per_program):
-                yield program, self.inputs.generate(program, j)
-
-    # ------------------------------------------------------------------
-    def run(self, *, progress: ProgressFn | None = None,
-            collect_profiles: bool = False) -> CampaignResult:
-        """Execute the full campaign grid and analyze every test.
-
-        Thin shim over :class:`~repro.harness.session.CampaignSession` —
-        kept for backwards compatibility; new code should drive a
-        session directly (it adds verdict streaming and
-        checkpoint/resume).  The engine comes from
-        ``config.engine``/``config.jobs`` (default serial, matching the
-        seed behavior); ``progress`` fires once per differential test
-        (program x input pair).
-        """
-        from .session import CampaignSession
-
-        session = CampaignSession(self.config,
-                                  collect_profiles=collect_profiles)
-        return session.run(progress=progress)
 
 
 # ----------------------------------------------------------------------
@@ -141,17 +80,20 @@ class SingleTestResult:
         return "\n".join(lines)
 
 
-def differential_test_single(seed: int = 42, program_index: int = 0,
-                             config: CampaignConfig | None = None
-                             ) -> SingleTestResult:
+def differential_test_single(seed: int = 42,
+                             program_index: int = 0) -> SingleTestResult:
     """Generate one program + one input, run all implementations, compare."""
-    cfg = config if config is not None else CampaignConfig(seed=seed)
-    runner = CampaignRunner(cfg)
-    program = runner.programs.generate(program_index)
-    test_input = runner.inputs.generate(program, 0)
-    binaries = compile_all(program, cfg.compilers, cfg.opt_level)
-    records = run_differential(binaries, test_input, cfg.machine,
-                               collect_profile=True)
+    from ..backends.registry import get_backend
+
+    cfg = CampaignConfig(seed=seed)
+    program = ProgramGenerator(cfg.generator,
+                               seed=cfg.seed).generate(program_index)
+    test_input = InputGenerator(cfg.generator,
+                                seed=cfg.seed + 1).generate(program, 0)
+    backends = [get_backend(name) for name in cfg.compilers]
+    binaries = [b.compile(program, cfg.opt_level) for b in backends]
+    records = [b.execute(exe, test_input, cfg.machine, collect_profile=True)
+               for b, exe in zip(backends, binaries)]
     verdict = analyze_test(records, cfg.outliers)
     return SingleTestResult(program=program, test_input=test_input,
                             records=records, verdict=verdict,

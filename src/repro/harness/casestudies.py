@@ -25,15 +25,14 @@ from typing import Callable
 
 from ..analysis.outliers import OutlierKind, analyze_test
 from ..analysis.perfstats import CounterComparison, compare_counters
+from ..backends.registry import Backend, Executable, get_backend
 from ..config import CampaignConfig
 from ..core.features import ProgramFeatures, extract_features
 from ..core.generator import ProgramGenerator
-from ..core.inputs import InputGenerator
+from ..core.inputs import InputGenerator, TestInput
 from ..core.nodes import Program
-from ..driver.execution import run_binary, run_differential
 from ..driver.records import RunRecord, RunStatus
 from ..errors import AnalysisError
-from ..vendors.toolchain import compile_all, compile_binary
 
 
 @dataclass
@@ -67,6 +66,13 @@ def _search(cfg: CampaignConfig,
         f"no program matching the case-study pattern in {limit} candidates")
 
 
+def _run_all(backends: list[Backend], executables: list[Executable],
+             test_input: TestInput, cfg: CampaignConfig) -> list[RunRecord]:
+    """One differential test with profiles: every backend, one input."""
+    return [b.execute(exe, test_input, cfg.machine, collect_profile=True)
+            for b, exe in zip(backends, executables)]
+
+
 def case_study_1(cfg: CampaignConfig | None = None) -> CaseStudy:
     """GCC fast outlier on a critical-heavy test (Table II, Fig. 6)."""
     cfg = cfg if cfg is not None else CampaignConfig()
@@ -75,18 +81,18 @@ def case_study_1(cfg: CampaignConfig | None = None) -> CaseStudy:
     cfg = dataclasses.replace(cfg, directive_mix="paper")
     gen = ProgramGenerator(cfg.generator, seed=cfg.seed)
     inputs = InputGenerator(cfg.generator, seed=cfg.seed + 1)
+    backends = [get_backend(name) for name in cfg.compilers]
     for i in range(400):
         program = gen.generate(i)
         feats = extract_features(program)
         if feats.critical_in_omp_for == 0 or feats.est_critical_acquires < 500:
             continue
-        binaries = compile_all(program, cfg.compilers, cfg.opt_level)
+        binaries = [b.compile(program, cfg.opt_level) for b in backends]
         if any(b.hang_armed or b.crash_armed for b in binaries):
             continue
         for j in range(cfg.inputs_per_program):
             test_input = inputs.generate(program, j)
-            records = run_differential(binaries, test_input, cfg.machine,
-                                       collect_profile=True)
+            records = _run_all(backends, binaries, test_input, cfg)
             verdict = analyze_test(records, cfg.outliers)
             if any(o.vendor == "gcc" and o.kind is OutlierKind.FAST
                    for o in verdict.outliers):
@@ -113,12 +119,12 @@ def case_study_2(cfg: CampaignConfig | None = None) -> CaseStudy:
     program, feats = _search(
         cfg, lambda p, f: f.parallel_in_serial_loop > 0
         and f.est_region_entries >= 40)
-    binaries = compile_all(program, cfg.compilers, cfg.opt_level)
+    backends = [get_backend(name) for name in cfg.compilers]
+    binaries = [b.compile(program, cfg.opt_level) for b in backends]
     best: tuple[list[RunRecord], float] | None = None
     for j in range(cfg.inputs_per_program):
         test_input = inputs.generate(program, j)
-        records = run_differential(binaries, test_input, cfg.machine,
-                                   collect_profile=True)
+        records = _run_all(backends, binaries, test_input, cfg)
         verdict = analyze_test(records, cfg.outliers)
         for o in verdict.outliers:
             if o.vendor == "clang" and o.kind is OutlierKind.SLOW:
@@ -128,8 +134,7 @@ def case_study_2(cfg: CampaignConfig | None = None) -> CaseStudy:
         # region re-entry overhead is there even below the beta threshold;
         # fall back to the first input for counter comparison
         test_input = inputs.generate(program, 0)
-        best = (run_differential(binaries, test_input, cfg.machine,
-                                 collect_profile=True), 0.0)
+        best = (_run_all(backends, binaries, test_input, cfg), 0.0)
     records, ratio = best
     cmp = compare_counters(records, "intel", "clang")
     return CaseStudy(
@@ -151,21 +156,21 @@ def case_study_3(cfg: CampaignConfig | None = None, *,
     program, feats = _search(
         cfg, lambda p, f: f.critical_in_omp_for > 0
         and f.est_critical_acquires >= 2000)
-    intel_binary = compile_binary(program, "intel", cfg.opt_level)
+    # intel last: the hanging record follows the others'
+    backends = [get_backend(c) for c in cfg.compilers if c != "intel"]
+    backends.append(get_backend("intel"))
+    binaries = [b.compile(program, cfg.opt_level) for b in backends]
     note = "hash-armed livelock"
-    if not intel_binary.hang_armed:
+    if not binaries[-1].hang_armed:
         if not allow_forced:
             raise AnalysisError("searched window has no hang-armed binary")
         # deterministic re-arm: equivalent to replaying the specific test
         # from the paper's released dataset
-        intel_binary = dataclasses.replace(intel_binary, hang_armed=True)
+        binaries[-1] = dataclasses.replace(binaries[-1], hang_armed=True)
         note = ("livelock re-armed deterministically on a contended-critical "
                 "program (the hash trigger lives elsewhere in the stream)")
-    others = compile_all(program, [c for c in cfg.compilers if c != "intel"],
-                         cfg.opt_level)
     test_input = inputs.generate(program, 0)
-    records = [run_binary(b, test_input, cfg.machine, collect_profile=True)
-               for b in [*others, intel_binary]]
+    records = _run_all(backends, binaries, test_input, cfg)
     hang = [r for r in records if r.status is RunStatus.HANG]
     if not hang or hang[0].vendor != "intel":
         raise AnalysisError("intel binary did not hang as expected")

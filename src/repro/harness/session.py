@@ -50,8 +50,8 @@ from ..driver.engine import (
     ProgressFn,
     UnitOutcome,
     WorkUnit,
-    create_engine,
     plan_units,
+    resolve_engine,
 )
 from ..driver.records import RunRecord
 from ..errors import ConfigError
@@ -67,21 +67,12 @@ class CampaignSession:
                  engine: str | ExecutionEngine | None = None,
                  jobs: int | None = None,
                  collect_profiles: bool = False):
-        """``engine`` defaults to the config's; asking for ``jobs`` without
-        naming an engine upgrades a config-default serial engine to the
-        process pool — ``jobs`` always means "go parallel" unless serial
-        was requested explicitly."""
+        """``engine`` and ``jobs`` resolve against the config as
+        :func:`~repro.driver.engine.resolve_engine` describes (``jobs``
+        alone means "go parallel"); an engine instance is used as is."""
         self.config = config if config is not None else CampaignConfig()
-        if engine is None:
-            engine = self.config.engine
-            if jobs is not None and engine == "serial":
-                engine = "process"
-        if isinstance(engine, str):
-            if jobs is None and engine != "serial":
-                # config.jobs sizes the pooled engines; a serial engine
-                # ignores it — only an *explicit* jobs request conflicts
-                jobs = self.config.jobs
-            engine = create_engine(engine, jobs)
+        if not isinstance(engine, ExecutionEngine):
+            engine = resolve_engine(self.config, engine, jobs)
         elif jobs is not None:
             # an ExecutionEngine instance carries its own worker count;
             # silently dropping the explicit jobs request would mis-size

@@ -305,10 +305,6 @@ def build_shared_object(cc: str, c_source: str, out: Path,
                 path.unlink()
 
 
-def _build(cc: str, out: Path) -> bool:
-    return build_shared_object(cc, _C_SOURCE, out)[0]
-
-
 def import_shared_object(path: Path, name: str = "_repro_native_values"):
     """Import an extension module from an explicit path (the module's
     ``PyInit_<name>`` must match ``name``)."""
@@ -318,10 +314,6 @@ def import_shared_object(path: Path, name: str = "_repro_native_values"):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _import_from(path: Path):
-    return import_shared_object(path)
 
 
 def _verify(native) -> bool:
@@ -424,7 +416,7 @@ def load():
             ok, why = build_shared_object(cc, _C_SOURCE, out)
             if not ok:
                 return _fall_back(f"build failed: {why}")
-        native = _import_from(out)
+        native = import_shared_object(out)
         if native is None:
             return _fall_back(f"cannot import built module {out}")
         if not _verify(native):

@@ -31,7 +31,8 @@ hold a full 200-program campaign with room to spare.
 The cache is **process-local** by design: worker processes of a
 :class:`~repro.driver.engine.ProcessPoolEngine` each warm their own copy
 (work units arrive as indices, so cached objects never cross the pickle
-boundary), and thread-pool workers share this one under its lock.
+boundary).  Threads of one process share it under its lock
+(:class:`~repro.fleet.chaos.ChaosWorkerFleet` runs workers on threads).
 """
 
 from __future__ import annotations
@@ -156,6 +157,8 @@ class KernelCache:
 
     # ------------------------------------------------------------------
     def stats(self) -> CacheStats:
+        """The counters, frozen; delta two reads with
+        :meth:`CacheStats.since` (per-campaign accounting)."""
         with self._lock:
             return CacheStats(
                 structural_hits=self._shits,
@@ -165,11 +168,6 @@ class KernelCache:
                 evictions=(self._structural.evictions
                            + self._kernels.evictions),
             )
-
-    def snapshot(self) -> CacheStats:
-        """An immutable snapshot of the counters, for later delta-ing
-        with :meth:`CacheStats.since` (per-campaign accounting)."""
-        return self.stats()
 
     def reset(self) -> None:
         """Zero every counter (entries stay cached).

@@ -49,8 +49,8 @@ def silence_fp_warnings() -> None:
     """Apply the simulator's FP error state to the calling thread.
 
     ``numpy.seterr`` is thread-local: the module-level call below covers
-    the importing thread only, so every worker thread that executes
-    lowered kernels (e.g. the thread-pool engine's) must call this.
+    the importing thread only, so any other thread that executes
+    lowered kernels must call this.
     """
     _np.seterr(invalid="ignore", over="ignore")
 
@@ -116,10 +116,6 @@ MATH_IMPLS: dict[str, Callable[[float], float]] = {
     "tanh": _total(math.tanh),
     "atan": _total(math.atan),
 }
-
-
-def is_finite(x: float) -> bool:
-    return math.isfinite(x)
 
 
 def _py_fma_d(a: float, b: float, c: float) -> float:

@@ -12,7 +12,7 @@ from .binary import Binary
 from .clang import CLANG
 from .gcc import GCC
 from .intel import INTEL
-from .toolchain import VENDORS, compile_all, compile_binary, get_vendor
+from .toolchain import compile_binary
 
 __all__ = [
     "Binary",
@@ -24,9 +24,6 @@ __all__ = [
     "OpCosts",
     "ProfileSymbols",
     "RuntimeParams",
-    "VENDORS",
     "VendorModel",
-    "compile_all",
     "compile_binary",
-    "get_vendor",
 ]

@@ -76,11 +76,3 @@ class Binary:
         if ftz:
             return ftz_d
         return _identity
-
-    def fault_summary(self) -> dict[str, bool]:
-        return {
-            "crash_armed": self.crash_armed,
-            "hang_armed": self.hang_armed,
-            "slow_armed": self.slow_armed,
-            "fast_armed": self.fast_armed,
-        }

@@ -34,26 +34,7 @@ from ..sim.kcache import KernelCache, get_kernel_cache
 from ..sim.lower import StructuralLowerer, bind_costs
 from .base import VendorModel
 from .binary import Binary
-from .clang import CLANG
-from .gcc import GCC
-from .intel import INTEL
 from .optimizer import effective_fma_mode, lower_block
-
-#: the three implementations of the paper's evaluation (Section V-A).
-#: Kept for backwards compatibility; the campaign pipeline now resolves
-#: implementations through :mod:`repro.backends.registry`, which wraps
-#: these same vendor models (plus the native toolchain) behind one
-#: compile/execute contract.
-VENDORS: dict[str, VendorModel] = {v.name: v for v in (GCC, CLANG, INTEL)}
-
-
-def get_vendor(name: str) -> VendorModel:
-    try:
-        return VENDORS[name]
-    except KeyError:
-        raise CompilationError(
-            f"unknown OpenMP implementation {name!r}; "
-            f"available: {sorted(VENDORS)}") from None
 
 
 #: fingerprint -> critical-in-omp-for count, for the hang-fault gate.
@@ -74,18 +55,19 @@ def _critical_in_omp_for(program: Program, fingerprint: str) -> int:
     return count
 
 
-def compile_binary(program: Program, vendor: VendorModel | str,
+def compile_binary(program: Program, vendor: VendorModel,
                    opt_level: str = "-O3", *,
                    cache: KernelCache | None = None) -> Binary:
     """Compile ``program`` with one simulated OpenMP implementation.
 
+    Implementations are resolved by name through
+    :mod:`repro.backends.registry` (``get_backend(name).compile``); this
+    is the simulated backends' compile step, taking the vendor model.
     ``cache`` overrides the process-default
     :class:`~repro.sim.kcache.KernelCache` (tests pass fresh instances
     to measure cold costs; ``None`` uses :func:`~repro.sim.kcache.
     get_kernel_cache`).
     """
-    if isinstance(vendor, str):
-        vendor = get_vendor(vendor)
     if opt_level not in ("-O0", "-O1", "-O2", "-O3"):
         raise CompilationError(f"unsupported optimization level {opt_level!r}")
     if cache is None:
@@ -162,9 +144,3 @@ def replace_body(program: Program, body) -> Program:
         body=body,
         num_threads=program.num_threads,
     )
-
-
-def compile_all(program: Program, compilers: tuple[str, ...] | list[str],
-                opt_level: str = "-O3") -> list[Binary]:
-    """Compile one program with every requested implementation."""
-    return [compile_binary(program, name, opt_level) for name in compilers]

@@ -17,7 +17,7 @@ from repro.core.generator import ProgramGenerator
 from repro.core.inputs import InputGenerator
 from repro.driver import RunStatus, run_binary
 from repro.driver.records import values_equal
-from repro.vendors import compile_binary
+from repro.vendors import CLANG, compile_binary
 
 pytestmark = pytest.mark.skipif(not gcc_native.available(),
                                 reason="no g++ on PATH")
@@ -81,7 +81,7 @@ class TestSimulatedNativeAgreement:
             inp = inputs.generate(p, 0)
             # clang model = plain IEEE at -O1 (no contraction, no FTZ);
             # native g++ with contraction pinned off is the same function
-            sim = run_binary(compile_binary(p, "clang", "-O1"), inp, machine)
+            sim = run_binary(compile_binary(p, CLANG, "-O1"), inp, machine)
             native = gcc_native.compile_and_run(p, inp, fp_contract="off",
                                                 num_threads=None)
             assert native.status is RunStatus.OK

@@ -38,7 +38,7 @@ from repro.core.inputs import InputGenerator
 from repro.core.races import find_races
 from repro.driver import RunStatus, run_binary
 from repro.driver.records import values_equal
-from repro.vendors import compile_binary
+from repro.vendors import CLANG, GCC, INTEL, compile_binary
 
 #: small, fast base configuration shared by every family sweep
 _BASE = GeneratorConfig(max_total_iterations=4_000, loop_trip_max=60,
@@ -128,7 +128,7 @@ class TestSimulatedExecution:
                 continue
             inp = inputs.generate(p, 0)
             records = []
-            for vendor in ("gcc", "clang", "intel"):
+            for vendor in (GCC, CLANG, INTEL):
                 rec = run_binary(compile_binary(p, vendor, "-O1"), inp,
                                  machine)
                 assert rec.status in (RunStatus.OK, RunStatus.CRASH,
@@ -203,7 +203,7 @@ class TestNativeConformance:
                 continue
             assert not find_races(p)
             inp = inputs.generate(p, 0)
-            sim = run_binary(compile_binary(p, "clang", "-O1"), inp, machine)
+            sim = run_binary(compile_binary(p, CLANG, "-O1"), inp, machine)
             native = gcc_native.compile_and_run(p, inp, opt_level="-O1",
                                                 fp_contract="off",
                                                 num_threads=None)
@@ -266,7 +266,7 @@ class TestWorkshareGraphCampaign:
         from repro.harness.session import CampaignSession
 
         serial = CampaignSession(self._cfg(), engine="serial").run()
-        pooled = CampaignSession(self._cfg(), engine="thread", jobs=2).run()
+        pooled = CampaignSession(self._cfg(), engine="process", jobs=2).run()
         assert sorted(v.identity() for v in serial.verdicts) == \
             sorted(v.identity() for v in pooled.verdicts)
         # the grid really ran on all three simulated vendors
@@ -298,14 +298,14 @@ class TestWorkshareGraphCampaign:
 
         p = self._sweep_program()
         cache = get_kernel_cache()
-        b1 = compile_binary(p, "gcc", "-O1")
+        b1 = compile_binary(p, GCC, "-O1")
         before = cache.stats()
-        b2 = compile_binary(p, "gcc", "-O1")
+        b2 = compile_binary(p, GCC, "-O1")
         after = cache.stats()
         assert b2.kernel is b1.kernel  # the bound kernel itself is reused
         assert after.kernel_hits == before.kernel_hits + 1
         # same-shape vendors share one structural kernel
-        b3 = compile_binary(p, "clang", "-O1")
+        b3 = compile_binary(p, CLANG, "-O1")
         assert b3.kernel.structural is b1.kernel.structural
 
 

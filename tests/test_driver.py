@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.backends import get_backend
 from repro.config import MachineConfig
 from repro.core.inputs import FPCategory, TestInput
 from repro.driver import (
@@ -12,11 +13,10 @@ from repro.driver import (
     RunStatus,
     build_args,
     run_binary,
-    run_differential,
     values_equal,
 )
 from repro.errors import ExecutionError
-from repro.vendors import compile_all, compile_binary
+from repro.vendors import CLANG, GCC, INTEL, compile_binary
 
 
 class TestValuesEqual:
@@ -43,7 +43,7 @@ class TestValuesEqual:
 class TestBuildArgs:
     def test_arrays_materialized_with_fill(self, program_stream, input_gen):
         p = program_stream[0]
-        binary = compile_binary(p, "gcc")
+        binary = compile_binary(p, GCC)
         inp = input_gen.generate(p, 0)
         args = build_args(binary, inp)
         for arr in p.array_params:
@@ -53,14 +53,14 @@ class TestBuildArgs:
 
     def test_missing_param_raises(self, program_stream):
         p = program_stream[0]
-        binary = compile_binary(p, "gcc")
+        binary = compile_binary(p, GCC)
         empty = TestInput(program_name=p.name, index=0)
         with pytest.raises(ExecutionError, match="lacks a value"):
             build_args(binary, empty)
 
     def test_int_params_cast(self, program_stream, input_gen):
         p = program_stream[0]
-        args = build_args(compile_binary(p, "gcc"), input_gen.generate(p, 0))
+        args = build_args(compile_binary(p, GCC), input_gen.generate(p, 0))
         for v in p.int_params:
             assert isinstance(args[v.name], int)
 
@@ -68,7 +68,7 @@ class TestBuildArgs:
 class TestClassification:
     def test_ok_record_shape(self, program_stream, input_gen, machine):
         p = program_stream[0]
-        rec = run_binary(compile_binary(p, "clang"), input_gen.generate(p, 0),
+        rec = run_binary(compile_binary(p, CLANG), input_gen.generate(p, 0),
                          machine)
         assert rec.status is RunStatus.OK
         assert rec.ok
@@ -79,7 +79,7 @@ class TestClassification:
 
     def test_crash_classification(self, program_stream, input_gen, machine):
         p = program_stream[0]
-        binary = dataclasses.replace(compile_binary(p, "gcc"),
+        binary = dataclasses.replace(compile_binary(p, GCC),
                                      crash_armed=True)
         inp = input_gen.generate(p, 0)
         # force the extreme-input condition
@@ -93,7 +93,7 @@ class TestClassification:
     def test_armed_crash_needs_extreme_input(self, program_stream, input_gen,
                                              machine):
         p = program_stream[0]
-        binary = dataclasses.replace(compile_binary(p, "gcc"),
+        binary = dataclasses.replace(compile_binary(p, GCC),
                                      crash_armed=True)
         inp = input_gen.generate(p, 0)
         inp.categories = {k: FPCategory.NORMAL for k in inp.categories}
@@ -115,7 +115,7 @@ class TestClassification:
                 program = p
                 break
         assert program is not None
-        binary = dataclasses.replace(compile_binary(program, "intel"),
+        binary = dataclasses.replace(compile_binary(program, INTEL),
                                      hang_armed=True)
         rec = run_binary(binary, ig.generate(program, 0), machine)
         assert rec.status is RunStatus.HANG
@@ -127,7 +127,7 @@ class TestClassification:
     def test_timeout_becomes_hang(self, program_stream, input_gen):
         tiny = MachineConfig(timeout_us=1.0)  # everything times out
         p = program_stream[0]
-        rec = run_binary(compile_binary(p, "gcc"), input_gen.generate(p, 0),
+        rec = run_binary(compile_binary(p, GCC), input_gen.generate(p, 0),
                          tiny)
         assert rec.status is RunStatus.HANG
         assert rec.time_us == 1.0
@@ -136,15 +136,16 @@ class TestClassification:
 class TestDifferential:
     def test_runs_every_vendor(self, program_stream, input_gen, machine):
         p = program_stream[1]
-        bins = compile_all(p, ("gcc", "clang", "intel"))
-        recs = run_differential(bins, input_gen.generate(p, 0), machine)
+        inp = input_gen.generate(p, 0)
+        recs = [b.execute(b.compile(p), inp, machine)
+                for b in map(get_backend, ("gcc", "clang", "intel"))]
         assert [r.vendor for r in recs] == ["gcc", "clang", "intel"]
 
     def test_to_dict_serializable(self, program_stream, input_gen, machine):
         import json
 
         p = program_stream[0]
-        rec = run_binary(compile_binary(p, "gcc"), input_gen.generate(p, 0),
+        rec = run_binary(compile_binary(p, GCC), input_gen.generate(p, 0),
                          machine)
         text = json.dumps(rec.to_dict())
         assert p.name in text
@@ -152,7 +153,7 @@ class TestDifferential:
     def test_profile_only_when_requested(self, program_stream, input_gen,
                                          machine):
         p = program_stream[0]
-        binary = compile_binary(p, "gcc")
+        binary = compile_binary(p, GCC)
         inp = input_gen.generate(p, 0)
         assert run_binary(binary, inp, machine).profile is None
         assert run_binary(binary, inp, machine,

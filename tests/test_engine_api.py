@@ -23,7 +23,6 @@ from repro.driver.engine import (
     ExecutionPlan,
     ProcessPoolEngine,
     SerialEngine,
-    ThreadPoolEngine,
     WorkUnit,
     create_engine,
     execute_unit,
@@ -31,7 +30,7 @@ from repro.driver.engine import (
 )
 from repro.driver.records import RunRecord, RunStatus
 from repro.errors import UnknownBackendError
-from repro.harness import CampaignRunner, CampaignSession
+from repro.harness import CampaignSession
 from repro.sim.counters import PerfCounters
 from repro.vendors import GCC
 
@@ -90,7 +89,7 @@ class TestBackendRegistry:
         backend = get_backend("gcc")
         exe = backend.compile(program, "-O2")
         got = backend.execute(exe, test_input, machine)
-        want = run_binary(compile_binary(program, "gcc", "-O2"),
+        want = run_binary(compile_binary(program, GCC, "-O2"),
                           test_input, machine)
         assert (got.status, repr(got.comp), got.time_us) == \
             (want.status, repr(want.comp), want.time_us)
@@ -124,7 +123,6 @@ class TestEngines:
         from repro.fleet.coordinator import FleetEngine
 
         assert isinstance(create_engine("serial"), SerialEngine)
-        assert isinstance(create_engine("thread", 2), ThreadPoolEngine)
         assert isinstance(create_engine("process", 2), ProcessPoolEngine)
         assert isinstance(create_engine("fleet", 2), FleetEngine)
         with pytest.raises(ConfigError):
@@ -150,8 +148,8 @@ class TestEngines:
         assert a.program_name == b.program_name
 
     @pytest.mark.parametrize("engine,jobs", [("serial", None),
-                                             ("thread", 3),
-                                             ("process", 2)])
+                                             ("process", 2),
+                                             ("fleet", 2)])
     def test_engine_equivalence(self, fast_campaign_cfg, engine, jobs,
                                 small_serial_result):
         result = CampaignSession(fast_campaign_cfg, engine=engine,
@@ -163,8 +161,8 @@ class TestEngines:
 
     def test_run_order_is_deterministic_for_pooled_engines(
             self, fast_campaign_cfg, small_serial_result):
-        result = CampaignSession(fast_campaign_cfg, engine="thread",
-                                 jobs=4).run()
+        result = CampaignSession(fast_campaign_cfg, engine="process",
+                                 jobs=2).run()
         # run() (unlike stream()) re-orders by program then input
         assert [(v.program_name, v.input_index) for v in result.verdicts] == \
             [(v.program_name, v.input_index)
@@ -179,7 +177,7 @@ class TestEngines:
             CampaignSession(fast_campaign_cfg, engine="serial", jobs=2)
         # an engine instance carries its own worker count: jobs conflicts
         with pytest.raises(ConfigError, match="jobs"):
-            CampaignSession(fast_campaign_cfg, engine=ThreadPoolEngine(2),
+            CampaignSession(fast_campaign_cfg, engine=ProcessPoolEngine(2),
                             jobs=4)
         # config.jobs only sizes pooled engines; it never conflicts with
         # serial — neither from the config nor when downgrading a pooled
@@ -193,7 +191,7 @@ class TestEngines:
 
     def test_progress_fires_per_test_in_parallel(self, fast_campaign_cfg):
         seen = []
-        CampaignSession(fast_campaign_cfg, engine="thread", jobs=2).run(
+        CampaignSession(fast_campaign_cfg, engine="process", jobs=2).run(
             progress=lambda d, t: seen.append((d, t)))
         n = fast_campaign_cfg.n_programs * fast_campaign_cfg.inputs_per_program
         assert seen == [(i + 1, n) for i in range(n)]
@@ -225,19 +223,13 @@ def race_full(race_cfg):
 class TestSession:
     def test_stream_yields_every_verdict(self, fast_campaign_cfg,
                                          small_serial_result):
-        session = CampaignSession(fast_campaign_cfg, engine="thread", jobs=2)
+        session = CampaignSession(fast_campaign_cfg, engine="process", jobs=2)
         streamed = list(session.stream())
         assert verdict_key(streamed) == \
             verdict_key(small_serial_result.verdicts)
         assert session.done
         # a drained session streams nothing more, runs nothing more
         assert list(session.stream()) == []
-
-    def test_matches_legacy_runner(self, fast_campaign_cfg,
-                                   small_serial_result):
-        legacy = CampaignRunner(fast_campaign_cfg).run()
-        assert verdict_key(legacy.verdicts) == \
-            verdict_key(small_serial_result.verdicts)
 
     def test_checkpoint_resume_round_trip_midway(self, fast_campaign_cfg,
                                                  small_serial_result,
@@ -285,7 +277,7 @@ class TestSession:
 
     def test_checkpoint_persists_effective_engine(self, fast_campaign_cfg,
                                                   tmp_path):
-        session = CampaignSession(fast_campaign_cfg, engine="thread", jobs=2)
+        session = CampaignSession(fast_campaign_cfg, engine="process", jobs=2)
         it = session.stream()
         next(it)
         it.close()
@@ -293,8 +285,23 @@ class TestSession:
         session.checkpoint(path)
         # a bare resume continues the way the campaign was running
         resumed = CampaignSession.resume(path)
-        assert isinstance(resumed.engine, ThreadPoolEngine)
+        assert isinstance(resumed.engine, ProcessPoolEngine)
         assert resumed.engine.jobs == 2
+
+    def test_checkpoint_naming_thread_engine_rejected(self, fast_campaign_cfg,
+                                                      tmp_path):
+        """The thread engine is gone: a checkpoint that still names it
+        fails to load, saying which engines remain."""
+        session = CampaignSession(fast_campaign_cfg)
+        path = tmp_path / "thread.jsonl"
+        session.checkpoint(path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["config"]["engine"] = "thread"
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        with pytest.raises(ConfigError, match="unknown engine 'thread'; "
+                           "choose from serial, process, fleet"):
+            CampaignSession.resume(path)
 
     def test_concurrent_streams_rejected(self, fast_campaign_cfg):
         session = CampaignSession(fast_campaign_cfg)
@@ -307,7 +314,7 @@ class TestSession:
         assert list(session.stream()) is not None
 
     def test_interrupt_salvages_in_flight_units(self, fast_campaign_cfg):
-        session = CampaignSession(fast_campaign_cfg, engine="thread", jobs=4)
+        session = CampaignSession(fast_campaign_cfg, engine="process", jobs=2)
         it = session.stream()
         next(it)
         it.close()  # pool shutdown waits for in-flight units...
@@ -446,19 +453,6 @@ class TestRecordRows:
         assert back.comp is None and back.status is RunStatus.CRASH
 
 
-# ----------------------------------------------------------------------
-# the satellite fix: iter_tests agrees with run() under race filtering
-# ----------------------------------------------------------------------
-
-class TestIterTestsRaceFilter:
-    def test_iter_tests_applies_static_race_filter(self, race_cfg, race_full):
-        runner = CampaignRunner(race_cfg)
-        iterated = {p.name for p, _ in runner.iter_tests()}
-        executed = {v.program_name for v in race_full.verdicts}
-        assert iterated == executed
-        assert not iterated & set(race_full.race_filtered)
-
-
 class TestChunkedDispatch:
     """Chunked pooled dispatch: batching must be invisible in results."""
 
@@ -480,7 +474,7 @@ class TestChunkedDispatch:
         with pytest.raises(ConfigError, match="chunk_size"):
             dataclasses.replace(fast_campaign_cfg, chunk_size=0)
 
-    @pytest.mark.parametrize("engine", ["thread", "process"])
+    @pytest.mark.parametrize("engine", ["process"])
     def test_chunked_verdicts_identical_to_serial(self, fast_campaign_cfg,
                                                   small_serial_result,
                                                   engine):
@@ -519,7 +513,7 @@ class TestChunkedDispatch:
         import dataclasses
 
         cfg = dataclasses.replace(fast_campaign_cfg, chunk_size=4)
-        session = CampaignSession(cfg, engine="thread", jobs=2)
+        session = CampaignSession(cfg, engine="process", jobs=2)
         stream = session.stream()
         next(stream)
         stream.close()  # interrupt: in-flight chunks are salvaged whole
@@ -548,25 +542,60 @@ class TestMapUnorderedWorkerDeath:
         engine = ProcessPoolEngine(2)
         sentinel = str(tmp_path / "died-once")
         items = [(i, sentinel) for i in range(8)]
-        got = sorted(engine.map_unordered(_double_or_die_once, items,
-                                          chunk_size=2))
+        got = sorted(engine.map_unordered(_double_or_die_once, items))
         assert got == [i * 2 for i in range(8)]
 
     def test_persistent_worker_death_raises(self):
         engine = ProcessPoolEngine(2)
         with pytest.raises(BrokenExecutor):
-            list(engine.map_unordered(_always_die, list(range(4)),
-                                      chunk_size=2))
+            list(engine.map_unordered(_always_die, list(range(4))))
 
     def test_progress_counts_retried_items_once(self, tmp_path):
         engine = ProcessPoolEngine(2)
         sentinel = str(tmp_path / "died-counting")
         items = [(i, sentinel) for i in range(6)]
         seen = []
-        list(engine.map_unordered(_double_or_die_once, items, chunk_size=3,
+        list(engine.map_unordered(_double_or_die_once, items,
                                   progress=lambda d, t: seen.append((d, t))))
         assert seen[-1] == (6, 6)
         assert [d for d, _ in seen] == list(range(1, 7))
+
+
+class _DiesOnFirstCompile(_Renamed):
+    """gcc under another name: the first compile anywhere hard-kills its
+    worker process; later compiles (sentinel present) delegate."""
+
+    def __init__(self, sentinel):
+        super().__init__(SimulatedBackend(GCC), "gcc-dies-once")
+        self.sentinel = sentinel
+
+    def compile(self, program, opt_level="-O3"):
+        if not os.path.exists(self.sentinel):
+            open(self.sentinel, "w").close()
+            os._exit(1)
+        return super().compile(program, opt_level)
+
+
+class TestCampaignWorkerDeath:
+    def test_campaign_chunk_retried_once_after_worker_death(
+            self, fast_campaign_cfg, small_serial_result, tmp_path):
+        import dataclasses
+
+        sentinel = str(tmp_path / "died-compiling")
+        register_backend(_DiesOnFirstCompile(sentinel))
+        try:
+            cfg = dataclasses.replace(
+                fast_campaign_cfg,
+                compilers=("gcc-dies-once", "clang", "intel"))
+            result = CampaignSession(cfg, engine="process", jobs=2).run()
+        finally:
+            unregister_backend("gcc-dies-once")
+        assert os.path.exists(sentinel)  # a worker really died
+        # the wrapped binaries still report "gcc", so the retried campaign
+        # must equal the plain serial one exactly
+        assert verdict_key(result.verdicts) == \
+            verdict_key(small_serial_result.verdicts)
+        assert result.race_filtered == small_serial_result.race_filtered
 
 
 class TestProgressThrottling:
@@ -593,7 +622,7 @@ class TestProgressThrottling:
 
     def test_progress_every_on_pooled_engine(self, fast_campaign_cfg):
         seen = []
-        CampaignSession(fast_campaign_cfg, engine="thread", jobs=2).run(
+        CampaignSession(fast_campaign_cfg, engine="process", jobs=2).run(
             progress=lambda d, t: seen.append((d, t)), progress_every=4)
         n = (fast_campaign_cfg.n_programs *
              fast_campaign_cfg.inputs_per_program)
@@ -607,14 +636,11 @@ class TestProgressThrottling:
         they are finished work."""
         import dataclasses
 
-        from repro.driver.engine import ExecutionPlan, ThreadPoolEngine, \
-            plan_units
-
         cfg = dataclasses.replace(fast_campaign_cfg, chunk_size=4)
         plan = ExecutionPlan(config=cfg)
         units = plan_units(cfg)
         salvaged = []
-        engine = ThreadPoolEngine(1)  # one worker: chunks complete whole
+        engine = ProcessPoolEngine(1)  # one worker: chunks complete whole
         stream = engine.run(plan, units, salvage=salvaged.append)
         first = next(stream)
         stream.close()

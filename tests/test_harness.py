@@ -1,4 +1,4 @@
-"""Integration tests: campaign runner, reports, result persistence."""
+"""Integration tests: campaign runs, reports, result persistence."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.outliers import OutlierKind
 from repro.config import CampaignConfig, GeneratorConfig
 from repro.harness import (
-    CampaignRunner,
+    CampaignSession,
     differential_test_single,
     dump_campaign_artifacts,
     read_verdict_rows,
@@ -23,10 +23,12 @@ from repro.vendors import CLANG, GCC, INTEL
 
 @pytest.fixture(scope="module")
 def small_campaign(fast_campaign_cfg):
-    return CampaignRunner(fast_campaign_cfg).run()
+    return CampaignSession(fast_campaign_cfg).run()
 
 
 class TestCampaignRunner:
+    """A campaign run end to end through CampaignSession."""
+
     def test_grid_size(self, small_campaign, fast_campaign_cfg):
         cfg = fast_campaign_cfg
         assert len(small_campaign.verdicts) == \
@@ -44,7 +46,7 @@ class TestCampaignRunner:
 
     def test_deterministic_across_runs(self, fast_campaign_cfg,
                                        small_campaign):
-        again = CampaignRunner(fast_campaign_cfg).run()
+        again = CampaignSession(fast_campaign_cfg).run()
         a = [(v.program_name, v.input_index,
               sorted(str(o) for o in v.outliers),
               [repr(r.comp) for r in v.records])
@@ -57,7 +59,7 @@ class TestCampaignRunner:
 
     def test_progress_callback_per_test(self, fast_campaign_cfg):
         seen = []
-        CampaignRunner(fast_campaign_cfg).run(
+        CampaignSession(fast_campaign_cfg).run(
             progress=lambda done, total: seen.append((done, total)))
         n_tests = (fast_campaign_cfg.n_programs *
                    fast_campaign_cfg.inputs_per_program)
@@ -70,16 +72,10 @@ class TestCampaignRunner:
                               num_threads=8)
         cfg = CampaignConfig(n_programs=25, inputs_per_program=1,
                              seed=20240915, generator=gen)
-        result = CampaignRunner(cfg).run()
+        result = CampaignSession(cfg).run()
         # the Section III-E limitation produces races; the harness filters
         assert len(result.race_filtered) >= 1
         assert len(result.features) == 25 - len(result.race_filtered)
-
-    def test_iter_tests_matches_grid(self, fast_campaign_cfg):
-        runner = CampaignRunner(fast_campaign_cfg)
-        pairs = list(runner.iter_tests())
-        assert len(pairs) == fast_campaign_cfg.n_programs * \
-            fast_campaign_cfg.inputs_per_program
 
 
 class TestSingleTest:

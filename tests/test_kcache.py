@@ -10,8 +10,7 @@ from repro.core.inputs import InputGenerator
 from repro.sim.kcache import KernelCache, get_kernel_cache, set_kernel_cache
 from repro.sim.lower import StructuralLowerer, bind_costs
 from repro.driver.execution import run_binary
-from repro.vendors.clang import CLANG
-from repro.vendors.gcc import GCC
+from repro.vendors import CLANG, GCC, INTEL
 from repro.vendors.toolchain import compile_binary
 
 
@@ -23,8 +22,8 @@ def program(program_stream):
 class TestKernelCache:
     def test_recompile_hits_both_phases(self, program):
         cache = KernelCache()
-        a = compile_binary(program, "gcc", cache=cache)
-        b = compile_binary(program, "gcc", cache=cache)
+        a = compile_binary(program, GCC, cache=cache)
+        b = compile_binary(program, GCC, cache=cache)
         stats = cache.stats()
         assert stats.structural_hits >= 1
         assert stats.kernel_hits >= 1
@@ -33,7 +32,7 @@ class TestKernelCache:
 
     def test_three_vendor_compile_counts(self, program):
         cache = KernelCache()
-        for vendor in ("gcc", "clang", "intel"):
+        for vendor in (GCC, CLANG, INTEL):
             compile_binary(program, vendor, cache=cache)
         stats = cache.stats()
         # at -O3 the three vendors have three distinct shapes (gcc
@@ -46,8 +45,8 @@ class TestKernelCache:
         # at -O1 FMA contraction is off for everyone: gcc and clang emit
         # the identical template and must share one structural pass
         cache = KernelCache()
-        a = compile_binary(program, "gcc", "-O1", cache=cache)
-        b = compile_binary(program, "clang", "-O1", cache=cache)
+        a = compile_binary(program, GCC, "-O1", cache=cache)
+        b = compile_binary(program, CLANG, "-O1", cache=cache)
         stats = cache.stats()
         assert stats.structural_misses == 1
         assert stats.structural_hits == 1
@@ -57,16 +56,16 @@ class TestKernelCache:
     def test_lru_eviction_bounds_entries(self, program_stream):
         cache = KernelCache(structural_capacity=2, kernel_capacity=2)
         for p in program_stream[:4]:
-            compile_binary(p, "gcc", cache=cache)
+            compile_binary(p, GCC, cache=cache)
         assert len(cache) <= 4  # 2 structural + 2 kernel entries
         assert cache.stats().evictions >= 4
 
     def test_cached_and_fresh_kernels_execute_identically(
             self, program, input_gen, machine):
         cache = KernelCache()
-        warm1 = compile_binary(program, "intel", cache=cache)
-        warm2 = compile_binary(program, "intel", cache=cache)  # cache hit
-        fresh = compile_binary(program, "intel", cache=KernelCache())
+        warm1 = compile_binary(program, INTEL, cache=cache)
+        warm2 = compile_binary(program, INTEL, cache=cache)  # cache hit
+        fresh = compile_binary(program, INTEL, cache=KernelCache())
         t = input_gen.generate(program, 0)
         rows = [run_binary(b, t, machine).to_row()
                 for b in (warm1, warm2, fresh)]
@@ -75,10 +74,10 @@ class TestKernelCache:
     def test_snapshot_since_gives_per_phase_deltas(self, program,
                                                    program_stream):
         cache = KernelCache()
-        compile_binary(program, "gcc", cache=cache)
-        before = cache.snapshot()
-        compile_binary(program, "gcc", cache=cache)          # all hits
-        compile_binary(program_stream[1], "gcc", cache=cache)  # all misses
+        compile_binary(program, GCC, cache=cache)
+        before = cache.stats()
+        compile_binary(program, GCC, cache=cache)          # all hits
+        compile_binary(program_stream[1], GCC, cache=cache)  # all misses
         delta = cache.stats().since(before)
         assert delta.structural_hits == 1
         assert delta.kernel_hits == 1
@@ -89,13 +88,13 @@ class TestKernelCache:
 
     def test_reset_zeroes_counters_but_keeps_entries(self, program):
         cache = KernelCache()
-        a = compile_binary(program, "gcc", cache=cache)
+        a = compile_binary(program, GCC, cache=cache)
         cache.reset()
         stats = cache.stats()
         assert stats.as_dict() == KernelCache().stats().as_dict()
         assert len(cache) > 0
         # entries survived: the next compile is a pure hit
-        b = compile_binary(program, "gcc", cache=cache)
+        b = compile_binary(program, GCC, cache=cache)
         assert a.kernel is b.kernel
         assert cache.stats().kernel_hits == 1
         assert cache.stats().kernel_misses == 0
@@ -103,7 +102,7 @@ class TestKernelCache:
     def test_reset_zeroes_evictions(self, program_stream):
         cache = KernelCache(structural_capacity=1, kernel_capacity=1)
         for p in program_stream[:3]:
-            compile_binary(p, "gcc", cache=cache)
+            compile_binary(p, GCC, cache=cache)
         assert cache.stats().evictions > 0
         cache.reset()
         assert cache.stats().evictions == 0
@@ -145,8 +144,8 @@ class TestTwoPhaseLowering:
         # -O2 and -O3 share the gcc shape (same fma mode) but cost
         # differently; the structural kernel is reused across levels
         cache = KernelCache()
-        o2 = compile_binary(program, "gcc", "-O2", cache=cache)
-        o3 = compile_binary(program, "gcc", "-O3", cache=cache)
+        o2 = compile_binary(program, GCC, "-O2", cache=cache)
+        o3 = compile_binary(program, GCC, "-O3", cache=cache)
         assert o2.kernel.structural is o3.kernel.structural
         assert o2.kernel.constants != o3.kernel.constants
 

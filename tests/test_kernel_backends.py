@@ -42,7 +42,7 @@ from repro.sim.backend import (
     set_kernel_backend,
     use_kernel_backend,
 )
-from repro.vendors import compile_binary
+from repro.backends import get_backend
 
 VENDORS = ("gcc", "clang", "intel")
 
@@ -76,7 +76,7 @@ def run_under(binary, test_input, machine, backend):
 
 class TestResetEntry:
     def test_reset_entry_drops_memoized_binding(self, program_stream):
-        binary = compile_binary(program_stream[0], "gcc", "-O1")
+        binary = get_backend("gcc").compile(program_stream[0], "-O1")
         assert "entry" not in binary.__dict__
         first = binary.entry
         assert binary.__dict__["entry"] is first  # memoized
@@ -86,7 +86,7 @@ class TestResetEntry:
         assert callable(binary.entry)  # re-binds on next access
 
     def test_reset_entry_rebinds_under_new_backend(self, program_stream):
-        binary = compile_binary(program_stream[0], "gcc", "-O1")
+        binary = get_backend("gcc").compile(program_stream[0], "-O1")
         with use_kernel_backend("interp"):
             interp_entry = binary.entry
         binary.reset_entry()
@@ -286,7 +286,7 @@ class TestBitwiseBattery:
             test_input = inputs.generate(program, 0)
             for vendor in VENDORS:
                 for opt in self.OPT_LEVELS:
-                    binary = compile_binary(program, vendor, opt)
+                    binary = get_backend(vendor).compile(program, opt)
                     reference = record_tuple(run_under(
                         binary, test_input, machine, "interp"))
                     got = record_tuple(run_under(
@@ -327,7 +327,7 @@ class TestFaultParity:
                             num_threads=8), "full")
         program = ProgramGenerator(gen_cfg, seed=777).generate(index)
         test_input = InputGenerator(gen_cfg, seed=778).generate(program, 0)
-        binary = compile_binary(program, vendor, "-O3")
+        binary = get_backend(vendor).compile(program, "-O3")
         ref = run_under(binary, test_input, machine, "interp")
         assert ref.status is status
         if not _C_OK:

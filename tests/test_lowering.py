@@ -40,6 +40,8 @@ from repro.core.types import (
 )
 from repro.driver.execution import run_binary
 from repro.core.inputs import TestInput
+from repro.backends import get_backend
+from repro.vendors import GCC, INTEL
 from repro.vendors.toolchain import compile_binary
 
 
@@ -61,7 +63,7 @@ def _input(program, **values) -> TestInput:
 
 
 def _run(program, vendor="clang", **values):
-    binary = compile_binary(program, vendor, "-O3")
+    binary = get_backend(vendor).compile(program, "-O3")
     return run_binary(binary, _input(program, **values), MachineConfig())
 
 
@@ -214,7 +216,7 @@ class TestArrays:
             return Block([w, r])
 
         p = _mk(body, extra_params=[arr])
-        binary = compile_binary(p, "gcc", "-O3")
+        binary = compile_binary(p, GCC, "-O3")
         inp = _input(p, var_a=0.0)
         r1 = run_binary(binary, inp, MachineConfig())
         r2 = run_binary(binary, inp, MachineConfig())
@@ -393,7 +395,7 @@ class TestGeneratedProgramsExecute:
             inp = input_gen.generate(p, 0)
             outs = {}
             for vendor in ("gcc", "clang", "intel"):
-                binary = compile_binary(p, vendor, "-O3")
+                binary = get_backend(vendor).compile(p, "-O3")
                 rec = run_binary(binary, inp, machine)
                 assert rec.ok
                 assert rec.time_us > 0
@@ -403,7 +405,7 @@ class TestGeneratedProgramsExecute:
     def test_execution_deterministic(self, program_stream, input_gen, machine):
         p = program_stream[0]
         inp = input_gen.generate(p, 0)
-        binary = compile_binary(p, "intel", "-O3")
+        binary = compile_binary(p, INTEL, "-O3")
         a = run_binary(binary, inp, machine)
         b = run_binary(binary, inp, machine)
         assert (a.comp == b.comp or (math.isnan(a.comp) and math.isnan(b.comp)))

@@ -22,7 +22,7 @@ from pathlib import Path
 from repro.codegen.emit_main import emit_translation_unit, source_fingerprint
 from repro.config import GeneratorConfig
 from repro.core.generator import ProgramGenerator
-from repro.vendors import compile_binary
+from repro.vendors import CLANG, GCC, INTEL, compile_binary
 
 _SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -54,7 +54,7 @@ class TestEmissionIsPure:
         for p in program_stream[:4]:
             before = emit_translation_unit(p)
             fp_before = source_fingerprint(p)
-            for vendor in ("gcc", "clang", "intel"):
+            for vendor in (GCC, CLANG, INTEL):
                 compile_binary(p, vendor, "-O3")
             assert emit_translation_unit(p) == before
             assert source_fingerprint(p) == fp_before

@@ -299,6 +299,21 @@ class TestByteIdentity:
         assert m.total_counter(snap, "repro_tests_total") == \
             len(instrumented.verdicts)
 
+    def test_process_engine_worker_counts_reach_the_parent(
+            self, fleet_cfg, fleet_serial_result, obs_on):
+        """Pool workers report their telemetry back with each chunk; the
+        parent folds in each worker's last snapshot exactly once, and
+        workers forked after a counted serial run do not re-report the
+        counts they inherited."""
+        CampaignSession(fleet_cfg, engine="serial").run()
+        result = CampaignSession(fleet_cfg, engine="process", jobs=2).run()
+        snap = m.registry_snapshot()
+        assert ordered_key(result) == ordered_key(fleet_serial_result)
+        assert m.total_counter(snap, "repro_units_total") == \
+            2 * fleet_cfg.n_programs
+        assert m.total_counter(snap, "repro_tests_total") == \
+            2 * len(result.verdicts)
+
 
 # ----------------------------------------------------------------------
 # status schema (satellite: versioned supervisor status JSON)

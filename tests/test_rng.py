@@ -188,13 +188,13 @@ class TestRngModeStreams:
 
         from repro.config import CampaignConfig
         from repro.core.generator import ProgramGenerator
-        from repro.vendors.toolchain import compile_binary
+        from repro.vendors import GCC, compile_binary
 
         cfg = CampaignConfig(n_programs=4, directive_mix="paper",
                              seed=20240915)
         gen_cfg = dataclasses.replace(cfg.generator, rng_mode=rng_mode)
         gen = ProgramGenerator(gen_cfg, seed=cfg.seed)
-        return [compile_binary(gen.generate(i), "gcc").fingerprint[:16]
+        return [compile_binary(gen.generate(i), GCC).fingerprint[:16]
                 for i in range(4)]
 
     def test_paper_mix_compat_stream_is_byte_identical_to_seed(self):
@@ -213,12 +213,12 @@ class TestRngModeStreams:
             "import dataclasses\n"
             "from repro.config import CampaignConfig\n"
             "from repro.core.generator import ProgramGenerator\n"
-            "from repro.vendors.toolchain import compile_binary\n"
+            "from repro.vendors import GCC, compile_binary\n"
             "cfg = CampaignConfig(n_programs=4, directive_mix='paper',"
             " seed=20240915)\n"
             "gen_cfg = dataclasses.replace(cfg.generator, rng_mode='fast')\n"
             "gen = ProgramGenerator(gen_cfg, seed=cfg.seed)\n"
-            "print(' '.join(compile_binary(gen.generate(i), 'gcc')"
+            "print(' '.join(compile_binary(gen.generate(i), GCC)"
             ".fingerprint[:16] for i in range(4)))\n"
         )
         out = subprocess.run([sys.executable, "-c", code],

@@ -121,6 +121,27 @@ class TestResultStore:
                 store.ensure_campaign(dataclasses.replace(cfg, seed=9),
                                       "pinned-id")
 
+    def test_stored_config_naming_thread_engine_rejected(
+            self, fault_campaign, tmp_path):
+        """The thread engine is gone: a stored campaign row that still
+        names it fails to load, saying which engines remain."""
+        import sqlite3
+        from contextlib import closing
+
+        cfg, _session, _result = fault_campaign
+        path = tmp_path / "thread.db"
+        with ResultStore(path) as store:
+            cid = store.ensure_campaign(cfg)
+        with closing(sqlite3.connect(path)) as db:
+            (row,) = db.execute("SELECT config_json FROM campaigns").fetchone()
+            db.execute("UPDATE campaigns SET config_json = ?",
+                       (json.dumps({**json.loads(row), "engine": "thread"}),))
+            db.commit()
+        with ResultStore(path) as store:
+            with pytest.raises(ConfigError, match="unknown engine 'thread'; "
+                               "choose from serial, process, fleet"):
+                store.config_for(cid)
+
     def test_comp_rows_for_divergent_outputs(self, program_stream,
                                              tmp_path):
         program = program_stream[0]

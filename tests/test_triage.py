@@ -198,10 +198,10 @@ class TestSessionTriage:
         n = len(session.outlier_coordinates())
         assert calls == [(i, n) for i in range(1, n + 1)]
 
-    def test_thread_engine_triage_agrees_with_serial(self, triage_cfg,
-                                                     triaged_session):
+    def test_process_engine_triage_agrees_with_serial(self, triage_cfg,
+                                                      triaged_session):
         _session, serial_report = triaged_session
-        session = CampaignSession(triage_cfg, engine="thread", jobs=2)
+        session = CampaignSession(triage_cfg, engine="process", jobs=2)
         session.run()
         report = session.triage()
         assert [t.sort_key() for t in report.triaged] == \
@@ -216,21 +216,21 @@ class TestSessionTriage:
 
 class TestMapUnordered:
     @pytest.mark.parametrize("engine_name,jobs", [("serial", None),
-                                                  ("thread", 2),
-                                                  ("process", 2)])
+                                                  ("process", 2),
+                                                  ("fleet", 2)])
     def test_engines_agree(self, engine_name, jobs):
         from repro.driver.engine import create_engine
 
         items = [(i,) for i in range(9)]
         engine = create_engine(engine_name, jobs)
-        results = sorted(engine.map_unordered(len, items, chunk_size=2))
+        results = sorted(engine.map_unordered(len, items))
         assert results == [1] * 9
 
     def test_progress_counts_every_item(self):
         from repro.driver.engine import create_engine
 
         calls = []
-        engine = create_engine("thread", 2)
+        engine = create_engine("process", 2)
         out = list(engine.map_unordered(
             len, ["ab", "c", "def"],
             progress=lambda d, t: calls.append((d, t))))
@@ -240,10 +240,11 @@ class TestMapUnordered:
     def test_empty_and_bad_chunk(self):
         from repro.driver.engine import create_engine
 
-        engine = create_engine("thread", 2)
+        engine = create_engine("process", 2)
         assert list(engine.map_unordered(len, [])) == []
-        with pytest.raises(ConfigError):
-            list(engine.map_unordered(len, ["a"], chunk_size=0))
+        # the pool's chunk size comes from the campaign config
+        with pytest.raises(ConfigError, match="chunk_size"):
+            CampaignConfig(chunk_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +365,7 @@ class TestCli:
         import repro.driver.engine as eng
         from repro.cli import main
 
-        cfg = dataclasses.replace(triage_cfg, engine="thread", jobs=2)
+        cfg = dataclasses.replace(triage_cfg, engine="process", jobs=2)
         cfg_path = self._write_config(cfg, tmp_path)
         seen = {}
         real = eng.create_engine
@@ -377,7 +378,7 @@ class TestCli:
         assert main(["reduce", "--config", cfg_path, "--index", "8",
                      "--quiet"]) == 0
         # no CLI engine flags: the config file's engine/jobs must win
-        assert seen["args"] == ("thread", 2)
+        assert seen["args"] == ("process", 2)
 
     def test_reduce_without_target_errors(self, capsys):
         from repro.cli import main

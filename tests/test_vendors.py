@@ -2,30 +2,21 @@
 
 import pytest
 
+from repro.backends import get_backend
 from repro.errors import CompilationError
-from repro.vendors import (
-    CLANG,
-    GCC,
-    INTEL,
-    VENDORS,
-    compile_all,
-    compile_binary,
-    get_vendor,
-)
+from repro.vendors import CLANG, GCC, INTEL, compile_binary
 
 
 class TestVendorCatalog:
     def test_three_paper_implementations(self):
-        assert set(VENDORS) == {"gcc", "clang", "intel"}
+        # the backend registry serves the three paper models by name
+        assert [get_backend(n).vendor for n in ("gcc", "clang", "intel")] \
+            == [GCC, CLANG, INTEL]
 
     def test_versions_match_paper_table(self):
         assert GCC.version == "13.1" and GCC.release == "04/2023"
         assert CLANG.version == "16.0.0" and CLANG.release == "03/2023"
         assert INTEL.version == "2023.2.0" and INTEL.release == "02/2023"
-
-    def test_get_vendor_unknown_raises(self):
-        with pytest.raises(CompilationError):
-            get_vendor("msvc")
 
     def test_kmp_lineage_locks_are_close(self):
         # Intel and Clang must usually be mutually "comparable" (Eq. 1)
@@ -85,24 +76,24 @@ class TestFaultDeterminism:
 class TestCompileBinary:
     def test_binaries_share_source_and_fingerprint(self, program_stream):
         p = program_stream[0]
-        bins = compile_all(p, ("gcc", "clang", "intel"))
+        bins = [compile_binary(p, v) for v in (GCC, CLANG, INTEL)]
         assert len({b.cpp_source for b in bins}) == 1
         assert len({b.fingerprint for b in bins}) == 1
 
     def test_lowered_python_differs_across_vendors(self, program_stream):
         p = program_stream[0]
-        gcc = compile_binary(p, "gcc").kernel
-        intel = compile_binary(p, "intel").kernel
+        gcc = compile_binary(p, GCC).kernel
+        intel = compile_binary(p, INTEL).kernel
         assert gcc.constants != intel.constants  # vendor cost models
         assert not gcc.structural.ir.ftz  # only intel flushes subnormals
         assert intel.structural.ir.ftz
 
     def test_bad_opt_level_rejected(self, program_stream):
         with pytest.raises(CompilationError):
-            compile_binary(program_stream[0], "gcc", "-O9")
+            compile_binary(program_stream[0], GCC, "-O9")
 
     def test_binary_name_and_entry(self, program_stream):
-        b = compile_binary(program_stream[0], "clang")
+        b = compile_binary(program_stream[0], CLANG)
         assert b.name.endswith(".clang")
         assert callable(b.entry)
 
@@ -113,8 +104,8 @@ class TestCompileBinary:
         p = program_stream[2]
         inp = input_gen.generate(p, 0)
         # clang has no fma at any level, so values agree while time shifts
-        fast = run_binary(compile_binary(p, "clang", "-O3"), inp, machine)
-        slow = run_binary(compile_binary(p, "clang", "-O0"), inp, machine)
+        fast = run_binary(compile_binary(p, CLANG, "-O3"), inp, machine)
+        slow = run_binary(compile_binary(p, CLANG, "-O0"), inp, machine)
         import math
 
         assert (fast.comp == slow.comp
@@ -124,6 +115,6 @@ class TestCompileBinary:
     def test_fingerprint_is_source_hash(self, program_stream):
         import hashlib
 
-        b = compile_binary(program_stream[0], "gcc")
+        b = compile_binary(program_stream[0], GCC)
         assert b.fingerprint == hashlib.sha256(
             b.cpp_source.encode()).hexdigest()
