@@ -5,7 +5,14 @@ path on the reference campaign grid, measures end-to-end serial
 throughput, and writes ``BENCH_throughput.json`` at the repo root.  The
 checked-in copy of that file is the **baseline**: ``--check`` re-runs
 the benchmark and fails (exit 1) if end-to-end throughput regressed more
-than 20% against it.
+than 20% against it, on either path:
+
+* **cold** (``end_to_end_cold``) — timed first, on a fresh private
+  on-disk kernel cache (a temporary ``REPRO_NATIVE_CACHE``) and an empty
+  process kernel cache, so every C kernel module is built inside the
+  clock, as for every new program of a campaign;
+* **warm** (``end_to_end``) — timed last, after the stage profile and
+  the backend sweep have built and bound every kernel.
 
 Cross-host comparability: absolute tests/s moves with the host, so the
 gate compares *normalized* throughput — ``tests_per_s x calibration_s``,
@@ -31,6 +38,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,7 +51,7 @@ from repro.driver.execution import run_binary
 from repro.harness.session import CampaignSession
 from repro.sim import backend_info
 from repro.sim.backend import _c_available, use_kernel_backend
-from repro.sim.kcache import KernelCache
+from repro.sim.kcache import KernelCache, set_kernel_cache
 from repro.sim.values import native_values_active
 from repro.vendors.toolchain import compile_binary
 
@@ -171,16 +179,40 @@ def backend_sweep(cfg: CampaignConfig) -> dict:
     return out
 
 
-def run_profile(n_programs: int) -> dict:
-    cfg = CampaignConfig(n_programs=n_programs, inputs_per_program=3,
-                         seed=SEED)
-    calibration_s = calibrate()
-    stages = profile_stages(cfg)
-    backends = backend_sweep(cfg)
+def end_to_end(cfg: CampaignConfig, calibration_s: float) -> dict:
+    """Serial ``CampaignSession`` throughput over the grid."""
     t0 = time.perf_counter()
     result = CampaignSession(cfg).run()
     wall = time.perf_counter() - t0
     tests_per_s = len(result.verdicts) / wall
+    return {"wall_s": round(wall, 3), "tests_per_s": round(tests_per_s, 2),
+            "normalized": round(tests_per_s * calibration_s, 4)}
+
+
+def cold_end_to_end(cfg: CampaignConfig, calibration_s: float) -> dict:
+    """:func:`end_to_end` with every kernel built inside the clock: a
+    fresh temporary on-disk cache and an empty process kernel cache.
+    Run it before anything else in the process has loaded kernels."""
+    saved = os.environ.get("REPRO_NATIVE_CACHE")
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cold-") as tmp:
+        os.environ["REPRO_NATIVE_CACHE"] = tmp
+        set_kernel_cache(KernelCache())
+        try:
+            return end_to_end(cfg, calibration_s)
+        finally:
+            if saved is None:
+                del os.environ["REPRO_NATIVE_CACHE"]
+            else:
+                os.environ["REPRO_NATIVE_CACHE"] = saved
+
+
+def run_profile(n_programs: int) -> dict:
+    cfg = CampaignConfig(n_programs=n_programs, inputs_per_program=3,
+                         seed=SEED)
+    calibration_s = calibrate()
+    cold = cold_end_to_end(cfg, calibration_s)
+    stages = profile_stages(cfg)
+    backends = backend_sweep(cfg)
     return {
         "grid": {
             "n_programs": cfg.n_programs,
@@ -192,11 +224,8 @@ def run_profile(n_programs: int) -> dict:
         "calibration_s": round(calibration_s, 4),
         "stages": stages,
         "kernel_backends": backends,
-        "end_to_end": {
-            "wall_s": round(wall, 3),
-            "tests_per_s": round(tests_per_s, 2),
-            "normalized": round(tests_per_s * calibration_s, 4),
-        },
+        "end_to_end_cold": cold,
+        "end_to_end": end_to_end(cfg, calibration_s),
         "native_values": native_values_active(),
         "backend_info": backend_info(),
     }
@@ -209,21 +238,30 @@ def check_regression(current: dict, baseline: dict,
 
     Both dicts are single-profile results (see :func:`run_profile`).
     Normalized throughput (tests/s x host calibration seconds) must not
-    drop more than ``threshold``; grids must match for the comparison to
-    mean anything.
+    drop more than ``threshold`` on the cold path or on the warm one;
+    grids must match for the comparison to mean anything.
     """
     if current["grid"] != baseline["grid"]:
         return False, (f"grid mismatch: current {current['grid']} vs "
                        f"baseline {baseline['grid']}")
-    cur = current["end_to_end"]["normalized"]
-    base = baseline["end_to_end"]["normalized"]
-    if base <= 0:
-        return False, f"baseline normalized throughput is {base}"
-    floor = base * (1.0 - threshold)
-    ratio = cur / base
-    msg = (f"normalized throughput {cur:.4f} vs baseline {base:.4f} "
-           f"({ratio:.2%}); floor at -{threshold:.0%} is {floor:.4f}")
-    return cur >= floor, msg
+    ok, msgs = True, []
+    for path, key in (("cold", "end_to_end_cold"), ("warm", "end_to_end")):
+        if key not in baseline:
+            ok = False
+            msgs.append(f"{path}: baseline lacks {key!r}; refresh it")
+            continue
+        cur = current[key]["normalized"]
+        base = baseline[key]["normalized"]
+        if base <= 0:
+            ok = False
+            msgs.append(f"{path}: baseline normalized throughput is {base}")
+            continue
+        floor = base * (1.0 - threshold)
+        ok = ok and cur >= floor
+        msgs.append(f"{path}: normalized throughput {cur:.4f} vs baseline "
+                    f"{base:.4f} ({cur / base:.2%}); floor at "
+                    f"-{threshold:.0%} is {floor:.4f}")
+    return ok, "; ".join(msgs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -259,9 +297,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"bench_throughput: {profile_name} grid ({n} programs x 3 "
           f"inputs x 3 compilers)", file=sys.stderr)
     current = run_profile(n)
-    e2e = current["end_to_end"]
-    print(f"  end-to-end: {e2e['wall_s']}s, {e2e['tests_per_s']} tests/s "
-          f"(normalized {e2e['normalized']})", file=sys.stderr)
+    for path, key in (("cold", "end_to_end_cold"), ("warm", "end_to_end")):
+        e2e = current[key]
+        print(f"  end-to-end {path}: {e2e['wall_s']}s, {e2e['tests_per_s']} "
+              f"tests/s (normalized {e2e['normalized']})", file=sys.stderr)
     for k, v in current["stages"].items():
         if not k.startswith("cache"):
             print(f"  {k:>14}: {v}s", file=sys.stderr)

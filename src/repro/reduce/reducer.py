@@ -71,15 +71,18 @@ def run_differential_test(program: Program, test_input: TestInput,
     """One differential test through the backend registry.
 
     The single re-execution primitive of the triage stage — the oracle
-    and the CLI's inline mode both run candidates through here.
+    and the CLI's inline mode both run candidates through here.  Every
+    backend compiles before any executes, so a candidate's kernel shapes
+    form one family and build as one C module (compilation is pure, so
+    the order cannot change a record).
     """
     from ..backends.registry import get_backend
 
-    records: list[RunRecord] = []
-    for name in compilers:
-        backend = get_backend(name)
-        exe = backend.compile(program, opt_level)
-        records.append(backend.execute(exe, test_input, machine))
+    backends = [get_backend(name) for name in compilers]
+    executables = [b.compile(program, opt_level) for b in backends]
+    records: list[RunRecord] = [
+        b.execute(exe, test_input, machine)
+        for b, exe in zip(backends, executables)]
     return analyze_test(records, outliers)
 
 

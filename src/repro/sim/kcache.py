@@ -13,6 +13,15 @@ phases behind bounded LRU maps:
   off) share one IR — and the executables the backends build from it
   on first bind (a compiled Python code object, a C extension), which
   the entry keeps in its ``backend_cache``;
+* **families** — beside the structural entries, the shapes of each
+  fingerprint lowered since that fingerprint's last C build, in
+  lowering order.  The C backend builds a family as one extension
+  module on the first C bind of any member
+  (:func:`~repro.sim.ckernel.bind_c`), so a program's vendor shapes
+  cost one compiler run; a shape lowered after its family was built
+  starts the next one.  A shape joins whatever kernel backend is
+  active, and leaves when the structural LRU drops it, so the LRU
+  bounds the family state too;
 * **kernel entries** — keyed by ``(fingerprint, vendor, opt_level,
   fast_armed, slow_armed)``: the bound
   :class:`~repro.sim.lower.LoweredKernel` (shape + that vendor's
@@ -107,12 +116,16 @@ class _LruMap:
         self.data.move_to_end(key)
         return value
 
-    def put(self, key, value) -> None:
+    def put(self, key, value) -> list:
+        """Insert; returns the values this dropped (replaced or
+        evicted)."""
+        dropped = [] if (old := self.data.get(key)) is None else [old]
         self.data[key] = value
         self.data.move_to_end(key)
         while len(self.data) > self.capacity:
-            self.data.popitem(last=False)
+            dropped.append(self.data.popitem(last=False)[1])
             self.evictions += 1
+        return dropped
 
 
 class KernelCache:
@@ -122,6 +135,8 @@ class KernelCache:
                  kernel_capacity: int = 2048):
         self._structural = _LruMap(structural_capacity)
         self._kernels = _LruMap(kernel_capacity)
+        #: family key -> its unbuilt shapes, in lowering order
+        self._families: dict[Hashable, list] = {}
         self._lock = threading.Lock()
         self._shits = 0
         self._smisses = 0
@@ -129,8 +144,10 @@ class KernelCache:
         self._kmisses = 0
 
     # ------------------------------------------------------------------
-    def get_structural(self, key: Hashable, build: Callable[[], T]) -> T:
-        """The structural kernel for ``key``, building on first use."""
+    def get_structural(self, key: tuple, build: Callable[[], T]) -> T:
+        """The structural kernel for ``key``, building on first use; a
+        new shape joins the family named by ``key[0]`` (the
+        fingerprint)."""
         with self._lock:
             hit = self._structural.get(key)
             if hit is not None:
@@ -138,9 +155,30 @@ class KernelCache:
                 return hit
             self._smisses += 1
         value = build()  # built outside the lock: lowering can be slow
+        value.family = (self, key[0])
         with self._lock:
-            self._structural.put(key, value)
+            for old in self._structural.put(key, value):
+                self._leave_family(old)
+            self._families.setdefault(key[0], []).append(value)
         return value
+
+    def claim_family(self, shape) -> list:
+        """Take ``shape``'s family for one C build: every shape of its
+        fingerprint lowered since the last claim, in lowering order, or
+        just ``[shape]`` when its family no longer holds it."""
+        key = shape.family[1]
+        with self._lock:
+            members = self._families.get(key, ())
+            if not any(m is shape for m in members):
+                return [shape]
+            return self._families.pop(key)
+
+    def _leave_family(self, shape) -> None:
+        key = shape.family[1]
+        members = self._families.get(key, [])
+        members[:] = [m for m in members if m is not shape]
+        if not members:
+            self._families.pop(key, None)
 
     def get_kernel(self, key: Hashable, build: Callable[[], T]) -> T:
         """The vendor-bound kernel for ``key``, building on first use."""
@@ -189,6 +227,7 @@ class KernelCache:
         with self._lock:
             self._structural.data.clear()
             self._kernels.data.clear()
+            self._families.clear()
 
     def __len__(self) -> int:
         with self._lock:

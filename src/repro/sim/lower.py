@@ -304,6 +304,10 @@ class StructuralKernel:
     #: built lazily by the backends on first bind, shared across vendors
     backend_cache: dict = field(default_factory=dict, repr=False,
                                 compare=False)
+    #: ``(cache, family key)`` of the KernelCache family this shape joined
+    #: when the cache lowered it (the C backend builds a family as one
+    #: module); ``None`` outside a cache: a family of one
+    family: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass

@@ -15,9 +15,12 @@ Step (4) runs through the two-phase pipeline of :mod:`repro.sim.lower`
 behind the process-local :class:`~repro.sim.kcache.KernelCache`: the
 structural pass is shared by every vendor whose kernel shape coincides,
 and recompiling a program the cache has seen (same fingerprint, vendor,
-opt level) returns the previously bound kernel outright.  Step (1) now
-hashes the translation unit it just emitted instead of re-emitting it,
-so one compile performs one C++ emission, not two.
+opt level) returns the previously bound kernel outright.  The cache
+keys shapes by ``(fingerprint, ftz, fma_mode)``, and the fingerprint
+names the shape's family: the C backend builds the shapes of one
+program that were lowered before its first C bind as one module.
+Step (1) now hashes the translation unit it just emitted instead of
+re-emitting it, so one compile performs one C++ emission, not two.
 """
 
 from __future__ import annotations

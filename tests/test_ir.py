@@ -45,9 +45,16 @@ from repro.core.types import (
     VarKind,
 )
 from repro.sim import ir
-from repro.sim.ckernel import emit_c
-from repro.sim.lower import RuntimeConstSite, StructuralLowerer, bind_costs
-from repro.sim.pykernel import emit_py
+from repro.sim.backend import _c_available
+from repro.sim.ckernel import SkeletonMismatch, bind_c, emit_c, skeleton
+from repro.sim.kcache import KernelCache
+from repro.sim.lower import (
+    RuntimeConstSite,
+    StructuralKernel,
+    StructuralLowerer,
+    bind_costs,
+)
+from repro.sim.pykernel import bind_py, emit_py
 from repro.sim.values import f32
 from repro.vendors.gcc import GCC
 from test_lowering import _mk, _simple_region
@@ -529,3 +536,215 @@ class TestPythonEmitter:
         text = _py_line(ir.SetIVar("j", e))
         assert text == "j = (2) * ((i) % 3)"
         assert eval(text.split(" = ")[1], {"i": 5}) == 4
+
+
+# ----------------------------------------------------------------------
+# kernel families: one C module for several shapes of one program
+# ----------------------------------------------------------------------
+
+class TestFamilyEmitter:
+    """What :func:`emit_c` writes for a family, without compiling it."""
+
+    def test_identical_members_need_no_select(self):
+        kir = _kernel(ir.SetVar("x", _SAMPLES[ir.FBin]))
+        source = emit_c(kir, kir)
+        assert "static const int fam_ftz[2] = {0, 0};" in source
+        assert "member ==" not in source and ", fz)" not in source
+
+    def test_ftz_decided_wraps_select_on_the_flag(self):
+        plain = _kernel(ir.SetVar("x", ir.FBin("+", _X, ir.FLit(2.0),
+                                                ir.W_F32)),
+                        ir.LoadArray("a", ir.A_COPY))
+        flushed = _kernel(ir.SetVar("x", ir.FBin("+", _X, ir.FLit(2.0),
+                                                  ir.W_F32Z)),
+                          ir.LoadArray("a", ir.A_FTZ_F))
+        flushed.ftz = True
+        source = emit_c(plain, flushed)
+        assert "fam_ftz[2] = {0, 1};" in source
+        assert "v_x = w_f32q(v_x + 0x1.0000000000000p+1, fz);" in source
+        assert "a_a[_i] = w_ftzfq(_x, fz);" in source
+        assert "member ==" not in source
+
+    def test_differing_subexpressions_select_on_the_member(self):
+        fused = ir.FFma(_X, _X, ir.FLit(1.0), False, False)
+        unfused = ir.FBin("+", ir.FBin("*", _X, _X, ir.W_NONE),
+                          ir.FLit(1.0), ir.W_NONE)
+        source = emit_c(*(_kernel(ir.SetVar("x", ir.FNeg(e)))
+                          for e in (unfused, fused, unfused)))
+        # the members that agree share one arm; the shared FNeg is
+        # emitted once, around the select
+        assert ("v_x = (-(((member == 0 || member == 2) ? "
+                "((v_x * v_x) + 0x1.0000000000000p+0) : "
+                "(h_fmad(v_x, v_x, 0x1.0000000000000p+0)))));") in source
+
+    def test_signed_zero_literals_are_not_merged(self):
+        source = emit_c(_kernel(ir.SetVar("x", ir.FLit(0.0))),
+                        _kernel(ir.SetVar("x", ir.FLit(-0.0))))
+        assert "((member == 0) ? 0x0.0p+0 : -0x0.0p+0)" in source
+
+    @pytest.mark.parametrize("other", [
+        ir.Charge(0, 1, 1, 0.0),                  # another _K slot
+        ir.Charge(0, 0, 1, 1.0),                  # another branch charge
+        ir.Hook("single_done", True),             # another statement
+        ir.IfIntEq("_tid", 0, [ir.Flush(), ir.Flush()]),  # another body
+    ])
+    def test_different_skeletons_never_merge(self, other):
+        base = {ir.Charge: ir.Charge(0, 0, 1, 0.0),
+                ir.Hook: ir.Hook("barrier", True),
+                ir.IfIntEq: ir.IfIntEq("_tid", 0, [ir.Flush()])}
+        mine = _kernel(base[type(other)])
+        theirs = _kernel(other)
+        assert skeleton(mine) != skeleton(theirs)
+        with pytest.raises(SkeletonMismatch):
+            emit_c(mine, theirs)
+
+    def test_wraps_and_expressions_are_not_skeleton(self):
+        a = _kernel(ir.SetVar("x", _SAMPLES[ir.FFma]),
+                    ir.LoadScalar("x", ir.W_F32), ir.LoadArray("a",
+                                                               ir.A_COPY))
+        b = _kernel(ir.SetVar("x", _SAMPLES[ir.FBin]),
+                    ir.LoadScalar("x", ir.W_F32Z),
+                    ir.LoadArray("a", ir.A_FTZ_F))
+        assert skeleton(a) == skeleton(b)
+
+
+def _c_entry_or_skip():
+    ok, why = _c_available()
+    if not ok:
+        pytest.skip(f"C kernel backend unavailable: {why}")
+
+
+def _shape(kir: ir.KernelIR) -> StructuralKernel:
+    """A hand-built kernel (no hooks, no constants) as a shape."""
+    return StructuralKernel(ir=kir, sites=(), regions=[])
+
+
+def _call(entry, args: dict):
+    """The kernel's result, or the class of the exception it raised."""
+    try:
+        return entry(dict(args), None, None)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc)
+
+
+def _run_both(kir: ir.KernelIR, args: dict) -> list:
+    """``[interp result, C result]`` of a hand-built kernel."""
+    shape = _shape(kir)
+    return [_call(bind(shape, ()), args) for bind in (bind_py, bind_c)]
+
+
+class TestCPreludeIntSemantics:
+    """The prelude's ``idx_fix``, ``py_mod`` and ``py_fdv`` against the
+    interpreted kernel's Python list and int semantics."""
+
+    #: comp = a[i]; a[i] = 5.0; comp += a[0] — a wrapped load and store
+    INDEX = ir.KernelIR(
+        ops=[ir.LoadInt("i"), ir.LoadArray("a", ir.A_COPY),
+             ir.SetVar("comp", ir.ALoad("a", ir.IVar("i"))),
+             ir.AStore("a", ir.IVar("i"), ir.FLit(5.0)),
+             ir.SetVar("comp", ir.FBin("+", ir.FVar("comp"),
+                                       ir.ALoad("a", ir.ILit(0)),
+                                       ir.W_NONE)),
+             ir.Return("comp")],
+        comp="comp", fp_vars=("comp",), int_vars=("i",), arrays=("a",))
+
+    #: comp = (i // j) * 10000 + (i % j) * 100 + i % 5
+    INTS = ir.KernelIR(
+        ops=[ir.LoadInt("i"), ir.LoadInt("j"),
+             ir.SetIVar("q", ir.IFloorDiv(ir.IVar("i"), ir.IVar("j"))),
+             ir.SetIVar("m", ir.IModV(ir.IVar("i"), ir.IVar("j"))),
+             ir.SetVar("comp", ir.FBin(
+                 "+", ir.FBin("+", ir.IToF(ir.IMul(ir.IVar("q"),
+                                                   ir.ILit(10000))),
+                              ir.IToF(ir.IMul(ir.IVar("m"), ir.ILit(100))),
+                              ir.W_NONE),
+                 ir.IToF(ir.IMod(ir.IVar("i"), 5)), ir.W_NONE)),
+             ir.Return("comp")],
+        comp="comp", fp_vars=("comp",), int_vars=("i", "j", "q", "m"))
+
+    @pytest.mark.parametrize("i,expected", [
+        (0, 15.0), (2, 40.0),        # in range
+        (-1, 40.0), (-3, 15.0),      # negative indices wrap once
+        (3, IndexError), (100, IndexError),     # past the end
+        (-4, IndexError), (-100, IndexError),   # before the start
+    ])
+    def test_index_wrap_and_range(self, i, expected):
+        _c_entry_or_skip()
+        got = _run_both(self.INDEX, {"i": i, "a": [10.0, 20.0, 30.0]})
+        assert got == [expected, expected]
+
+    @pytest.mark.parametrize("i,j", [
+        (7, 3), (-7, 3), (7, -3), (-7, -3),   # nonzero remainder
+        (6, 3), (-6, 3), (6, -3), (-6, -3),   # exact division
+        (0, 3), (0, -3), (1, 7), (-1, 7), (1, -7), (-1, -7),
+    ])
+    def test_floored_mod_and_div_every_sign(self, i, j):
+        _c_entry_or_skip()
+        expected = float((i // j) * 10000 + (i % j) * 100 + i % 5)
+        assert _run_both(self.INTS, {"i": i, "j": j}) == [expected,
+                                                          expected]
+
+
+class TestFamilyRuns:
+    """Each member of a compiled family computes what its own IR
+    computes under interp: per-member FTZ wraps and contraction sites."""
+
+    @staticmethod
+    def _run_members(*kirs, args: dict) -> list:
+        """``(interp result, C result)`` per member of one family built
+        from ``kirs``."""
+        _c_entry_or_skip()
+        cache = KernelCache()
+        shapes = [cache.get_structural(("members", i), lambda k=kir: _shape(k))
+                  for i, kir in enumerate(kirs)]
+        runs = [(_call(bind_py(s, ()), args), _call(bind_c(s, ()), args))
+                for s in shapes]
+        assert len({s.backend_cache["c"][0] for s in shapes}) == 1
+        return runs
+
+    @staticmethod
+    def _ftz_kernel(ftz: bool) -> ir.KernelIR:
+        """comp = x * a[0]; comp = fma(x, a[0], comp) — every wrap, the
+        flush after the contraction and both loads follow ``ftz``."""
+        w = ir.W_FTZ if ftz else ir.W_NONE
+        x, a0 = ir.FVar("x"), ir.ALoad("a", ir.ILit(0))
+        return ir.KernelIR(
+            ops=[ir.LoadScalar("x", w),
+                 ir.LoadArray("a", ir.A_FTZ_D if ftz else ir.A_COPY),
+                 ir.SetVar("comp", ir.FBin("*", x, a0, w)),
+                 ir.SetVar("comp", ir.FFma(x, a0, ir.FVar("comp"), False,
+                                           ftz)),
+                 ir.Return("comp")],
+            comp="comp", fp_vars=("x", "comp"), arrays=("a",), ftz=ftz)
+
+    @pytest.mark.parametrize("x,a0", [
+        (1e-155, 1e-155),   # subnormal products
+        (1e-310, 1.0),      # a subnormal scalar argument
+        (1.0, 1e-310),      # a subnormal array element
+    ])
+    def test_each_member_runs_its_own_ftz(self, x, a0):
+        runs = self._run_members(
+            self._ftz_kernel(False), self._ftz_kernel(True),
+            self._ftz_kernel(False), args={"x": x, "a": [a0]})
+        for ref, got in runs:
+            assert got.hex() == ref.hex()
+        assert runs[0][0] != 0.0 and runs[1][0] == 0.0
+
+    def test_each_member_runs_its_own_contraction(self):
+        x, y = ir.FVar("x"), ir.FVar("y")
+        c = ir.FLit(-(1 + 2.0 ** -29))
+        fused = ir.FFma(x, y, c, False, False)
+        unfused = ir.FBin("+", ir.FBin("*", x, y, ir.W_NONE), c, ir.W_NONE)
+
+        def kernel(e):
+            return ir.KernelIR(
+                ops=[ir.LoadScalar("x", ir.W_NONE),
+                     ir.LoadScalar("y", ir.W_NONE),
+                     ir.SetVar("comp", e), ir.Return("comp")],
+                comp="comp", fp_vars=("x", "y", "comp"))
+
+        v = 1 + 2.0 ** -30
+        runs = self._run_members(kernel(unfused), kernel(fused),
+                                 args={"x": v, "y": v})
+        assert [got for _, got in runs] == [ref for ref, _ in runs]
+        assert runs[0][1] == 0.0 and runs[1][1] == 2.0 ** -60

@@ -195,3 +195,60 @@ class TestVendorVariantKeys:
         assert stock.kernel.constants != variant.kernel.constants
         # the structural kernel is shape-keyed and still shared
         assert stock.kernel.structural is variant.kernel.structural
+
+
+class TestFamilies:
+    """The shapes of one fingerprint the cache lowered and no C module
+    holds yet (built together by the C backend's first bind)."""
+
+    def _shapes(self, program, vendors, cache, opt="-O3"):
+        return [compile_binary(program, v, opt, cache=cache).kernel.structural
+                for v in vendors]
+
+    def test_claim_takes_the_family_in_lowering_order(self, program):
+        cache = KernelCache()
+        gcc, clang, intel = self._shapes(program, (GCC, CLANG, INTEL), cache)
+        assert cache.claim_family(clang) == [gcc, clang, intel]
+        # claimed: each member is now on its own
+        assert cache.claim_family(gcc) == [gcc]
+
+    def test_shape_lowered_after_a_claim_starts_the_next_family(self,
+                                                                program):
+        cache = KernelCache()
+        gcc, clang = self._shapes(program, (GCC, CLANG), cache)
+        cache.claim_family(gcc)
+        o1_gcc, o1_intel = self._shapes(program, (GCC, INTEL), cache, "-O1")
+        assert cache.claim_family(o1_intel) == [o1_gcc, o1_intel]
+
+    def test_programs_are_separate_families(self, program_stream):
+        cache = KernelCache()
+        a = self._shapes(program_stream[0], (GCC, INTEL), cache)
+        b = self._shapes(program_stream[1], (GCC, INTEL), cache)
+        assert cache.claim_family(a[0]) == a
+        assert cache.claim_family(b[1]) == b
+
+    def test_membership_ignores_the_active_kernel_backend(self, program):
+        from repro.sim.backend import use_kernel_backend
+
+        cache = KernelCache()
+        shapes = []
+        for vendor, backend in ((GCC, "interp"), (CLANG, "c"),
+                                (INTEL, "auto")):
+            with use_kernel_backend(backend):
+                shapes += self._shapes(program, (vendor,), cache)
+        assert cache.claim_family(shapes[0]) == shapes
+
+    def test_lru_bounds_the_families(self, program, program_stream):
+        cache = KernelCache(structural_capacity=2)
+        gcc, clang, intel = self._shapes(program, (GCC, CLANG, INTEL), cache)
+        # gcc's shape left the structural LRU, and with it its family
+        assert cache.claim_family(intel) == [clang, intel]
+        assert cache.claim_family(gcc) == [gcc]
+        for p in program_stream[1:5]:
+            self._shapes(p, (GCC,), cache)
+        assert len(cache._families) <= 2
+        cache.clear()
+        assert not cache._families
+
+    def test_shape_lowered_outside_a_cache_has_no_family(self, program):
+        assert StructuralLowerer(program, ftz=False).lower().family is None

@@ -8,10 +8,14 @@ states, and the fault detail string.  Anything less silently changes
 campaign verdicts, which is the one thing a speed knob may never do.
 
 The battery sweeps every directive mix × all three vendor models × two
-optimization levels and compares full records across backends.  Fault
-parity (CRASH/HANG records) is pinned separately.  Without a C toolchain
-there is nothing to compare against, so the cross-backend checks skip
-(the forced-``c`` CI leg fails instead of skipping).
+optimization levels and compares full records across backends.  It
+compiles every vendor × opt level of a program before running any, so
+the program's shapes form one family and run from one C module, as in
+a campaign; a family-of-one case, shapes built alone, is kept beside
+it.  Family formation (one build per program, splits, late shapes) and
+fault parity (CRASH/HANG records) are pinned separately.  Without a C
+toolchain there is nothing to compare against, so the cross-backend
+checks skip (the forced-``c`` CI leg fails instead of skipping).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.core.inputs import InputGenerator
 from repro.driver import run_binary
 from repro.driver.engine import ExecutionPlan, execute_unit, plan_units
 from repro.driver.records import RunStatus
+from repro.sim import _native, ckernel, ir, kcache
 from repro.sim import backend as backend_mod
 from repro.sim import backend_info
 from repro.sim.backend import (
@@ -42,7 +47,9 @@ from repro.sim.backend import (
     set_kernel_backend,
     use_kernel_backend,
 )
+from repro.sim.lower import StructuralLowerer, bind_costs
 from repro.backends import get_backend
+from repro.vendors import GCC
 
 VENDORS = ("gcc", "clang", "intel")
 
@@ -68,6 +75,36 @@ def run_under(binary, test_input, machine, backend):
         record = run_binary(binary, test_input, machine)
     binary.reset_entry()
     return record
+
+
+def c_module(binary):
+    """``(run, member index)`` of the C module the binary's shape runs
+    from (set by its first C bind)."""
+    return binary.kernel.structural.backend_cache["c"]
+
+
+@pytest.fixture()
+def fresh_kernel_cache(monkeypatch):
+    """An empty process kernel cache: the test's shapes form new
+    families instead of joining ones other tests already built."""
+    monkeypatch.setattr(kcache, "_DEFAULT_CACHE", kcache.KernelCache())
+
+
+@pytest.fixture()
+def cc_calls(tmp_path, monkeypatch):
+    """A fresh on-disk kernel cache and no loaded kernel modules; returns
+    the lists every compiler run and module load is appended to."""
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.setattr(ckernel, "_MODULES", {})
+    calls = {"build": [], "load": []}
+    for key, attr in (("build", "build_shared_object"),
+                      ("load", "import_shared_object")):
+        def counted(*args, _fn=getattr(_native, attr), _log=calls[key],
+                    **kwargs):
+            _log.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(_native, attr, counted)
+    return calls
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +311,7 @@ class TestBitwiseBattery:
     PROGRAMS_PER_MIX = 2
     OPT_LEVELS = ("-O1", "-O3")
 
-    def test_records_identical(self, mix, machine):
+    def test_records_identical(self, mix, machine, fresh_kernel_cache):
         gen_cfg = apply_directive_mix(
             GeneratorConfig(max_total_iterations=4_000, loop_trip_max=60,
                             num_threads=8), mix)
@@ -284,19 +321,132 @@ class TestBitwiseBattery:
         for i in range(self.PROGRAMS_PER_MIX):
             program = gen.generate(i)
             test_input = inputs.generate(program, 0)
-            for vendor in VENDORS:
-                for opt in self.OPT_LEVELS:
-                    binary = get_backend(vendor).compile(program, opt)
-                    reference = record_tuple(run_under(
-                        binary, test_input, machine, "interp"))
-                    got = record_tuple(run_under(
-                        binary, test_input, machine, "c"))
-                    assert got == reference, (
-                        "c diverged from interp on "
-                        f"{program.name}/{vendor}/{opt} ({mix})")
-                    compared += 1
+            # everything compiles before anything runs: the program's
+            # shapes are one family, built as one module by the first
+            # C bind
+            binaries = [(vendor, opt, get_backend(vendor).compile(
+                program, opt)) for vendor in VENDORS
+                for opt in self.OPT_LEVELS]
+            for vendor, opt, binary in binaries:
+                reference = record_tuple(run_under(
+                    binary, test_input, machine, "interp"))
+                got = record_tuple(run_under(
+                    binary, test_input, machine, "c"))
+                assert got == reference, (
+                    "c diverged from interp on "
+                    f"{program.name}/{vendor}/{opt} ({mix})")
+                compared += 1
+            assert len({c_module(b)[0] for _, _, b in binaries}) == 1
         assert compared == (self.PROGRAMS_PER_MIX * len(VENDORS)
                             * len(self.OPT_LEVELS))
+
+
+def _program(index: int, mix: str = "full"):
+    gen_cfg = apply_directive_mix(
+        GeneratorConfig(max_total_iterations=4_000, loop_trip_max=60,
+                        num_threads=8), mix)
+    program = ProgramGenerator(gen_cfg, seed=777).generate(index)
+    return program, InputGenerator(gen_cfg, seed=778).generate(program, 0)
+
+
+@needs_c
+class TestFamilies:
+    """How a program's kernel shapes become C modules."""
+
+    def test_family_of_one_records_identical(self, machine,
+                                             fresh_kernel_cache):
+        # each vendor compiles and runs before the next compiles: every
+        # shape is built alone, as member 0 of its own module
+        program, test_input = _program(3)
+        runs = set()
+        for vendor in VENDORS:
+            binary = get_backend(vendor).compile(program, "-O3")
+            reference = run_under(binary, test_input, machine, "interp")
+            got = run_under(binary, test_input, machine, "c")
+            assert record_tuple(got) == record_tuple(reference), vendor
+            run, member = c_module(binary)
+            assert member == 0
+            runs.add(run)
+        assert len(runs) == len(VENDORS)
+
+    def test_one_program_one_compiler_run(self, machine, fresh_kernel_cache,
+                                          cc_calls):
+        program, test_input = _program(4)
+        binaries = [get_backend(v).compile(program, "-O3") for v in VENDORS]
+        for binary in binaries:
+            assert record_tuple(run_under(binary, test_input, machine,
+                                          "c")) == \
+                record_tuple(run_under(binary, test_input, machine,
+                                       "interp"))
+        assert len(cc_calls["build"]) == 1
+        assert len(cc_calls["load"]) == 1
+        assert ckernel.build_info()["compiled"] == 1
+        assert [c_module(b)[1] for b in binaries] == [0, 1, 2]
+
+    def _twins(self, program, alter=None):
+        """Two shapes of ``program`` lowered as one family (FTZ off),
+        the second optionally altered; each as a runnable binary."""
+        import dataclasses
+
+        cache = kcache.KernelCache()
+        template = get_backend("gcc").compile(program, "-O1")
+        binaries = []
+        for tag in ("first", "second"):
+            shape = cache.get_structural(
+                ("twins", tag),
+                lambda: StructuralLowerer(program, ftz=False).lower())
+            if tag == "second" and alter is not None:
+                alter(shape.ir)
+            binaries.append(dataclasses.replace(
+                template, kernel=bind_costs(shape, GCC, "-O1")))
+        return binaries
+
+    def test_identical_members_match_interp(self, machine):
+        program, test_input = _program(5)
+        binaries = self._twins(program)
+        records = [(record_tuple(run_under(b, test_input, machine, "c")),
+                    record_tuple(run_under(b, test_input, machine,
+                                           "interp"))) for b in binaries]
+        assert records[0][0] == records[0][1] == records[1][0]
+        assert records[1][0] == records[1][1]
+        assert [c_module(b)[1] for b in binaries] == [0, 1]
+        assert c_module(binaries[0])[0] is c_module(binaries[1])[0]
+
+    def test_mismatched_skeleton_is_its_own_module(self, machine, cc_calls):
+        def alter(kir):
+            # three more branches charged before the closing Flush: a
+            # statement the other member lacks
+            kir.ops.insert(len(kir.ops) - 2, ir.Charge(0, None, None, 3.0))
+
+        program, test_input = _program(6)
+        plain, altered = self._twins(program, alter)
+        got = [(run_under(b, test_input, machine, "c"),
+                run_under(b, test_input, machine, "interp"))
+               for b in (plain, altered)]
+        for c_record, interp_record in got:
+            assert record_tuple(c_record) == record_tuple(interp_record)
+        assert (got[1][0].counters.branches
+                == got[0][0].counters.branches + 3)
+        assert c_module(plain)[0] is not c_module(altered)[0]
+        assert c_module(plain)[1] == c_module(altered)[1] == 0
+        assert len(cc_calls["build"]) == 2
+
+    def test_shape_lowered_after_its_family_build(self, machine,
+                                                  fresh_kernel_cache,
+                                                  cc_calls):
+        program, test_input = _program(7)
+        early = [get_backend(v).compile(program, "-O3")
+                 for v in ("gcc", "clang")]
+        records = [run_under(b, test_input, machine, "c") for b in early]
+        late = get_backend("intel").compile(program, "-O3")
+        records.append(run_under(late, test_input, machine, "c"))
+        for binary, record in zip([*early, late], records):
+            assert record_tuple(record) == record_tuple(run_under(
+                binary, test_input, machine, "interp"))
+        assert c_module(early[0])[0] is c_module(early[1])[0]
+        assert c_module(late)[0] is not c_module(early[0])[0]
+        assert c_module(late)[1] == 0
+        assert len(cc_calls["build"]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -321,13 +471,11 @@ class TestFaultParity:
 
     @pytest.mark.parametrize("index,vendor,status", FAULT_CASES)
     def test_faulting_records_identical(self, index, vendor, status,
-                                        machine):
-        gen_cfg = apply_directive_mix(
-            GeneratorConfig(max_total_iterations=4_000, loop_trip_max=60,
-                            num_threads=8), "full")
-        program = ProgramGenerator(gen_cfg, seed=777).generate(index)
-        test_input = InputGenerator(gen_cfg, seed=778).generate(program, 0)
-        binary = get_backend(vendor).compile(program, "-O3")
+                                        machine, fresh_kernel_cache):
+        program, test_input = _program(index)
+        # the faulting vendor runs as a member of the program's family
+        binary = {v: get_backend(v).compile(program, "-O3")
+                  for v in VENDORS}[vendor]
         ref = run_under(binary, test_input, machine, "interp")
         assert ref.status is status
         if not _C_OK:

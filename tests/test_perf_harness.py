@@ -2,8 +2,9 @@
 
 The benchmark itself (``benchmarks/bench_throughput.py``) is exercised
 end-to-end by CI's benchmark smoke job on a quick grid; these tests pin
-the *gate semantics* — host normalization, the 20% threshold, and grid
-mismatches — without paying for a campaign.
+the *gate semantics* — host normalization, the 20% threshold on the cold
+and the warm path alike, and grid mismatches — without paying for a
+campaign.
 """
 
 from __future__ import annotations
@@ -21,19 +22,26 @@ if str(BENCH_DIR) not in sys.path:
 import bench_throughput as bt  # noqa: E402
 
 
+def _e2e(tests_per_s: float, calibration_s: float) -> dict:
+    return {"wall_s": 1.0, "tests_per_s": tests_per_s,
+            "normalized": round(tests_per_s * calibration_s, 4)}
+
+
 def _profile(tests_per_s: float, calibration_s: float,
-             n_programs: int = 10) -> dict:
+             n_programs: int = 10, cold_tests_per_s: float | None = None
+             ) -> dict:
+    """A profile whose cold path runs at ``cold_tests_per_s`` (default:
+    a tenth of the warm throughput)."""
+    if cold_tests_per_s is None:
+        cold_tests_per_s = tests_per_s / 10
     return {
         "grid": {"n_programs": n_programs, "inputs_per_program": 3,
                  "compilers": ["gcc", "clang", "intel"],
                  "total_runs": n_programs * 9, "seed": bt.SEED},
         "calibration_s": calibration_s,
         "stages": {},
-        "end_to_end": {
-            "wall_s": 1.0,
-            "tests_per_s": tests_per_s,
-            "normalized": round(tests_per_s * calibration_s, 4),
-        },
+        "end_to_end_cold": _e2e(cold_tests_per_s, calibration_s),
+        "end_to_end": _e2e(tests_per_s, calibration_s),
         "native_values": True,
     }
 
@@ -82,6 +90,22 @@ class TestRegressionGate:
         ok, msg = bt.check_regression(_profile(10.0, 0.1), bad)
         assert not ok
 
+    def test_cold_path_regression_fails(self):
+        base = _profile(10.0, 0.1, cold_tests_per_s=2.0)
+        ok, msg = bt.check_regression(
+            _profile(10.0, 0.1, cold_tests_per_s=1.5), base)
+        assert not ok
+        assert "cold" in msg
+        assert bt.check_regression(
+            _profile(10.0, 0.1, cold_tests_per_s=1.7), base)[0]
+
+    def test_baseline_without_a_cold_entry_rejected(self):
+        old = _profile(10.0, 0.1)
+        del old["end_to_end_cold"]
+        ok, msg = bt.check_regression(_profile(10.0, 0.1), old)
+        assert not ok
+        assert "end_to_end_cold" in msg
+
 
 class TestCalibration:
     def test_calibration_is_positive_and_repeatable_order(self):
@@ -102,8 +126,9 @@ class TestCheckedInBaseline:
         assert doc["bench"] == "throughput"
         for profile in ("full", "quick"):
             entry = doc[profile]
-            assert entry["end_to_end"]["tests_per_s"] > 0
-            assert entry["end_to_end"]["normalized"] > 0
+            for key in ("end_to_end_cold", "end_to_end"):
+                assert entry[key]["tests_per_s"] > 0
+                assert entry[key]["normalized"] > 0
             assert entry["calibration_s"] > 0
             stages = entry["stages"]
             for key in ("generate_s", "lower_cold_s", "lower_warm_s",

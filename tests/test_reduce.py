@@ -201,6 +201,38 @@ class TestReducer:
         with pytest.raises(ConfigError):
             TriageConfig(max_candidates=0)
 
+    def test_candidate_is_one_compiler_run(self, tmp_path, monkeypatch):
+        # every backend compiles before any executes, so a never-seen
+        # candidate's three kernel shapes build as one C module
+        from repro.reduce.reducer import run_differential_test
+        from repro.sim import _native, ckernel, kcache
+        from repro.sim.backend import _c_available, use_kernel_backend
+
+        ok, why = _c_available()
+        if not ok:
+            pytest.skip(f"C kernel backend unavailable: {why}")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(ckernel, "_MODULES", {})
+        monkeypatch.setattr(kcache, "_DEFAULT_CACHE", kcache.KernelCache())
+        builds = []
+        real = _native.build_shared_object
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_native, "build_shared_object", counted)
+        [case] = corpus_cases("sync", "n_atomic", "crash", "buggy-atomic", 1)
+        verdicts = []
+        for backend in ("c", "interp"):
+            with use_kernel_backend(backend):
+                verdicts.append(run_differential_test(
+                    case.program, case.test_input, case.compilers,
+                    case.opt_level, case.machine, case.outliers))
+        assert len(builds) == 1
+        assert [r.to_row() for r in verdicts[0].records] == \
+            [r.to_row() for r in verdicts[1].records]
+
 
 # ----------------------------------------------------------------------
 # the acceptance sweep: >=20 injected-fault outliers, >=3 mixes
