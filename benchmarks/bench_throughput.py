@@ -16,10 +16,13 @@ than 20% against it, on either path:
 
 Cross-host comparability: absolute tests/s moves with the host, so the
 gate compares *normalized* throughput — ``tests_per_s x calibration_s``,
-where ``calibration_s`` times a fixed pure-Python spin on the same
-machine moments before the measurement.  A 2x-slower host halves both
-factors' movement and the product stays put; a real hot-path regression
-moves only ``tests_per_s``.
+where ``calibration_s`` is the median of five runs of a fixed
+pure-Python spin, taken right before each timed grid and stored in that
+grid's entry.  A 2x-slower host halves both factors' movement and the
+product stays put; a real hot-path regression moves only
+``tests_per_s``.  Calibrating per grid, not once per profile, keeps the
+host's drift over the minutes between the cold and the warm grid out of
+the normalized numbers.
 
 Usage::
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -59,19 +63,23 @@ SEED = 20240915  # the seed every reported number in EXPERIMENTS.md uses
 FULL_PROGRAMS = int(os.environ.get("REPRO_BENCH_THROUGHPUT_PROGRAMS", "50"))
 QUICK_PROGRAMS = 10
 REGRESSION_THRESHOLD = 0.20
+CALIBRATION_SPINS = 5
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_throughput.json"
 
 
 def calibrate() -> float:
-    """Seconds for a fixed pure-Python spin — the host-speed yardstick."""
-    t0 = time.perf_counter()
-    acc = 0.0
-    for i in range(1_500_000):
-        acc += (i % 7) * 0.5
-    _ = acc
-    return time.perf_counter() - t0
+    """Median seconds of :data:`CALIBRATION_SPINS` runs of a fixed
+    pure-Python spin — the host-speed yardstick."""
+    times = []
+    for _ in range(CALIBRATION_SPINS):
+        t0 = time.perf_counter()
+        acc = 0.0
+        for i in range(1_500_000):
+            acc += (i % 7) * 0.5
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def profile_stages(cfg: CampaignConfig) -> dict:
@@ -179,17 +187,20 @@ def backend_sweep(cfg: CampaignConfig) -> dict:
     return out
 
 
-def end_to_end(cfg: CampaignConfig, calibration_s: float) -> dict:
-    """Serial ``CampaignSession`` throughput over the grid."""
+def end_to_end(cfg: CampaignConfig) -> dict:
+    """Serial ``CampaignSession`` throughput over the grid, normalized by
+    a host calibration taken right before it."""
+    calibration_s = calibrate()
     t0 = time.perf_counter()
     result = CampaignSession(cfg).run()
     wall = time.perf_counter() - t0
     tests_per_s = len(result.verdicts) / wall
     return {"wall_s": round(wall, 3), "tests_per_s": round(tests_per_s, 2),
+            "calibration_s": round(calibration_s, 4),
             "normalized": round(tests_per_s * calibration_s, 4)}
 
 
-def cold_end_to_end(cfg: CampaignConfig, calibration_s: float) -> dict:
+def cold_end_to_end(cfg: CampaignConfig) -> dict:
     """:func:`end_to_end` with every kernel built inside the clock: a
     fresh temporary on-disk cache and an empty process kernel cache.
     Run it before anything else in the process has loaded kernels."""
@@ -198,7 +209,7 @@ def cold_end_to_end(cfg: CampaignConfig, calibration_s: float) -> dict:
         os.environ["REPRO_NATIVE_CACHE"] = tmp
         set_kernel_cache(KernelCache())
         try:
-            return end_to_end(cfg, calibration_s)
+            return end_to_end(cfg)
         finally:
             if saved is None:
                 del os.environ["REPRO_NATIVE_CACHE"]
@@ -209,8 +220,7 @@ def cold_end_to_end(cfg: CampaignConfig, calibration_s: float) -> dict:
 def run_profile(n_programs: int) -> dict:
     cfg = CampaignConfig(n_programs=n_programs, inputs_per_program=3,
                          seed=SEED)
-    calibration_s = calibrate()
-    cold = cold_end_to_end(cfg, calibration_s)
+    cold = cold_end_to_end(cfg)
     stages = profile_stages(cfg)
     backends = backend_sweep(cfg)
     return {
@@ -221,11 +231,10 @@ def run_profile(n_programs: int) -> dict:
             "total_runs": cfg.total_runs,
             "seed": cfg.seed,
         },
-        "calibration_s": round(calibration_s, 4),
         "stages": stages,
         "kernel_backends": backends,
         "end_to_end_cold": cold,
-        "end_to_end": end_to_end(cfg, calibration_s),
+        "end_to_end": end_to_end(cfg),
         "native_values": native_values_active(),
         "backend_info": backend_info(),
     }

@@ -1,0 +1,105 @@
+#!/usr/bin/env python
+"""Fingerprint every verdict byte of a sample grid, for comparing trees.
+
+Writes one line per (mix, program, vendor, opt level, input): the
+SHA-256 of the run record's full row (``RunRecord.to_row()``) and of the
+kernel's ``_K`` constants tuple.  Run it against two ``src/`` trees —
+a change and its base commit — and ``diff`` the outputs: a change that
+moves no verdict byte writes identical files.
+
+The script only touches API that every tree since the directive mixes
+has: ``get_backend(name).compile``/``.execute`` (and the executable's
+``kernel.constants``), ``ProgramGenerator``, ``InputGenerator`` and
+``CampaignConfig(directive_mix=...)``.  The kernel backend is whatever
+``REPRO_KERNEL_BACKEND`` selects, so one run per backend covers both;
+an explicit ``c`` request falls back to interp with a warning where no
+toolchain exists.
+
+    python scripts/record_identity.py --src ../base/src > base.txt
+    python scripts/record_identity.py > head.txt
+    diff base.txt head.txt
+
+The grid is fixed: :data:`PROGRAMS` programs of each directive mix,
+:data:`INPUTS` inputs each, every vendor at every opt level.  Every
+program compiles for every vendor and opt level before any of its
+binaries runs, as in a campaign.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+VENDORS = ("gcc", "clang", "intel")
+OPT_LEVELS = ("-O0", "-O1", "-O2", "-O3")
+MIXES = ("full", "paper", "reductions", "sync", "tasks", "worksharing")
+PROGRAMS = 10  # per directive mix
+INPUTS = 2     # per program
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def record_lines():
+    """The lines for the sample grid, in a fixed order."""
+    from repro.backends import get_backend
+    from repro.config import CampaignConfig
+    from repro.core.generator import ProgramGenerator
+    from repro.core.inputs import InputGenerator
+
+    for mix in MIXES:
+        cfg = CampaignConfig(directive_mix=mix)
+        gen = ProgramGenerator(cfg.generator, seed=cfg.seed)
+        input_gen = InputGenerator(cfg.generator, seed=cfg.seed + 1)
+        for index in range(PROGRAMS):
+            program = gen.generate(index)
+            test_inputs = [input_gen.generate(program, k)
+                           for k in range(INPUTS)]
+            builds = [(vendor, opt, get_backend(vendor).compile(program, opt))
+                      for vendor in VENDORS for opt in OPT_LEVELS]
+            for vendor, opt, exe in builds:
+                constants = _sha(repr(tuple(exe.kernel.constants)))
+                for k, test_input in enumerate(test_inputs):
+                    row = get_backend(vendor).execute(exe, test_input,
+                                                      cfg.machine).to_row()
+                    record = _sha(json.dumps(row, sort_keys=True))
+                    yield (f"{mix} {index} {vendor} {opt} {k} "
+                           f"record={record} K={constants}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    root = Path(__file__).resolve().parent.parent
+    parser.add_argument("--src", default=str(root / "src"),
+                        help="the src/ tree to import repro from "
+                             "(default: this checkout's)")
+    args = parser.parse_args(argv)
+
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import repro
+
+    if Path(repro.__file__).resolve().parent.parent != src:
+        print(f"record_identity: imported repro from {repro.__file__}, "
+              f"not from {src}", file=sys.stderr)
+        return 2
+    print(f"record_identity: {src}, REPRO_KERNEL_BACKEND="
+          f"{os.environ.get('REPRO_KERNEL_BACKEND', 'auto')}",
+          file=sys.stderr)
+    n = 0
+    for line in record_lines():
+        print(line)
+        n += 1
+    print(f"record_identity: {n} lines", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,9 +10,10 @@ Design notes
 * Nodes are plain ``dataclass`` objects with ``slots`` for speed — the
   simulated backend interprets these trees directly, so attribute access
   is on the hot path.
-* Expression nodes are immutable in practice (the optimizer builds new
-  trees rather than mutating), but are not ``frozen`` because the
-  generator wires up parent links during construction in a few places.
+* Expression nodes are immutable in practice (lowering reads them, and
+  the reducer's surgery clones a tree before it edits one), but are not
+  ``frozen`` because the generator wires up parent links during
+  construction in a few places.
 * Every node supports ``children()`` so generic walkers (feature
   extraction, race checking, grammar conformance) need no per-node code.
 """

@@ -71,10 +71,10 @@ def run_differential_test(program: Program, test_input: TestInput,
     """One differential test through the backend registry.
 
     The single re-execution primitive of the triage stage — the oracle
-    and the CLI's inline mode both run candidates through here.  Every
-    backend compiles before any executes, so a candidate's kernel shapes
-    form one family and build as one C module (compilation is pure, so
-    the order cannot change a record).
+    and the CLI's inline mode both run candidates through here.  A
+    candidate lowers once and builds one C module, which every backend's
+    kernel runs in its own FP mode (compilation is pure, so the order of
+    compiles and runs cannot change a record).
     """
     from ..backends.registry import get_backend
 

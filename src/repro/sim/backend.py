@@ -1,7 +1,7 @@
 """Kernel-backend selection for lowered kernels.
 
-Every lowered kernel shape has two executable forms, both emitted from
-the same :class:`repro.sim.ir.KernelIR`:
+Every lowered kernel has two executable forms, both emitted from the
+same :class:`repro.sim.ir.KernelIR`:
 
 ``interp``
     Python source emitted by :mod:`repro.sim.pykernel` and exec'd —

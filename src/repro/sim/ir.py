@@ -1,7 +1,7 @@
 """Typed register IR for lowered kernels — the lowering's only product.
 
 The structural pass (:class:`repro.sim.lower.StructuralLowerer`) lowers
-each kernel shape to one :class:`KernelIR`, and both kernel backends are
+each program to one :class:`KernelIR`, and both kernel backends are
 emitted from it: :mod:`repro.sim.pykernel` writes the Python function
 the interpreted reference ``exec``'s, :mod:`repro.sim.ckernel` the C
 extension.  That is what makes the compiled backend byte-identical to the
@@ -10,14 +10,22 @@ op with its f32/FTZ/FMA/libm wrap, each fused cost charge against the
 ``_K`` constants tuple, each runtime hook in order — is exactly one IR
 op, and the backends only differ in how they *execute* that op.
 
+One IR serves every vendor and opt level of a program.  What the
+vendors' FP modes change is read from the *mode* a kernel runs under,
+``(ftz, fma)`` (:data:`Mode`): whether results and loaded inputs flush
+subnormals, and which :class:`FSite` contraction sites fuse.  No node
+carries a per-vendor field.
+
 Value semantics carried by the IR:
 
-* **FP expressions** evaluate in binary64; each op result carries a wrap
-  code (:data:`W_NONE`/:data:`W_F32`/:data:`W_F32Z`/:data:`W_FTZ`)
-  selecting the same rounding/flush helpers of :mod:`repro.sim.values`
-  the kernels call.  :class:`FFma` keeps the long-double contraction
-  model; :class:`FCall` names a :data:`repro.sim.values.MATH_IMPLS`
-  entry.  Division is IEEE-total (``x/0 -> ±inf``, ``0/0 -> nan``).
+* **FP expressions** evaluate in binary64; every arithmetic result
+  (:class:`FBin`, :class:`FCall`, scalar loads) gets the kernel's wrap —
+  binary32 rounding for a float program, plus the subnormal flush under
+  FTZ — through the same helpers of :mod:`repro.sim.values` the kernels
+  call.  :class:`FFma` keeps the long-double contraction model and
+  flushes under FTZ; :class:`FCall` names a
+  :data:`repro.sim.values.MATH_IMPLS` entry.  Division is IEEE-total
+  (``x/0 -> ±inf``, ``0/0 -> nan``).
 * **Index expressions** are exact Python ``int`` arithmetic, including
   Python's floored ``%``/``//`` and negative-index wrap-around on array
   access (out-of-range raises ``IndexError``, as a Python list does).
@@ -40,20 +48,16 @@ from dataclasses import dataclass, field
 
 
 # ----------------------------------------------------------------------
-# wrap codes: what happens to one FP op's binary64 result
+# modes: the vendor FP behaviour a kernel runs under
 # ----------------------------------------------------------------------
 
-W_NONE = 0  #: double program, no FTZ: the raw binary64 result
-W_F32 = 1   #: float program: round to binary32 (values.f32)
-W_F32Z = 2  #: float program under FTZ: round + flush (values.f32z)
-W_FTZ = 3   #: double program under FTZ: flush subnormals (values.ftz_d)
+#: a kernel's FP mode: ``(ftz, fma)`` — whether subnormals flush, and
+#: the FMA contraction mode (one of :data:`FMA_MODES`)
+Mode = tuple[bool, str]
 
-
-def wrap_code(fp32: bool, ftz: bool) -> int:
-    """The wrap every arithmetic result gets for one kernel shape."""
-    if fp32:
-        return W_F32Z if ftz else W_F32
-    return W_FTZ if ftz else W_NONE
+#: FMA contraction modes, weakest first: a contraction site fuses under
+#: its own mode and every stronger one
+FMA_MODES = ("none", "basic", "aggressive")
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +102,8 @@ class FNeg:
 
 @dataclass(slots=True)
 class FBin:
-    """One arithmetic op; ``op`` in ``'+-*/'``; result gets ``wrap``.
+    """One arithmetic op; ``op`` in ``'+-*/'``; the result gets the
+    kernel's wrap.
 
     Division is IEEE-total (:func:`repro.sim.values.fdiv` semantics);
     the Python kernel's plain-``/`` fast path only triggers for nonzero
@@ -108,39 +113,51 @@ class FBin:
     op: str
     a: "FExpr"
     b: "FExpr"
-    wrap: int
 
 
 @dataclass(slots=True)
 class FFma:
     """Contracted multiply-add ``round(a*b + c)``.
 
-    ``fp32`` selects :func:`~repro.sim.values.fma_f` (exact inside
-    binary64, final round to binary32) versus
+    A float program uses :func:`~repro.sim.values.fma_f` (exact inside
+    binary64, final round to binary32), a double one
     :func:`~repro.sim.values.fma_d` (x87 long-double recovery, NaN
-    operands propagate); ``ftz`` applies the matching flush *after* the
-    contraction, exactly as the Python kernel chains
-    ``_ftzf(_fmaf(...))``.
+    operands propagate); under FTZ the matching flush follows the
+    contraction, exactly as the Python kernel chains ``_ftzf(_fmaf(...))``.
     """
 
     a: "FExpr"
     b: "FExpr"
     c: "FExpr"
-    fp32: bool
-    ftz: bool
 
 
 @dataclass(slots=True)
 class FCall:
     """IEEE-total libm call (a :data:`repro.sim.values.MATH_IMPLS` name);
-    the result gets ``wrap`` like any other op."""
+    the result gets the kernel's wrap like any other op."""
 
     func: str
     arg: "FExpr"
-    wrap: int
 
 
-FExpr = FLit | FVar | ALoad | IToF | FNeg | FBin | FFma | FCall
+@dataclass(slots=True)
+class FSite:
+    """A contraction site: an ADD or SUB with a product operand.
+
+    A kernel whose FMA mode is ``fma`` or stronger (:data:`FMA_MODES`)
+    evaluates ``fused`` (an :class:`FFma`), any other kernel ``plain``,
+    the two-rounding form.  ADD sites fuse from ``"basic"`` on, SUB sites
+    only under ``"aggressive"``.  The forms share their operand nodes
+    and fold separately, so an all-constant site whose forms fold to
+    different bits is one literal per mode.
+    """
+
+    fused: "FExpr"
+    plain: "FExpr"
+    fma: str
+
+
+FExpr = FLit | FVar | ALoad | IToF | FNeg | FBin | FFma | FCall | FSite
 
 
 @dataclass(slots=True)
@@ -390,23 +407,18 @@ class LoadInt:
 
 @dataclass(slots=True)
 class LoadScalar:
-    """FP scalar parameter load; ``wrap`` applies the program's
+    """FP scalar parameter load; the kernel's wrap applies the program's
     binary32/FTZ conversion on entry."""
 
     name: str
-    wrap: int
-
-
-#: LoadArray modes: plain copy, or DAZ flush per element on load
-A_COPY = 0
-A_FTZ_D = 1
-A_FTZ_F = 2
 
 
 @dataclass(slots=True)
 class LoadArray:
+    """FP array parameter load: a copy, whose elements are flushed (DAZ)
+    under FTZ."""
+
     name: str
-    mode: int
 
 
 @dataclass(slots=True)
@@ -426,7 +438,7 @@ Stmt = (SetVar | SetIVar | AStore | Charge | Flush | Reload | Hook
 
 @dataclass(slots=True)
 class KernelIR:
-    """One kernel shape's complete IR plus its symbol registries.
+    """One program's complete IR plus its symbol registries.
 
     ``n_constants`` sizes the ``_K`` tuple; the registries list every
     local the backends must declare, partitioned by type (names are
@@ -443,7 +455,6 @@ class KernelIR:
     queues: tuple[str, ...] = ()
     math_funcs: tuple[str, ...] = ()
     fp32: bool = False
-    ftz: bool = False
 
 
 class IrBuilder:
@@ -493,11 +504,10 @@ class IrBuilder:
         return name
 
     def finish(self, *, n_constants: int, comp: str,
-               math_funcs: tuple[str, ...], fp32: bool,
-               ftz: bool) -> KernelIR:
+               math_funcs: tuple[str, ...], fp32: bool) -> KernelIR:
         if len(self._stack) != 1:
             raise ValueError("unbalanced IR builder at finish")
         return KernelIR(ops=self.ops, n_constants=n_constants, comp=comp,
                         fp_vars=tuple(self._fp), int_vars=tuple(self._int),
                         arrays=tuple(self._arr), queues=tuple(self._q),
-                        math_funcs=math_funcs, fp32=fp32, ftz=ftz)
+                        math_funcs=math_funcs, fp32=fp32)

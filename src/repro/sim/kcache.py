@@ -5,37 +5,28 @@ sessions, benchmarks, resumed runs, and test suites re-compile the same
 programs again and again.  :class:`KernelCache` memoizes both lowering
 phases behind bounded LRU maps:
 
-* **structural entries** — keyed by ``(fingerprint, ftz, fma_mode)``:
-  the expensive pass (AST walk, constant folding, IR construction).
-  The key is the *kernel shape*: the program text plus the only two
-  vendor traits that change the lowered ops, so vendors whose shapes
-  coincide (e.g. every vendor at ``-O0``/``-O1``, where contraction is
-  off) share one IR — and the executables the backends build from it
-  on first bind (a compiled Python code object, a C extension), which
-  the entry keeps in its ``backend_cache``;
-* **families** — beside the structural entries, the shapes of each
-  fingerprint lowered since that fingerprint's last C build, in
-  lowering order.  The C backend builds a family as one extension
-  module on the first C bind of any member
-  (:func:`~repro.sim.ckernel.bind_c`), so a program's vendor shapes
-  cost one compiler run; a shape lowered after its family was built
-  starts the next one.  A shape joins whatever kernel backend is
-  active, and leaves when the structural LRU drops it, so the LRU
-  bounds the family state too;
+* **structural entries** — keyed by the fingerprint alone: the
+  expensive pass (AST walk, constant folding, IR construction).  A
+  program lowers to one IR whatever vendor or opt level compiles it
+  (the vendors' FP modes are read at run time), so every vendor × opt
+  level of a program shares that IR — and the executables the backends
+  build from it on first bind (the compiled Python code of each mode,
+  one C extension), which the entry keeps in its ``backend_cache``;
 * **kernel entries** — keyed by ``(fingerprint, vendor, opt_level,
   fast_armed, slow_armed)``: the bound
-  :class:`~repro.sim.lower.LoweredKernel` (shape + that vendor's
-  ``_K`` constants).  Bound kernels also memoize their callable per
-  backend (:meth:`~repro.sim.lower.LoweredKernel.bind`), so a cache hit
-  skips the bind as well.
+  :class:`~repro.sim.lower.LoweredKernel` (the program's IR + that
+  vendor's ``_K`` constants and FP mode).  Bound kernels also memoize
+  their callable per backend
+  (:meth:`~repro.sim.lower.LoweredKernel.bind`), so a cache hit skips
+  the bind as well.
 
 Invalidation is purely capacity-based (LRU eviction): every component of
 a key is content-derived — the fingerprint hashes the emitted C++
 translation unit, and the fault arms are deterministic functions of
 ``(fingerprint, vendor)`` — so an entry can never go stale, only cold.
-Capacities bound worst-case memory (a shape's IR and charge sites, plus
-the compiled Python code once it runs under ``interp``); the defaults
-hold a full 200-program campaign with room to spare.
+Capacities bound worst-case memory (a program's IR and charge sites,
+plus the compiled Python code once it runs under ``interp``); the
+defaults hold a full 200-program campaign with room to spare.
 
 The cache is **process-local** by design: worker processes of a
 :class:`~repro.driver.engine.ProcessPoolEngine` each warm their own copy
@@ -116,16 +107,12 @@ class _LruMap:
         self.data.move_to_end(key)
         return value
 
-    def put(self, key, value) -> list:
-        """Insert; returns the values this dropped (replaced or
-        evicted)."""
-        dropped = [] if (old := self.data.get(key)) is None else [old]
+    def put(self, key, value) -> None:
         self.data[key] = value
         self.data.move_to_end(key)
         while len(self.data) > self.capacity:
-            dropped.append(self.data.popitem(last=False)[1])
+            self.data.popitem(last=False)
             self.evictions += 1
-        return dropped
 
 
 class KernelCache:
@@ -135,8 +122,6 @@ class KernelCache:
                  kernel_capacity: int = 2048):
         self._structural = _LruMap(structural_capacity)
         self._kernels = _LruMap(kernel_capacity)
-        #: family key -> its unbuilt shapes, in lowering order
-        self._families: dict[Hashable, list] = {}
         self._lock = threading.Lock()
         self._shits = 0
         self._smisses = 0
@@ -144,41 +129,20 @@ class KernelCache:
         self._kmisses = 0
 
     # ------------------------------------------------------------------
-    def get_structural(self, key: tuple, build: Callable[[], T]) -> T:
-        """The structural kernel for ``key``, building on first use; a
-        new shape joins the family named by ``key[0]`` (the
-        fingerprint)."""
+    def get_structural(self, fingerprint: str,
+                       build: Callable[[], T]) -> T:
+        """The structural kernel of the program ``fingerprint`` names,
+        building on first use."""
         with self._lock:
-            hit = self._structural.get(key)
+            hit = self._structural.get(fingerprint)
             if hit is not None:
                 self._shits += 1
                 return hit
             self._smisses += 1
         value = build()  # built outside the lock: lowering can be slow
-        value.family = (self, key[0])
         with self._lock:
-            for old in self._structural.put(key, value):
-                self._leave_family(old)
-            self._families.setdefault(key[0], []).append(value)
+            self._structural.put(fingerprint, value)
         return value
-
-    def claim_family(self, shape) -> list:
-        """Take ``shape``'s family for one C build: every shape of its
-        fingerprint lowered since the last claim, in lowering order, or
-        just ``[shape]`` when its family no longer holds it."""
-        key = shape.family[1]
-        with self._lock:
-            members = self._families.get(key, ())
-            if not any(m is shape for m in members):
-                return [shape]
-            return self._families.pop(key)
-
-    def _leave_family(self, shape) -> None:
-        key = shape.family[1]
-        members = self._families.get(key, [])
-        members[:] = [m for m in members if m is not shape]
-        if not members:
-            self._families.pop(key, None)
 
     def get_kernel(self, key: Hashable, build: Callable[[], T]) -> T:
         """The vendor-bound kernel for ``key``, building on first use."""
@@ -227,7 +191,6 @@ class KernelCache:
         with self._lock:
             self._structural.data.clear()
             self._kernels.data.clear()
-            self._families.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -1,15 +1,23 @@
 """AST -> kernel IR lowering: the execution half of a simulated compiler.
 
-A vendor "compiles" a generated program by (1) applying its FP transforms
-(:mod:`repro.vendors.optimizer`) and (2) lowering the result to a typed
-register IR (:mod:`repro.sim.ir`) via this module; a kernel backend then
-makes the IR executable — Python source for the interpreted reference
+A vendor "compiles" a generated program by lowering it to a typed
+register IR (:mod:`repro.sim.ir`) via this module and binding its cost
+model and FP mode to that IR; a kernel backend then makes the IR
+executable — Python source for the interpreted reference
 (:mod:`repro.sim.pykernel`) or a C extension (:mod:`repro.sim.ckernel`).
 The lowered kernel:
 
 * evaluates with exact IEEE semantics (binary64 values; binary32
   programs round each operation result to binary32; division and math
   calls are IEEE-total; Intel's FTZ flushes every result),
+* contracts ``a*b + c`` shapes into one-rounding FMAs as the vendor's
+  ``-ffp-contract`` mode does at the requested ``-O`` level: ``basic``
+  (Clang, Intel) fuses the addition shapes ``a*b + c``/``c + a*b``,
+  ``aggressive`` (GCC's ``-O3`` default ``-ffp-contract=fast``) also the
+  subtraction shapes ``a*b - c``/``c - a*b``, and nothing fuses below
+  ``-O2``.  A contracted multiply-add rounds once instead of twice; on
+  extreme inputs the difference cascades into overflow/NaN divergence
+  and branch flips — the numerical-exception mechanism of Section V-B,
 * charges **statically pre-computed** cost constants per straight-line
   segment into local accumulators (``_cy``/``_ins``/``_br``; blocks
   inside critical sections charge the ``_ccy`` lane instead) that are
@@ -29,19 +37,23 @@ transforms — as in the paper.
 Two-phase lowering
 ------------------
 
-Lowering is split into two passes so the three simulated vendors stop
-re-walking identical trees:
+Lowering is split into two passes so the vendors and opt levels of one
+program share one walk of its tree:
 
 1. a **structural pass** (:class:`StructuralLowerer`) — expression and
    statement lowering, constant folding, region metadata, charge-site
-   discovery — runs once per *kernel shape* ``(program, ftz, fma_mode)``
-   and produces a :class:`StructuralKernel`: the shape's
+   discovery — runs once per program and produces a
+   :class:`StructuralKernel`: the program's
    :class:`~repro.sim.ir.KernelIR`, whose cost charges read slots of a
-   constants tuple ``_K``;
+   constants tuple ``_K`` and whose contraction sites
+   (:class:`~repro.sim.ir.FSite`) hold both their fused and their
+   two-rounding form;
 2. a **cost pass** (:func:`bind_costs`) — pure arithmetic over the
    vendor's :class:`~repro.vendors.base.OpCosts` and scale factors —
-   fills in the per-vendor ``_K`` values without touching the AST or the
-   IR, yielding a :class:`LoweredKernel`.
+   fills in the per-vendor ``_K`` values without touching the IR,
+   pricing each contraction site as fused or not under the vendor's
+   effective FMA mode, and records the mode ``(ftz, fma)`` the kernel
+   runs under, yielding a :class:`LoweredKernel`.
 
 The cost pass reproduces the exact floating-point evaluation order of the
 classic single-pass lowerer (including its ``%.1f`` constant rounding),
@@ -88,9 +100,8 @@ from typing import TYPE_CHECKING
 
 from ..core.types import AssignOpKind, BinOpKind, FPType
 from . import ir as _ir
-from .fptransforms import FusedMulAdd, opt_cycle_scale
 from .pykernel import bind_py
-from .values import MATH_IMPLS, f32, f32z, fdiv, fma_d, fma_f, ftz_d, ftz_f
+from .values import MATH_IMPLS, f32, f32z, fdiv, fma_d, fma_f, ftz_d
 
 if TYPE_CHECKING:  # typing-only: breaks the sim <-> vendors import cycle
     from ..vendors.base import VendorModel
@@ -141,6 +152,51 @@ _OPSYM = {BinOpKind.ADD: "+", BinOpKind.SUB: "-", BinOpKind.MUL: "*",
 
 
 # ======================================================================
+# FMA contraction
+# ======================================================================
+
+#: the weakest FMA mode that fuses a contraction site, by its op
+_SITE_MODE = {BinOpKind.ADD: "basic", BinOpKind.SUB: "aggressive"}
+
+
+def effective_fma_mode(fma_mode: str, opt_level: str) -> str:
+    """FMA contraction only engages at -O2 and above."""
+    if opt_level in ("-O0", "-O1"):
+        return "none"
+    return fma_mode
+
+
+def opt_cycle_scale(opt_level: str) -> float:
+    """Compute-cycle multiplier for the optimization level (unoptimized
+    scalar code is ~3x slower; used by the opt-level ablation bench)."""
+    return {"-O0": 3.2, "-O1": 1.6, "-O2": 1.08, "-O3": 1.0}[opt_level]
+
+
+def _product(e: Expr) -> BinOp | None:
+    """``e`` as a product once parentheses are stripped: contraction
+    looks through parentheses, as real compilers do."""
+    while isinstance(e, Paren):
+        e = e.inner
+    if isinstance(e, BinOp) and e.op is BinOpKind.MUL:
+        return e
+    return None
+
+
+def _contraction(e: BinOp) -> tuple[BinOp, bool] | None:
+    """The product a contraction site ``e`` fuses, and whether it is the
+    left operand; ``None`` when ``e`` is not a site (an ADD or SUB with a
+    product operand — the left one when both are)."""
+    if e.op in _SITE_MODE:
+        prod = _product(e.lhs)
+        if prod is not None:
+            return prod, True
+        prod = _product(e.rhs)
+        if prod is not None:
+            return prod, False
+    return None
+
+
+# ======================================================================
 # cost model (phase 2 arithmetic, also used structurally in phase 1)
 # ======================================================================
 
@@ -168,13 +224,19 @@ class CostModel:
 
     The bodies replicate the classic lowerer's recursion *exactly* —
     including association order of the floating-point sums — so the
-    two-phase pipeline produces bit-identical cost constants.
+    two-phase pipeline produces bit-identical cost constants.  A
+    contraction site that ``fma`` fuses costs as one multiply-add over
+    its three operands (a negated addend costs like a unary minus).
     """
 
-    __slots__ = ("ops",)
+    __slots__ = ("ops", "fuses")
 
-    def __init__(self, ops) -> None:
+    def __init__(self, ops, fma: str) -> None:
         self.ops = ops
+        level = _ir.FMA_MODES.index(fma)
+        #: the ops whose contraction sites ``fma`` fuses
+        self.fuses = frozenset(op for op, mode in _SITE_MODE.items()
+                               if _ir.FMA_MODES.index(mode) <= level)
 
     def expr_cost(self, e: Expr) -> tuple[float, float]:
         ops = self.ops
@@ -190,16 +252,20 @@ class CostModel:
             cy, ins = self.expr_cost(inner)
             return (cy + 0.5, ins + 0.5)
         if isinstance(e, BinOp):
+            site = _contraction(e) if e.op in self.fuses else None
+            if site is not None:
+                prod, left = site
+                ac, ai = self.expr_cost(prod.lhs)
+                bc, bi = self.expr_cost(prod.rhs)
+                cc, ci = self.expr_cost(e.rhs if left else e.lhs)
+                if left and e.op is BinOpKind.SUB:  # fma(a, b, -c)
+                    cc, ci = cc + 0.5, ci + 0.5
+                oc, oi = ops.arith
+                return (ac + bc + cc + oc * 1.3, ai + bi + ci + oi * 1.1)
             lc, li = self.expr_cost(e.lhs)
             rc, ri = self.expr_cost(e.rhs)
             oc, oi = ops.div if e.op is BinOpKind.DIV else ops.arith
             return (lc + rc + oc, li + ri + oi)
-        if isinstance(e, FusedMulAdd):
-            ac, ai = self.expr_cost(e.a)
-            bc, bi = self.expr_cost(e.b)
-            cc, ci = self.expr_cost(e.c)
-            oc, oi = ops.arith
-            return (ac + bc + cc + oc * 1.3, ai + bi + ci + oi * 1.1)
         if isinstance(e, MathCall):
             ic, ii = self.expr_cost(e.arg)
             mc, mi = ops.math_call
@@ -250,7 +316,7 @@ class CostModel:
         return cy, ins
 
 
-_REF_MODEL = CostModel(_RefOps)
+_REF_MODEL = CostModel(_RefOps, "none")
 
 
 # ======================================================================
@@ -295,27 +361,25 @@ class RuntimeConstSite:
 
 @dataclass
 class StructuralKernel:
-    """Phase-1 output: one kernel shape's IR plus charge-site metadata."""
+    """Phase-1 output: one program's IR plus charge-site metadata."""
 
     ir: _ir.KernelIR = field(repr=False)
     sites: tuple[object, ...]  # ChargeSite | RuntimeConstSite, in _K order
     regions: list[RegionMeta]
-    #: per-shape executables (compiled Python code, C extension module),
-    #: built lazily by the backends on first bind, shared across vendors
+    #: executables built lazily by the backends on first bind and shared
+    #: by every vendor: the Python code compiled per mode, the C module
     backend_cache: dict = field(default_factory=dict, repr=False,
                                 compare=False)
-    #: ``(cache, family key)`` of the KernelCache family this shape joined
-    #: when the cache lowered it (the C backend builds a family as one
-    #: module); ``None`` outside a cache: a family of one
-    family: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class LoweredKernel:
-    """Output of lowering: one kernel shape bound to one vendor's
-    constants."""
+    """Output of lowering: one program's kernel bound to one vendor's
+    constants and FP mode."""
 
     structural: StructuralKernel = field(repr=False, compare=False)
+    #: ``(ftz, fma)``: the FTZ wraps and contraction sites the kernel runs
+    mode: _ir.Mode
     constants: tuple[float, ...] = ()
     regions: list[RegionMeta] = field(default_factory=list)
     _entries: dict = field(default_factory=dict, repr=False, compare=False)
@@ -341,12 +405,12 @@ class LoweredKernel:
     def _make_entry(self, backend: str) -> object:
         if backend == "c":
             from .ckernel import bind_c
-            entry = bind_c(self.structural, self.constants)
+            entry = bind_c(self.structural, self.constants, self.mode)
             if entry is not None:
                 return entry
             # unavailable (no toolchain / untrusted cache / build
             # failure): sim.backend recorded the reason and warned
-        return bind_py(self.structural, self.constants)
+        return bind_py(self.structural, self.constants, self.mode)
 
 
 # ======================================================================
@@ -354,21 +418,18 @@ class LoweredKernel:
 # ======================================================================
 
 class StructuralLowerer:
-    """Lowers one (FP-transformed) program to its kernel-shape IR.
+    """Lowers one program to the IR every vendor and opt level shares.
 
-    ``ftz`` is the only vendor trait that changes the lowered *ops* (the
-    FMA mode changed the input tree before this pass); everything else a
-    vendor contributes — per-op costs, cycle/instruction scales, fault
-    scaling — lives in the ``_K`` constants tuple that
-    :func:`bind_costs` computes in phase 2.
+    What a vendor contributes — per-op costs, cycle/instruction scales,
+    fault scaling — lives in the ``_K`` constants tuple that
+    :func:`bind_costs` computes in phase 2; its FP mode selects, at run
+    time, the FTZ wraps and the form of each contraction site.
     """
 
-    def __init__(self, program: Program, *, ftz: bool):
+    def __init__(self, program: Program):
         self.program = program
         self.fp32 = program.fp_type is FPType.FLOAT
-        self.ftz = ftz
         self.b = _ir.IrBuilder()
-        self._wrapc = _ir.wrap_code(self.fp32, ftz)
         self.regions: list[RegionMeta] = []
         self.math_used: set[str] = set()
         self.sites: list[object] = []
@@ -385,15 +446,64 @@ class StructuralLowerer:
     # ==================================================================
     # expressions
     # ==================================================================
-    def _wrap_value(self, v: float) -> float:
-        """The value an op result gets under this shape's wrap code —
-        same helper functions the kernel calls, so folded constants are
-        bit-identical to executing the operation in the kernel."""
+    def _fold(self, raw: float) -> float | None:
+        """A constant op result under the kernel's wrap — the helpers the
+        kernel calls, so a folded constant is bit-identical to executing
+        the operation — or ``None`` when it must stay an op: non-finite
+        (the Python kernel has no literal for inf/nan), or flushed to
+        other bits under FTZ (the value would depend on the mode)."""
         if self.fp32:
-            return f32z(v) if self.ftz else f32(v)
-        if self.ftz:
-            return ftz_d(v)
-        return v
+            v, flushed = f32(raw), f32z(raw)
+        else:
+            v, flushed = raw, ftz_d(raw)
+        return v if v == flushed and isfinite(v) else None
+
+    def _bin(self, op: str, lhs: tuple, rhs: tuple) -> tuple:
+        """One arithmetic op over lowered operands, folded when both are
+        constants."""
+        (lv, a), (rv, b) = lhs, rhs
+        if lv is not None and rv is not None:
+            v = self._fold(fdiv(lv, rv) if op == "/" else lv + rv if op == "+"
+                           else lv - rv if op == "-" else lv * rv)
+            if v is not None:
+                return v, _ir.FLit(v)
+        return None, _ir.FBin(op, a, b)
+
+    def _fma(self, a: tuple, b: tuple, c: tuple) -> tuple:
+        """A contracted multiply-add, folded when all three operands are
+        constants."""
+        (av, fa), (bv, fb), (cv, fc) = a, b, c
+        if av is not None and bv is not None and cv is not None:
+            v = self._fold(fma_f(av, bv, cv) if self.fp32
+                           else fma_d(av, bv, cv))
+            if v is not None:
+                return v, _ir.FLit(v)
+        return None, _ir.FFma(fa, fb, fc)
+
+    @staticmethod
+    def _neg(x: tuple) -> tuple:
+        v, e = x
+        return (None, _ir.FNeg(e)) if v is None else (-v, _ir.FLit(-v))
+
+    def _site(self, e: BinOp, prod: BinOp, left: bool) -> tuple:
+        """A contraction site: both forms over one lowering of the
+        operands.  ``a*b - c`` fuses as ``fma(a, b, -c)`` and ``c - a*b``
+        as ``fma(-a, b, c)``."""
+        op = _OPSYM[e.op]
+        a, b = self._expr(prod.lhs), self._expr(prod.rhs)
+        other = self._expr(e.rhs if left else e.lhs)
+        product = self._bin("*", a, b)
+        pv, plain = (self._bin(op, product, other) if left
+                     else self._bin(op, other, product))
+        if op == "-":
+            if left:
+                other = self._neg(other)
+            else:
+                a = self._neg(a)
+        fv, fused = self._fma(a, b, other)
+        if pv is not None and fv is not None and pv.hex() == fv.hex():
+            return pv, plain  # the same literal under every mode
+        return None, _ir.FSite(fused, plain, _SITE_MODE[e.op])
 
     def _expr(self, e: Expr) -> tuple[float | None, object]:
         """(folded constant value or None, IR expression).
@@ -403,8 +513,9 @@ class StructuralLowerer:
         call — and become one :class:`~repro.sim.ir.FLit` of the result.
         Folding changes only the executed ops: the static cost model
         still charges the full tree, so costs, counters, and results
-        match unfolded execution exactly.  Non-finite results stay ops
-        (the Python kernel has no literal for inf/nan).
+        match unfolded execution exactly.  A fold whose bits depend on
+        the kernel's mode stays an op; at a contraction site the two
+        forms fold separately (one literal per mode).
         """
         if isinstance(e, FPNumeral):
             v = f32(e.value) if self.fp32 else e.value
@@ -425,48 +536,22 @@ class StructuralLowerer:
         if isinstance(e, Paren):
             return self._expr(e.inner)  # grouping is explicit in the IR
         if isinstance(e, UnaryOp):
-            v, inner = self._expr(e.operand)
-            if e.op == "+":
-                return v, inner
-            if v is not None:
-                return -v, _ir.FLit(-v)
-            return None, _ir.FNeg(inner)
+            x = self._expr(e.operand)
+            return x if e.op == "+" else self._neg(x)
         if isinstance(e, BinOp):
-            (lv, lhs), (rv, rhs) = self._expr(e.lhs), self._expr(e.rhs)
-            if lv is not None and rv is not None:
-                op = e.op
-                raw = (fdiv(lv, rv) if op is BinOpKind.DIV else
-                       lv + rv if op is BinOpKind.ADD else
-                       lv - rv if op is BinOpKind.SUB else lv * rv)
-                folded = self._wrap_value(raw)
-                if isfinite(folded):
-                    return folded, _ir.FLit(folded)
-            return None, _ir.FBin(_OPSYM[e.op], lhs, rhs, self._wrapc)
-        if isinstance(e, FusedMulAdd):
-            av, a = self._expr(e.a)
-            bv, b = self._expr(e.b)
-            cv, c = self._expr(e.c)
-            if e.negate_product:
-                if av is not None:
-                    av = -av
-                    a = _ir.FLit(av)
-                else:
-                    a = _ir.FNeg(a)
-            if av is not None and bv is not None and cv is not None:
-                folded = fma_f(av, bv, cv) if self.fp32 else fma_d(av, bv, cv)
-                if self.ftz:
-                    folded = ftz_f(folded) if self.fp32 else ftz_d(folded)
-                if isfinite(folded):
-                    return folded, _ir.FLit(folded)
-            return None, _ir.FFma(a, b, c, self.fp32, self.ftz)
+            site = _contraction(e)
+            if site is not None:
+                return self._site(e, *site)
+            return self._bin(_OPSYM[e.op], self._expr(e.lhs),
+                             self._expr(e.rhs))
         if isinstance(e, MathCall):
             self.math_used.add(e.func)
             av, arg = self._expr(e.arg)
             if av is not None:
-                folded = self._wrap_value(MATH_IMPLS[e.func](av))
-                if isfinite(folded):
-                    return folded, _ir.FLit(folded)
-            return None, _ir.FCall(e.func, arg, self._wrapc)
+                v = self._fold(MATH_IMPLS[e.func](av))
+                if v is not None:
+                    return v, _ir.FLit(v)
+            return None, _ir.FCall(e.func, arg)
         raise TypeError(f"cannot lower expression {type(e).__name__}")
 
     def _index(self, idx) -> object:
@@ -537,7 +622,7 @@ class StructuralLowerer:
             load = _ir.ALoad(self.b.array(name), idx)
         binop = s.op.binop
         if binop is not None:  # compound: read-modify-write
-            rhs = _ir.FBin(_OPSYM[binop], load, rhs, self._wrapc)
+            rhs = _ir.FBin(_OPSYM[binop], load, rhs)
         if idx is None:
             self.b.emit(_ir.SetVar(name, rhs))
         else:
@@ -893,13 +978,9 @@ class StructuralLowerer:
             if p.is_int:
                 b.emit(_ir.LoadInt(b.ivar(p.name)))
             elif p.is_array:
-                if self.ftz:  # DAZ: inputs flushed on load; also copy
-                    mode = _ir.A_FTZ_F if self.fp32 else _ir.A_FTZ_D
-                else:
-                    mode = _ir.A_COPY
-                b.emit(_ir.LoadArray(b.array(p.name), mode))
+                b.emit(_ir.LoadArray(b.array(p.name)))
             else:
-                b.emit(_ir.LoadScalar(b.fvar(p.name), self._wrapc))
+                b.emit(_ir.LoadScalar(b.fvar(p.name)))
         b.emit(_ir.Reload())  # seed the local accumulator mirror
         self.block(self.program.body)
         b.emit(_ir.Flush())  # the driver reads the shared state after return
@@ -907,7 +988,7 @@ class StructuralLowerer:
         kernel_ir = b.finish(n_constants=self._n_constants,
                              comp=self.program.comp.name,
                              math_funcs=tuple(sorted(self.math_used)),
-                             fp32=self.fp32, ftz=self.ftz)
+                             fp32=self.fp32)
         return StructuralKernel(ir=kernel_ir, sites=tuple(self.sites),
                                 regions=self.regions)
 
@@ -919,19 +1000,22 @@ class StructuralLowerer:
 def bind_costs(structural: StructuralKernel, vendor: "VendorModel",
                opt_level: str, *, fast_armed: bool = False,
                slow_armed: bool = False) -> LoweredKernel:
-    """Fill a structural kernel's ``_K`` slots with one vendor's costs.
+    """Fill a structural kernel's ``_K`` slots with one vendor's costs
+    and record the vendor's FP mode.
 
-    Pure arithmetic — no AST walk, no IR rewrite, no code generation;
-    the constants reproduce the classic lowerer's values exactly,
-    including its ``%.1f`` source-literal rounding.
+    Pure arithmetic — no IR rewrite, no code generation; the constants
+    reproduce the classic lowerer's values exactly, including its
+    ``%.1f`` source-literal rounding, with each contraction site priced
+    as fused or not under the vendor's effective FMA mode.
     """
+    fma = effective_fma_mode(vendor.traits.fma_mode, opt_level)
     # bake all static scales into the per-site constants; the latent
     # fast/slow paths are whole-binary codegen effects
     cy_scale = (vendor.traits.cycle_scale * opt_cycle_scale(opt_level)
                 * (vendor.faults.fast_factor if fast_armed else 1.0)
                 * (vendor.faults.slow_factor if slow_armed else 1.0))
     ins_scale = vendor.traits.instr_scale
-    model = CostModel(vendor.ops)
+    model = CostModel(vendor.ops, fma)
     constants = [0.0] * structural.ir.n_constants
     for site in structural.sites:
         if isinstance(site, RuntimeConstSite):
@@ -943,4 +1027,5 @@ def bind_costs(structural: StructuralKernel, vendor: "VendorModel",
         if site.k_ins is not None:
             constants[site.k_ins] = float(f"{ins * ins_scale:.1f}")
     return LoweredKernel(structural=structural, constants=tuple(constants),
-                         regions=structural.regions)
+                         regions=structural.regions,
+                         mode=(vendor.traits.flush_subnormals, fma))

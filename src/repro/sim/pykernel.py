@@ -1,19 +1,22 @@
 """Python backend: emit the interpreted kernel from :mod:`repro.sim.ir`.
 
-The twin of :mod:`repro.sim.ckernel`: one kernel shape becomes one
-Python function ``_kernel(_args, _rt, _c)`` whose body performs the
-IR's ops in order — FP ops through the :mod:`repro.sim.values` helpers
-(bound as parameter defaults, so every hot-loop reference is a
-``LOAD_FAST``), cost charges into four fast-local accumulator lanes,
-runtime hooks on ``_rt``.  This is the reference semantics every other
-backend is checked against, and the fallback whenever the C backend
-cannot build.
+The twin of :mod:`repro.sim.ckernel`: one kernel IR under one FP mode
+``(ftz, fma)`` becomes one Python function ``_kernel(_args, _rt, _c)``
+whose body performs the IR's ops in order — FP ops through the
+:mod:`repro.sim.values` helpers (bound as parameter defaults, so every
+hot-loop reference is a ``LOAD_FAST``), cost charges into four
+fast-local accumulator lanes, runtime hooks on ``_rt``.  This is the
+reference semantics every other backend is checked against, and the
+fallback whenever the C backend cannot build.
 
-The source is compiled once per kernel shape, on the first interp bind,
-and the code object is cached in ``StructuralKernel.backend_cache``, so
-vendors of one shape share it and the C path never compiles Python.
-Each vendor's ``_K`` constants tuple is bound as a default argument and
-unpacked into ``_K0, _K1, ...`` locals once per call.
+The emitter specializes the kernel to its mode: each op gets the wrap
+the mode implies, and each contraction site is written in the form the
+mode selects.  The source is compiled once per mode, on the first
+interp bind under it, and the code object is cached in
+``StructuralKernel.backend_cache``, so vendors of one mode share it and
+the C path never compiles Python.  Each vendor's ``_K`` constants tuple
+is bound as a default argument and unpacked into ``_K0, _K1, ...``
+locals once per call.
 """
 
 from __future__ import annotations
@@ -44,26 +47,29 @@ _HELPER_PARAMS = ("_f32", "_f32z", "_ftz", "_ftzf", "_div", "_fma",
 _FLUSH = "_c.cy = _cy; _c.ccy = _ccy; _c.ins = _ins; _c.br = _br"
 _RELOAD = "_cy = _c.cy; _ccy = _c.ccy; _ins = _c.ins; _br = _c.br"
 
-#: the helper each wrap code applies to an op result
-_WRAPPY = {_ir.W_NONE: None, _ir.W_F32: "_f32", _ir.W_F32Z: "_f32z",
-           _ir.W_FTZ: "_ftz"}
+#: the helper every op result passes through, by ``(fp32, ftz)``
+_WRAPPY = {(False, False): None, (True, False): "_f32",
+           (True, True): "_f32z", (False, True): "_ftz"}
 
 #: int expressions that need no parentheses as an operand
 _IATOMS = (_ir.ILit, _ir.IVar, _ir.IMax0)
 
 
-def _wrap(code: int, text: str) -> str:
-    fn = _WRAPPY[code]
-    return text if fn is None else f"{fn}({text})"
-
-
 class _Emitter:
-    """IR -> Python source for one kernel shape."""
+    """IR -> Python source for one kernel under one mode."""
 
-    def __init__(self, kir: _ir.KernelIR) -> None:
+    def __init__(self, kir: _ir.KernelIR, mode: _ir.Mode) -> None:
         self.kir = kir
+        ftz, fma = mode
+        self.ftz = ftz
+        self.fma_level = _ir.FMA_MODES.index(fma)
+        self.wrap_fn = _WRAPPY[kir.fp32, ftz]
         self.lines: list[str] = []
         self.depth = 0
+
+    def wrap(self, text: str) -> str:
+        fn = self.wrap_fn
+        return text if fn is None else f"{fn}({text})"
 
     def w(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -86,16 +92,20 @@ class _Emitter:
             if e.op == "/" and not (type(e.b) is _ir.FLit and e.b.v != 0.0):
                 # only a nonzero (or nan) constant divisor may use
                 # Python's own `/`, which raises on zero
-                return _wrap(e.wrap, f"_div({a}, {b})")
-            return _wrap(e.wrap, f"({a} {e.op} {b})")
+                return self.wrap(f"_div({a}, {b})")
+            return self.wrap(f"({a} {e.op} {b})")
+        if t is _ir.FSite:
+            fused = self.fma_level >= _ir.FMA_MODES.index(e.fma)
+            return self.fexpr(e.fused if fused else e.plain)
         if t is _ir.FFma:
-            text = (f"{'_fmaf' if e.fp32 else '_fma'}({self.fexpr(e.a)}, "
+            fp32 = self.kir.fp32
+            text = (f"{'_fmaf' if fp32 else '_fma'}({self.fexpr(e.a)}, "
                     f"{self.fexpr(e.b)}, {self.fexpr(e.c)})")
-            if e.ftz:
-                text = f"{'_ftzf' if e.fp32 else '_ftz'}({text})"
+            if self.ftz:
+                text = f"{'_ftzf' if fp32 else '_ftz'}({text})"
             return text
         if t is _ir.FCall:
-            return _wrap(e.wrap, f"_m_{e.func}({self.fexpr(e.arg)})")
+            return self.wrap(f"_m_{e.func}({self.fexpr(e.arg)})")
         raise TypeError(f"unknown FP expr {t.__name__}")
 
     def iexpr(self, e) -> str:
@@ -197,13 +207,13 @@ class _Emitter:
         elif t is _ir.LoadInt:
             self.w(f"{op.name} = _args[{op.name!r}]")
         elif t is _ir.LoadScalar:
-            self.w(f"{op.name} = {_wrap(op.wrap, f'_args[{op.name!r}]')}")
+            self.w(f"{op.name} = {self.wrap(f'_args[{op.name!r}]')}")
         elif t is _ir.LoadArray:
             arg = f"_args[{op.name!r}]"
-            if op.mode == _ir.A_COPY:
+            if not self.ftz:
                 self.w(f"{op.name} = list({arg})")
             else:  # DAZ: inputs flushed on load
-                fn = "_ftzf" if op.mode == _ir.A_FTZ_F else "_ftz"
+                fn = "_ftzf" if self.kir.fp32 else "_ftz"
                 self.w(f"{op.name} = [{fn}(_x) for _x in {arg}]")
         elif t is _ir.Return:
             self.w(f"return {op.name}")
@@ -222,20 +232,22 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def emit_py(kir: _ir.KernelIR) -> str:
-    """The Python source of one kernel shape (defines ``_kernel``)."""
-    return _Emitter(kir).emit()
+def emit_py(kir: _ir.KernelIR, mode: _ir.Mode) -> str:
+    """The Python source of one kernel under one FP mode (defines
+    ``_kernel``)."""
+    return _Emitter(kir, mode).emit()
 
 
-def bind_py(structural, constants: tuple[float, ...]):
-    """The interpreted entry for one vendor's binding of a kernel shape;
-    compiles the shape's source on its first bind in this process."""
-    code = structural.backend_cache.get("py")
+def bind_py(structural, constants: tuple[float, ...], mode: _ir.Mode):
+    """The interpreted entry for one vendor's binding of a kernel;
+    compiles the source for ``mode`` on its first bind in this process."""
+    key = ("py", *mode)
+    code = structural.backend_cache.get(key)
     if code is None:
         kir = structural.ir
-        shape = f"{'f32' if kir.fp32 else 'f64'}{'+ftz' if kir.ftz else ''}"
-        code = compile(emit_py(kir), f"<lowered:{shape}>", "exec")
-        structural.backend_cache["py"] = code
+        shape = f"{'f32' if kir.fp32 else 'f64'}{'+ftz' if mode[0] else ''}"
+        code = compile(emit_py(kir, mode), f"<lowered:{shape}>", "exec")
+        structural.backend_cache[key] = code
     ns = dict(_HELPERS)
     ns["_K"] = constants
     exec(code, ns)  # noqa: S102 - our own generated code

@@ -6,21 +6,20 @@ available OpenMP implementation.  For a simulated vendor that means:
 1. emit the canonical C++ translation unit and fingerprint it (the
    identity a compiler sees),
 2. decide the deterministic latent faults for (fingerprint, vendor),
-3. apply the vendor's FP lowering (FMA contraction per its
-   ``-ffp-contract`` default at the requested ``-O`` level),
-4. lower the result to the kernel IR, with the vendor's cost model
-   bound as per-site constants.
+3. lower the program to the kernel IR, with the vendor's cost model
+   bound as per-site constants and its FP mode (FTZ, and FMA
+   contraction per its ``-ffp-contract`` default at the requested
+   ``-O`` level) recorded for the kernel to run under.
 
-Step (4) runs through the two-phase pipeline of :mod:`repro.sim.lower`
+Step (3) runs through the two-phase pipeline of :mod:`repro.sim.lower`
 behind the process-local :class:`~repro.sim.kcache.KernelCache`: the
-structural pass is shared by every vendor whose kernel shape coincides,
-and recompiling a program the cache has seen (same fingerprint, vendor,
-opt level) returns the previously bound kernel outright.  The cache
-keys shapes by ``(fingerprint, ftz, fma_mode)``, and the fingerprint
-names the shape's family: the C backend builds the shapes of one
-program that were lowered before its first C bind as one module.
-Step (1) now hashes the translation unit it just emitted instead of
-re-emitting it, so one compile performs one C++ emission, not two.
+structural pass runs once per program, keyed by the fingerprint alone,
+so every vendor × opt level of a program shares one IR and the one C
+module built from it, in whatever order they compile; recompiling a
+program the cache has seen (same fingerprint, vendor, opt level) returns
+the previously bound kernel outright.  Step (1) hashes the translation
+unit it just emitted instead of re-emitting it, so one compile performs
+one C++ emission, not two.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from ..sim.kcache import KernelCache, get_kernel_cache
 from ..sim.lower import StructuralLowerer, bind_costs
 from .base import VendorModel
 from .binary import Binary
-from .optimizer import effective_fma_mode, lower_block
 
 
 #: fingerprint -> critical-in-omp-for count, for the hang-fault gate.
@@ -89,9 +87,6 @@ def compile_binary(program: Program, vendor: VendorModel,
     slow = vendor.decides_slow(fingerprint)
     fast = vendor.decides_fast(fingerprint)
 
-    fma = effective_fma_mode(vendor.traits.fma_mode, opt_level)
-    ftz = vendor.traits.flush_subnormals
-
     # telemetry: which lowering phases actually ran (cache misses) —
     # observation only, the cached value is identical either way
     obs_on = _obs.enabled()
@@ -99,17 +94,14 @@ def compile_binary(program: Program, vendor: VendorModel,
 
     def build_structural():
         misses.add("structural")
-        lowered_body = lower_block(program.body, fma)
-        return StructuralLowerer(replace_body(program, lowered_body),
-                                 ftz=ftz).lower()
+        return StructuralLowerer(program).lower()
 
     def build_kernel():
         misses.add("kernel")
         return bind_costs(structural, vendor, opt_level,
                           fast_armed=fast, slow_armed=slow)
 
-    structural = cache.get_structural((fingerprint, ftz, fma),
-                                      build_structural)
+    structural = cache.get_structural(fingerprint, build_structural)
     # key the bound kernel by the vendor *value*, not its name: a custom
     # VendorModel variant (same name, different costs/traits) must never
     # receive another model's constants — frozen dataclasses hash by
@@ -133,17 +125,4 @@ def compile_binary(program: Program, vendor: VendorModel,
         hang_armed=hang,
         slow_armed=slow,
         fast_armed=fast,
-    )
-
-
-def replace_body(program: Program, body) -> Program:
-    """Shallow-copy a program with a new (lowered) body."""
-    return Program(
-        name=program.name,
-        seed=program.seed,
-        fp_type=program.fp_type,
-        comp=program.comp,
-        params=program.params,
-        body=body,
-        num_threads=program.num_threads,
     )

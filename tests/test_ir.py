@@ -46,8 +46,7 @@ from repro.core.types import (
 )
 from repro.sim import ir
 from repro.sim.backend import _c_available
-from repro.sim.ckernel import SkeletonMismatch, bind_c, emit_c, skeleton
-from repro.sim.kcache import KernelCache
+from repro.sim.ckernel import bind_c, emit_c
 from repro.sim.lower import (
     RuntimeConstSite,
     StructuralKernel,
@@ -60,8 +59,12 @@ from repro.vendors.gcc import GCC
 from test_lowering import _mk, _simple_region
 
 
-def _lower(program, *, ftz=False):
-    return StructuralLowerer(program, ftz=ftz).lower()
+#: no flush, no contraction: the mode hand-built kernels run under
+PLAIN = (False, "none")
+
+
+def _lower(program):
+    return StructuralLowerer(program).lower()
 
 
 def _body(kir: ir.KernelIR) -> list:
@@ -139,8 +142,7 @@ class TestFolding:
             comp, AssignOpKind.ASSIGN,
             BinOp(BinOpKind.DIV, FPNumeral(1.0), FPNumeral(0.0)))]))
         (store,) = _find_all(_lower(p).ir.ops, ir.SetVar)
-        assert store.e == ir.FBin("/", ir.FLit(1.0), ir.FLit(0.0),
-                                  ir.W_NONE)
+        assert store.e == ir.FBin("/", ir.FLit(1.0), ir.FLit(0.0))
 
     def test_variable_operand_stops_folding_at_its_op(self):
         x = _param()
@@ -150,8 +152,7 @@ class TestFolding:
                   BinOp(BinOpKind.ADD, FPNumeral(1.0), FPNumeral(2.0))))]),
             extra_params=[x])
         (store,) = _find_all(_lower(p).ir.ops, ir.SetVar)
-        assert store.e == ir.FBin("+", ir.FVar("var_x"), ir.FLit(3.0),
-                                  ir.W_NONE)
+        assert store.e == ir.FBin("+", ir.FVar("var_x"), ir.FLit(3.0))
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +165,7 @@ class TestAssignments:
             _assign(comp, AssignOpKind.DIV_ASSIGN, FPNumeral(4.0))]))
         (store,) = _find_all(_lower(p).ir.ops, ir.SetVar)
         assert store == ir.SetVar("comp", ir.FBin(
-            "/", ir.FVar("comp"), ir.FLit(4.0), ir.W_NONE))
+            "/", ir.FVar("comp"), ir.FLit(4.0)))
 
     def test_div_assign_by_variable(self):
         x = _param()
@@ -173,7 +174,7 @@ class TestAssignments:
             extra_params=[x])
         (store,) = _find_all(_lower(p).ir.ops, ir.SetVar)
         assert store == ir.SetVar("comp", ir.FBin(
-            "/", ir.FVar("comp"), ir.FVar("var_x"), ir.W_NONE))
+            "/", ir.FVar("comp"), ir.FVar("var_x")))
 
     def test_array_compound_assign_loads_and_stores_the_element(self):
         arr = Variable("var_a", FPType.DOUBLE, VarKind.PARAM, is_array=True,
@@ -182,17 +183,23 @@ class TestAssignments:
             ArrayRef(arr, IntNumeral(2)), AssignOpKind.ADD_ASSIGN,
             FPNumeral(1.0))]), extra_params=[arr])
         kir = _lower(p).ir
-        assert ir.LoadArray("var_a", ir.A_COPY) in kir.ops
+        assert ir.LoadArray("var_a") in kir.ops
         (store,) = _find_all(kir.ops, ir.AStore)
         assert store == ir.AStore("var_a", ir.ILit(2), ir.FBin(
-            "+", ir.ALoad("var_a", ir.ILit(2)), ir.FLit(1.0), ir.W_NONE))
+            "+", ir.ALoad("var_a", ir.ILit(2)), ir.FLit(1.0)))
 
     def test_ftz_shape_flushes_array_inputs_on_load(self):
         arr = Variable("var_a", FPType.FLOAT, VarKind.PARAM, is_array=True,
                        array_size=4)
         p = _mk(lambda comp: Block([]), fp=FPType.FLOAT,
                 extra_params=[arr])
-        assert ir.LoadArray("var_a", ir.A_FTZ_F) in _lower(p, ftz=True).ir.ops
+        kir = _lower(p).ir
+        assert ir.LoadArray("var_a") in kir.ops
+        # the FTZ mode flushes each element on load (DAZ); others copy
+        assert "var_a = [_ftzf(_x) for _x in _args['var_a']]" \
+            in emit_py(kir, (True, "basic"))
+        assert "var_a = list(_args['var_a'])" \
+            in emit_py(kir, (False, "basic"))
 
 
 # ----------------------------------------------------------------------
@@ -441,9 +448,11 @@ _X, _I = ir.FVar("x"), ir.IVar("i")
 #: one instance of every IR class, keyed by class
 _SAMPLES = {type(op): op for op in (
     ir.FLit(1.5), _X, ir.ALoad("a", ir.ILit(1)), ir.IToF(_I), ir.FNeg(_X),
-    ir.FBin("+", _X, ir.FLit(2.0), ir.W_F32),
-    ir.FFma(_X, _X, ir.FLit(1.0), True, True),
-    ir.FCall("sin", _X, ir.W_FTZ),
+    ir.FBin("+", _X, ir.FLit(2.0)),
+    ir.FFma(_X, _X, ir.FLit(1.0)),
+    ir.FCall("sin", _X),
+    ir.FSite(ir.FFma(_X, _X, ir.FLit(1.0)),
+             ir.FBin("+", ir.FLit(2.0), ir.FLit(1.0)), "basic"),
     ir.ILit(3), _I, ir.IMax0("n"), ir.IMod(_I, 4), ir.IMul(ir.ILit(2), _I),
     ir.IFloorDiv(_I, ir.ILit(2)), ir.IModV(_I, ir.IVar("j")),
     ir.SetVar("x", ir.FLit(1.0)), ir.SetIVar("i", ir.ILit(0)),
@@ -457,7 +466,7 @@ _SAMPLES = {type(op): op for op in (
     ir.QPush("_tq0", 0), ir.QClear("_tq0"),
     ir.If(ir.Cmp(_X, "<", ir.FLit(1.0)), [ir.Flush()]),
     ir.IfIntEq("_tid", 0, [ir.Flush()]), ir.LoadInt("n"),
-    ir.LoadScalar("x", ir.W_F32), ir.LoadArray("a", ir.A_FTZ_D),
+    ir.LoadScalar("x"), ir.LoadArray("a"),
     ir.Return("comp"),
 )}
 
@@ -487,7 +496,7 @@ _IR_CLASSES = sorted({*typing.get_args(ir.Stmt), *typing.get_args(ir.FExpr),
 class TestEmittersCoverEveryOp:
     def test_python_emitter(self, cls):
         assert cls in _SAMPLES, f"add an {cls.__name__} sample"
-        source = emit_py(_kernel(_as_stmt(_SAMPLES[cls])))
+        source = emit_py(_kernel(_as_stmt(_SAMPLES[cls])), PLAIN)
         compile(source, "<test>", "exec")  # valid Python, not just text
 
     def test_c_emitter(self, cls):
@@ -497,7 +506,8 @@ class TestEmittersCoverEveryOp:
 
 def _py_line(op) -> str:
     """The first line the Python emitter writes for one statement."""
-    return emit_py(_kernel(op, n_constants=0)).splitlines()[1].strip()
+    return emit_py(_kernel(op, n_constants=0),
+                   PLAIN).splitlines()[1].strip()
 
 
 class TestPythonEmitter:
@@ -508,8 +518,7 @@ class TestPythonEmitter:
         (ir.FVar("y"), "x = _div(x, y)"),
     ])
     def test_plain_division_only_by_a_nonzero_literal(self, divisor, text):
-        assert _py_line(ir.SetVar("x", ir.FBin("/", _X, divisor,
-                                               ir.W_NONE))) == text
+        assert _py_line(ir.SetVar("x", ir.FBin("/", _X, divisor))) == text
 
     def test_zero_lower_bound_ranges_to_n(self):
         assert _py_line(ir.ForRange("i", ir.ILit(0), ir.IMax0("n"),
@@ -521,14 +530,15 @@ class TestPythonEmitter:
 
     def test_empty_body_is_pass(self):
         lines = emit_py(_kernel(ir.IfIntEq("_tid", 0, []), ir.Flush(),
-                                n_constants=0)).splitlines()
+                                n_constants=0), PLAIN).splitlines()
         assert lines[1:3] == ["    if _tid == 0:", "        pass"]
-        assert emit_py(_kernel(n_constants=0)).splitlines()[1] == "    pass"
+        assert emit_py(_kernel(n_constants=0),
+                       PLAIN).splitlines()[1] == "    pass"
 
     def test_constants_unpack_into_locals(self):
-        assert emit_py(_kernel(n_constants=1)).splitlines()[1] \
+        assert emit_py(_kernel(n_constants=1), PLAIN).splitlines()[1] \
             == "    _K0, = _K"
-        assert emit_py(_kernel(n_constants=3)).splitlines()[1] \
+        assert emit_py(_kernel(n_constants=3), PLAIN).splitlines()[1] \
             == "    _K0, _K1, _K2 = _K"
 
     def test_compound_int_operands_keep_their_grouping(self):
@@ -539,73 +549,50 @@ class TestPythonEmitter:
 
 
 # ----------------------------------------------------------------------
-# kernel families: one C module for several shapes of one program
+# one C module for every mode: selects on the running mode
 # ----------------------------------------------------------------------
 
 class TestFamilyEmitter:
-    """What :func:`emit_c` writes for a family, without compiling it."""
+    """What :func:`emit_c` writes for the family of modes one module
+    serves, without compiling it."""
 
     def test_identical_members_need_no_select(self):
-        kir = _kernel(ir.SetVar("x", _SAMPLES[ir.FBin]))
-        source = emit_c(kir, kir)
-        assert "static const int fam_ftz[2] = {0, 0};" in source
-        assert "member ==" not in source and ", fz)" not in source
+        # without contraction sites every FMA mode runs the same code
+        source = emit_c(_kernel(ir.SetVar("x", _SAMPLES[ir.FBin])))
+        assert "fm >=" not in source
 
     def test_ftz_decided_wraps_select_on_the_flag(self):
-        plain = _kernel(ir.SetVar("x", ir.FBin("+", _X, ir.FLit(2.0),
-                                                ir.W_F32)),
-                        ir.LoadArray("a", ir.A_COPY))
-        flushed = _kernel(ir.SetVar("x", ir.FBin("+", _X, ir.FLit(2.0),
-                                                  ir.W_F32Z)),
-                          ir.LoadArray("a", ir.A_FTZ_F))
-        flushed.ftz = True
-        source = emit_c(plain, flushed)
-        assert "fam_ftz[2] = {0, 1};" in source
+        kir = _kernel(ir.SetVar("x", ir.FBin("+", _X, ir.FLit(2.0))),
+                      ir.LoadArray("a"))
+        kir.fp32 = True
+        source = emit_c(kir)
+        assert "fz = mode & 1;" in source
         assert "v_x = w_f32q(v_x + 0x1.0000000000000p+1, fz);" in source
         assert "a_a[_i] = w_ftzfq(_x, fz);" in source
-        assert "member ==" not in source
 
     def test_differing_subexpressions_select_on_the_member(self):
-        fused = ir.FFma(_X, _X, ir.FLit(1.0), False, False)
-        unfused = ir.FBin("+", ir.FBin("*", _X, _X, ir.W_NONE),
-                          ir.FLit(1.0), ir.W_NONE)
-        source = emit_c(*(_kernel(ir.SetVar("x", ir.FNeg(e)))
-                          for e in (unfused, fused, unfused)))
-        # the members that agree share one arm; the shared FNeg is
-        # emitted once, around the select
-        assert ("v_x = (-(((member == 0 || member == 2) ? "
-                "((v_x * v_x) + 0x1.0000000000000p+0) : "
-                "(h_fmad(v_x, v_x, 0x1.0000000000000p+0)))));") in source
+        # a contraction site selects its form on the running FMA level
+        y, one = ir.FVar("y"), ir.FLit(1.0)
+        site = ir.FSite(ir.FFma(ir.FNeg(_X), y, one),
+                        ir.FBin("-", one, ir.FBin("*", _X, y)), "aggressive")
+        source = emit_c(_kernel(ir.SetVar("x", ir.FNeg(site))))
+        assert "fm = mode >> 1;" in source
+        assert ("v_x = (-((fm >= 2 ? "
+                "w_ftzdq(h_fmad((-(v_x)), v_y, 0x1.0000000000000p+0), fz) : "
+                "w_ftzdq(0x1.0000000000000p+0 - w_ftzdq(v_x * v_y, fz), "
+                "fz))));") in source
+        # the same select whether or not a form folded
+        source = emit_c(_kernel(ir.SetVar("x", _SAMPLES[ir.FSite])))
+        assert ("v_x = (fm >= 1 ? "
+                "w_ftzdq(h_fmad(v_x, v_x, 0x1.0000000000000p+0), fz) : "
+                "w_ftzdq(0x1.0000000000000p+1 + 0x1.0000000000000p+0, "
+                "fz));") in source
 
     def test_signed_zero_literals_are_not_merged(self):
-        source = emit_c(_kernel(ir.SetVar("x", ir.FLit(0.0))),
-                        _kernel(ir.SetVar("x", ir.FLit(-0.0))))
-        assert "((member == 0) ? 0x0.0p+0 : -0x0.0p+0)" in source
-
-    @pytest.mark.parametrize("other", [
-        ir.Charge(0, 1, 1, 0.0),                  # another _K slot
-        ir.Charge(0, 0, 1, 1.0),                  # another branch charge
-        ir.Hook("single_done", True),             # another statement
-        ir.IfIntEq("_tid", 0, [ir.Flush(), ir.Flush()]),  # another body
-    ])
-    def test_different_skeletons_never_merge(self, other):
-        base = {ir.Charge: ir.Charge(0, 0, 1, 0.0),
-                ir.Hook: ir.Hook("barrier", True),
-                ir.IfIntEq: ir.IfIntEq("_tid", 0, [ir.Flush()])}
-        mine = _kernel(base[type(other)])
-        theirs = _kernel(other)
-        assert skeleton(mine) != skeleton(theirs)
-        with pytest.raises(SkeletonMismatch):
-            emit_c(mine, theirs)
-
-    def test_wraps_and_expressions_are_not_skeleton(self):
-        a = _kernel(ir.SetVar("x", _SAMPLES[ir.FFma]),
-                    ir.LoadScalar("x", ir.W_F32), ir.LoadArray("a",
-                                                               ir.A_COPY))
-        b = _kernel(ir.SetVar("x", _SAMPLES[ir.FBin]),
-                    ir.LoadScalar("x", ir.W_F32Z),
-                    ir.LoadArray("a", ir.A_FTZ_F))
-        assert skeleton(a) == skeleton(b)
+        # a per-mode literal keeps the sign of each mode's zero
+        site = ir.FSite(ir.FLit(-0.0), ir.FLit(0.0), "aggressive")
+        source = emit_c(_kernel(ir.SetVar("x", site)))
+        assert "(fm >= 2 ? -0x0.0p+0 : 0x0.0p+0)" in source
 
 
 def _c_entry_or_skip():
@@ -630,7 +617,8 @@ def _call(entry, args: dict):
 def _run_both(kir: ir.KernelIR, args: dict) -> list:
     """``[interp result, C result]`` of a hand-built kernel."""
     shape = _shape(kir)
-    return [_call(bind(shape, ()), args) for bind in (bind_py, bind_c)]
+    return [_call(bind(shape, (), PLAIN), args)
+            for bind in (bind_py, bind_c)]
 
 
 class TestCPreludeIntSemantics:
@@ -639,12 +627,11 @@ class TestCPreludeIntSemantics:
 
     #: comp = a[i]; a[i] = 5.0; comp += a[0] — a wrapped load and store
     INDEX = ir.KernelIR(
-        ops=[ir.LoadInt("i"), ir.LoadArray("a", ir.A_COPY),
+        ops=[ir.LoadInt("i"), ir.LoadArray("a"),
              ir.SetVar("comp", ir.ALoad("a", ir.IVar("i"))),
              ir.AStore("a", ir.IVar("i"), ir.FLit(5.0)),
              ir.SetVar("comp", ir.FBin("+", ir.FVar("comp"),
-                                       ir.ALoad("a", ir.ILit(0)),
-                                       ir.W_NONE)),
+                                       ir.ALoad("a", ir.ILit(0)))),
              ir.Return("comp")],
         comp="comp", fp_vars=("comp",), int_vars=("i",), arrays=("a",))
 
@@ -656,9 +643,8 @@ class TestCPreludeIntSemantics:
              ir.SetVar("comp", ir.FBin(
                  "+", ir.FBin("+", ir.IToF(ir.IMul(ir.IVar("q"),
                                                    ir.ILit(10000))),
-                              ir.IToF(ir.IMul(ir.IVar("m"), ir.ILit(100))),
-                              ir.W_NONE),
-                 ir.IToF(ir.IMod(ir.IVar("i"), 5)), ir.W_NONE)),
+                              ir.IToF(ir.IMul(ir.IVar("m"), ir.ILit(100)))),
+                 ir.IToF(ir.IMod(ir.IVar("i"), 5)))),
              ir.Return("comp")],
         comp="comp", fp_vars=("comp",), int_vars=("i", "j", "q", "m"))
 
@@ -686,36 +672,39 @@ class TestCPreludeIntSemantics:
 
 
 class TestFamilyRuns:
-    """Each member of a compiled family computes what its own IR
-    computes under interp: per-member FTZ wraps and contraction sites."""
+    """Each mode of one compiled module computes what the interpreted
+    kernel emitted for that mode computes: its own FTZ wraps, flushes,
+    loads and contraction, on subnormal data."""
 
-    @staticmethod
-    def _run_members(*kirs, args: dict) -> list:
-        """``(interp result, C result)`` per member of one family built
-        from ``kirs``."""
+    MODES = [(ftz, fma) for fma in ir.FMA_MODES for ftz in (False, True)]
+
+    @classmethod
+    def _run_modes(cls, kir: ir.KernelIR, args: dict) -> list:
+        """``(interp result, C result)`` per mode, every C run from the
+        one module the first bind built."""
         _c_entry_or_skip()
-        cache = KernelCache()
-        shapes = [cache.get_structural(("members", i), lambda k=kir: _shape(k))
-                  for i, kir in enumerate(kirs)]
-        runs = [(_call(bind_py(s, ()), args), _call(bind_c(s, ()), args))
-                for s in shapes]
-        assert len({s.backend_cache["c"][0] for s in shapes}) == 1
+        shape = _shape(kir)
+        runs = [(_call(bind_py(shape, (), mode), args),
+                 _call(bind_c(shape, (), mode), args)) for mode in cls.MODES]
+        assert ("py", True, "none") in shape.backend_cache
+        assert shape.backend_cache["c"] is not None
         return runs
 
     @staticmethod
-    def _ftz_kernel(ftz: bool) -> ir.KernelIR:
-        """comp = x * a[0]; comp = fma(x, a[0], comp) — every wrap, the
-        flush after the contraction and both loads follow ``ftz``."""
-        w = ir.W_FTZ if ftz else ir.W_NONE
+    def _ftz_kernel() -> ir.KernelIR:
+        """comp = x * a[0]; comp = x * a[0] + comp, a contraction site —
+        every wrap, the flush after the contraction and both loads
+        follow the mode's FTZ flag."""
         x, a0 = ir.FVar("x"), ir.ALoad("a", ir.ILit(0))
+        comp = ir.FVar("comp")
         return ir.KernelIR(
-            ops=[ir.LoadScalar("x", w),
-                 ir.LoadArray("a", ir.A_FTZ_D if ftz else ir.A_COPY),
-                 ir.SetVar("comp", ir.FBin("*", x, a0, w)),
-                 ir.SetVar("comp", ir.FFma(x, a0, ir.FVar("comp"), False,
-                                           ftz)),
+            ops=[ir.LoadScalar("x"), ir.LoadArray("a"),
+                 ir.SetVar("comp", ir.FBin("*", x, a0)),
+                 ir.SetVar("comp", ir.FSite(
+                     ir.FFma(x, a0, comp),
+                     ir.FBin("+", ir.FBin("*", x, a0), comp), "basic")),
                  ir.Return("comp")],
-            comp="comp", fp_vars=("x", "comp"), arrays=("a",), ftz=ftz)
+            comp="comp", fp_vars=("x", "comp"), arrays=("a",))
 
     @pytest.mark.parametrize("x,a0", [
         (1e-155, 1e-155),   # subnormal products
@@ -723,28 +712,71 @@ class TestFamilyRuns:
         (1.0, 1e-310),      # a subnormal array element
     ])
     def test_each_member_runs_its_own_ftz(self, x, a0):
-        runs = self._run_members(
-            self._ftz_kernel(False), self._ftz_kernel(True),
-            self._ftz_kernel(False), args={"x": x, "a": [a0]})
+        runs = self._run_modes(self._ftz_kernel(), args={"x": x, "a": [a0]})
         for ref, got in runs:
             assert got.hex() == ref.hex()
-        assert runs[0][0] != 0.0 and runs[1][0] == 0.0
+        for (ftz, _), (ref, _) in zip(self.MODES, runs):
+            assert (ref == 0.0) == ftz
 
     def test_each_member_runs_its_own_contraction(self):
         x, y = ir.FVar("x"), ir.FVar("y")
         c = ir.FLit(-(1 + 2.0 ** -29))
-        fused = ir.FFma(x, y, c, False, False)
-        unfused = ir.FBin("+", ir.FBin("*", x, y, ir.W_NONE), c, ir.W_NONE)
-
-        def kernel(e):
-            return ir.KernelIR(
-                ops=[ir.LoadScalar("x", ir.W_NONE),
-                     ir.LoadScalar("y", ir.W_NONE),
-                     ir.SetVar("comp", e), ir.Return("comp")],
-                comp="comp", fp_vars=("x", "y", "comp"))
-
+        site = ir.FSite(ir.FFma(x, y, c),
+                        ir.FBin("+", ir.FBin("*", x, y), c), "aggressive")
+        kernel = ir.KernelIR(
+            ops=[ir.LoadScalar("x"), ir.LoadScalar("y"),
+                 ir.SetVar("comp", site), ir.Return("comp")],
+            comp="comp", fp_vars=("x", "y", "comp"))
         v = 1 + 2.0 ** -30
-        runs = self._run_members(kernel(unfused), kernel(fused),
-                                 args={"x": v, "y": v})
+        runs = self._run_modes(kernel, args={"x": v, "y": v})
         assert [got for _, got in runs] == [ref for ref, _ in runs]
-        assert runs[0][1] == 0.0 and runs[1][1] == 2.0 ** -60
+        fused = {(False, "aggressive"): 2.0 ** -60,
+                 (True, "aggressive"): 2.0 ** -60}
+        assert [got for _, got in runs] == [fused.get(mode, 0.0)
+                                            for mode in self.MODES]
+
+    #: shape -> (double inputs, float inputs): a = b = 1 + eps and c
+    #: such that the fused result is eps**2 (up to sign) and the
+    #: two-rounding one 0
+    SITE_SHAPES = {
+        "a*b+c": (BinOpKind.ADD, False, -1.0),
+        "c+a*b": (BinOpKind.ADD, True, -1.0),
+        "a*b-c": (BinOpKind.SUB, False, 1.0),
+        "c-a*b": (BinOpKind.SUB, True, 1.0),
+    }
+
+    @pytest.mark.parametrize("fp", [FPType.DOUBLE, FPType.FLOAT],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("shape", sorted(SITE_SHAPES))
+    def test_every_site_shape_runs_its_own_contraction(self, shape, fp):
+        op, right, sign = self.SITE_SHAPES[shape]
+        a, b, c = (Variable(f"var_{n}", fp, VarKind.PARAM) for n in "abc")
+        prod = BinOp(BinOpKind.MUL, VarRef(a), VarRef(b))
+        expr = (BinOp(op, VarRef(c), prod) if right
+                else BinOp(op, prod, VarRef(c)))
+        (store,) = [o for o in _lower(_mk(lambda comp: Block([
+            _assign(comp, AssignOpKind.ASSIGN, expr)]), fp=fp,
+            extra_params=[a, b, c])).ir.ops if isinstance(o, ir.SetVar)]
+        assert isinstance(store.e, ir.FSite)
+        kernel = ir.KernelIR(
+            ops=[ir.LoadScalar("var_a"), ir.LoadScalar("var_b"),
+                 ir.LoadScalar("var_c"), store, ir.Return("comp")],
+            comp="comp", fp_vars=("var_a", "var_b", "var_c", "comp"),
+            fp32=fp is FPType.FLOAT)
+        eps = 2.0 ** (-12 if fp is FPType.FLOAT else -30)
+        runs = self._run_modes(kernel, args={
+            "var_a": 1 + eps, "var_b": 1 + eps,
+            "var_c": sign * (1 + 2 * eps)})
+        assert [got for _, got in runs] == [ref for ref, _ in runs]
+        fused = {"none": False, "basic": op is BinOpKind.ADD,
+                 "aggressive": True}
+        for (_, fma), (ref, _) in zip(self.MODES, runs):
+            assert abs(ref) == (eps * eps if fused[fma] else 0.0)
+
+    def test_mode_out_of_range_is_rejected(self):
+        _c_entry_or_skip()
+        shape = _shape(self._ftz_kernel())
+        bind_c(shape, (), PLAIN)
+        with pytest.raises(ValueError, match="mode out of range"):
+            shape.backend_cache["c"]({"x": 1.0, "a": [1.0]}, None, None,
+                                     (), 2 * len(ir.FMA_MODES))

@@ -35,22 +35,39 @@ class TestKernelCache:
         for vendor in (GCC, CLANG, INTEL):
             compile_binary(program, vendor, cache=cache)
         stats = cache.stats()
-        # at -O3 the three vendors have three distinct shapes (gcc
-        # contracts aggressively, clang basic, intel basic+FTZ), so no
-        # sharing yet — but nothing is compiled twice either
+        # at -O3 the three vendors run three FP modes (gcc contracts
+        # aggressively, clang basic, intel basic+FTZ) of one lowering;
+        # each binds its own constants, and nothing is lowered twice
         assert stats.kernel_misses == 3
         assert stats.kernel_hits == 0
+        assert stats.structural_misses == 1
+        assert stats.structural_hits == 2
+
+    def test_every_vendor_and_opt_level_share_one_lowering(self, program):
+        cache = KernelCache()
+        binaries = [compile_binary(program, vendor, opt, cache=cache)
+                    for opt in ("-O0", "-O1", "-O2", "-O3")
+                    for vendor in (GCC, CLANG, INTEL)]
+        stats = cache.stats()
+        assert stats.structural_misses == 1
+        assert stats.structural_hits == 11
+        assert stats.kernel_misses == 12
+        assert len({id(b.kernel.structural) for b in binaries}) == 1
+        assert {b.kernel.mode for b in binaries} == {
+            (False, "none"), (True, "none"), (False, "aggressive"),
+            (False, "basic"), (True, "basic")}
 
     def test_structural_shared_when_shapes_coincide(self, program):
-        # at -O1 FMA contraction is off for everyone: gcc and clang emit
-        # the identical template and must share one structural pass
+        # at -O1 FMA contraction is off for everyone: gcc and clang run
+        # one lowering in one mode
         cache = KernelCache()
         a = compile_binary(program, GCC, "-O1", cache=cache)
         b = compile_binary(program, CLANG, "-O1", cache=cache)
         stats = cache.stats()
         assert stats.structural_misses == 1
         assert stats.structural_hits == 1
-        assert a.kernel.structural is b.kernel.structural  # same shape
+        assert a.kernel.structural is b.kernel.structural  # one lowering
+        assert a.kernel.mode == b.kernel.mode == (False, "none")
         assert a.kernel.constants != b.kernel.constants  # vendor costs
 
     def test_lru_eviction_bounds_entries(self, program_stream):
@@ -121,12 +138,12 @@ class TestKernelCache:
 
 class TestTwoPhaseLowering:
     def test_bind_is_memoized(self, program):
-        kernel = bind_costs(StructuralLowerer(program, ftz=False).lower(),
+        kernel = bind_costs(StructuralLowerer(program).lower(),
                             CLANG, "-O3")
         assert kernel.bind() is kernel.bind()
 
     def test_cost_pass_needs_no_ast(self, program):
-        structural = StructuralLowerer(program, ftz=False).lower()
+        structural = StructuralLowerer(program).lower()
         gcc_kernel = bind_costs(structural, GCC, "-O3")
         clang_kernel = bind_costs(structural, CLANG, "-O3")
         assert gcc_kernel.structural is clang_kernel.structural
@@ -134,15 +151,15 @@ class TestTwoPhaseLowering:
         assert gcc_kernel.constants != clang_kernel.constants
 
     def test_fault_scaling_changes_only_constants(self, program):
-        structural = StructuralLowerer(program, ftz=False).lower()
+        structural = StructuralLowerer(program).lower()
         plain = bind_costs(structural, GCC, "-O3")
         slow = bind_costs(structural, GCC, "-O3", slow_armed=True)
         assert plain.structural is slow.structural
         assert plain.constants != slow.constants
 
     def test_opt_level_changes_only_constants(self, program):
-        # -O2 and -O3 share the gcc shape (same fma mode) but cost
-        # differently; the structural kernel is reused across levels
+        # -O2 and -O3 share the gcc mode but cost differently; the
+        # structural kernel is reused across levels
         cache = KernelCache()
         o2 = compile_binary(program, GCC, "-O2", cache=cache)
         o3 = compile_binary(program, GCC, "-O3", cache=cache)
@@ -150,15 +167,17 @@ class TestTwoPhaseLowering:
         assert o2.kernel.constants != o3.kernel.constants
 
     def test_interp_code_compiled_once_per_shape(self, program):
-        # the first interp bind compiles the shape's Python; every vendor
-        # bound from the same shape reuses that code object
-        structural = StructuralLowerer(program, ftz=False).lower()
-        assert "py" not in structural.backend_cache
-        gcc = bind_costs(structural, GCC, "-O3").bind("interp")
-        clang = bind_costs(structural, CLANG, "-O3").bind("interp")
-        assert "py" in structural.backend_cache
+        # the first interp bind of a mode compiles the Python for it;
+        # every vendor bound in the same mode reuses that code object
+        structural = StructuralLowerer(program).lower()
+        assert not structural.backend_cache
+        gcc = bind_costs(structural, GCC, "-O1").bind("interp")
+        clang = bind_costs(structural, CLANG, "-O1").bind("interp")
+        assert list(structural.backend_cache) == [("py", False, "none")]
         assert gcc.__code__ is clang.__code__
         assert gcc is not clang  # each binds its own constants
+        intel = bind_costs(structural, INTEL, "-O1").bind("interp")
+        assert intel.__code__ is not gcc.__code__  # the FTZ mode
 
     def test_c_bind_compiles_no_python(self, program):
         from repro.sim.backend import _c_available
@@ -166,13 +185,12 @@ class TestTwoPhaseLowering:
         ok, why = _c_available()
         if not ok:
             pytest.skip(f"C kernel backend unavailable: {why}")
-        structural = StructuralLowerer(program, ftz=False).lower()
+        structural = StructuralLowerer(program).lower()
         bind_costs(structural, GCC, "-O3").bind("c")
-        assert "c" in structural.backend_cache
-        assert "py" not in structural.backend_cache
+        assert list(structural.backend_cache) == ["c"]
 
     def test_regions_metadata_preserved(self, program):
-        kernel = bind_costs(StructuralLowerer(program, ftz=False).lower(),
+        kernel = bind_costs(StructuralLowerer(program).lower(),
                             GCC, "-O3")
         legacy_meta = [m.n_threads for m in kernel.regions]
         assert legacy_meta  # generated programs always have a region
@@ -193,62 +211,5 @@ class TestVendorVariantKeys:
         variant = compile_binary(program, variant_model, cache=cache)
         assert variant_model.name == GCC.name
         assert stock.kernel.constants != variant.kernel.constants
-        # the structural kernel is shape-keyed and still shared
+        # the structural kernel is keyed by the program and still shared
         assert stock.kernel.structural is variant.kernel.structural
-
-
-class TestFamilies:
-    """The shapes of one fingerprint the cache lowered and no C module
-    holds yet (built together by the C backend's first bind)."""
-
-    def _shapes(self, program, vendors, cache, opt="-O3"):
-        return [compile_binary(program, v, opt, cache=cache).kernel.structural
-                for v in vendors]
-
-    def test_claim_takes_the_family_in_lowering_order(self, program):
-        cache = KernelCache()
-        gcc, clang, intel = self._shapes(program, (GCC, CLANG, INTEL), cache)
-        assert cache.claim_family(clang) == [gcc, clang, intel]
-        # claimed: each member is now on its own
-        assert cache.claim_family(gcc) == [gcc]
-
-    def test_shape_lowered_after_a_claim_starts_the_next_family(self,
-                                                                program):
-        cache = KernelCache()
-        gcc, clang = self._shapes(program, (GCC, CLANG), cache)
-        cache.claim_family(gcc)
-        o1_gcc, o1_intel = self._shapes(program, (GCC, INTEL), cache, "-O1")
-        assert cache.claim_family(o1_intel) == [o1_gcc, o1_intel]
-
-    def test_programs_are_separate_families(self, program_stream):
-        cache = KernelCache()
-        a = self._shapes(program_stream[0], (GCC, INTEL), cache)
-        b = self._shapes(program_stream[1], (GCC, INTEL), cache)
-        assert cache.claim_family(a[0]) == a
-        assert cache.claim_family(b[1]) == b
-
-    def test_membership_ignores_the_active_kernel_backend(self, program):
-        from repro.sim.backend import use_kernel_backend
-
-        cache = KernelCache()
-        shapes = []
-        for vendor, backend in ((GCC, "interp"), (CLANG, "c"),
-                                (INTEL, "auto")):
-            with use_kernel_backend(backend):
-                shapes += self._shapes(program, (vendor,), cache)
-        assert cache.claim_family(shapes[0]) == shapes
-
-    def test_lru_bounds_the_families(self, program, program_stream):
-        cache = KernelCache(structural_capacity=2)
-        gcc, clang, intel = self._shapes(program, (GCC, CLANG, INTEL), cache)
-        # gcc's shape left the structural LRU, and with it its family
-        assert cache.claim_family(intel) == [clang, intel]
-        assert cache.claim_family(gcc) == [gcc]
-        for p in program_stream[1:5]:
-            self._shapes(p, (GCC,), cache)
-        assert len(cache._families) <= 2
-        cache.clear()
-        assert not cache._families
-
-    def test_shape_lowered_outside_a_cache_has_no_family(self, program):
-        assert StructuralLowerer(program, ftz=False).lower().family is None

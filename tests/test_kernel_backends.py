@@ -8,12 +8,11 @@ states, and the fault detail string.  Anything less silently changes
 campaign verdicts, which is the one thing a speed knob may never do.
 
 The battery sweeps every directive mix × all three vendor models × two
-optimization levels and compares full records across backends.  It
-compiles every vendor × opt level of a program before running any, so
-the program's shapes form one family and run from one C module, as in
-a campaign; a family-of-one case, shapes built alone, is kept beside
-it.  Family formation (one build per program, splits, late shapes) and
-fault parity (CRASH/HANG records) are pinned separately.  Without a C
+optimization levels and compares full records across backends; every
+vendor and opt level of a program runs from the program's one C module,
+each in its own FP mode.  That a program costs one compiler run and
+one module load whatever order its vendors compile and run in, and
+fault parity (CRASH/HANG records), are pinned separately.  Without a C
 toolchain there is nothing to compare against, so the cross-backend
 checks skip (the forced-``c`` CI leg fails instead of skipping).
 """
@@ -37,7 +36,7 @@ from repro.core.inputs import InputGenerator
 from repro.driver import run_binary
 from repro.driver.engine import ExecutionPlan, execute_unit, plan_units
 from repro.driver.records import RunStatus
-from repro.sim import _native, ckernel, ir, kcache
+from repro.sim import _native, ckernel, kcache
 from repro.sim import backend as backend_mod
 from repro.sim import backend_info
 from repro.sim.backend import (
@@ -47,9 +46,7 @@ from repro.sim.backend import (
     set_kernel_backend,
     use_kernel_backend,
 )
-from repro.sim.lower import StructuralLowerer, bind_costs
 from repro.backends import get_backend
-from repro.vendors import GCC
 
 VENDORS = ("gcc", "clang", "intel")
 
@@ -78,15 +75,15 @@ def run_under(binary, test_input, machine, backend):
 
 
 def c_module(binary):
-    """``(run, member index)`` of the C module the binary's shape runs
-    from (set by its first C bind)."""
+    """The ``run`` of the C module the binary's kernel runs from (set by
+    the first C bind of its program)."""
     return binary.kernel.structural.backend_cache["c"]
 
 
 @pytest.fixture()
 def fresh_kernel_cache(monkeypatch):
-    """An empty process kernel cache: the test's shapes form new
-    families instead of joining ones other tests already built."""
+    """An empty process kernel cache: the test's programs lower anew
+    instead of reusing IRs other tests already built."""
     monkeypatch.setattr(kcache, "_DEFAULT_CACHE", kcache.KernelCache())
 
 
@@ -321,9 +318,6 @@ class TestBitwiseBattery:
         for i in range(self.PROGRAMS_PER_MIX):
             program = gen.generate(i)
             test_input = inputs.generate(program, 0)
-            # everything compiles before anything runs: the program's
-            # shapes are one family, built as one module by the first
-            # C bind
             binaries = [(vendor, opt, get_backend(vendor).compile(
                 program, opt)) for vendor in VENDORS
                 for opt in self.OPT_LEVELS]
@@ -336,7 +330,7 @@ class TestBitwiseBattery:
                     "c diverged from interp on "
                     f"{program.name}/{vendor}/{opt} ({mix})")
                 compared += 1
-            assert len({c_module(b)[0] for _, _, b in binaries}) == 1
+            assert len({c_module(b) for _, _, b in binaries}) == 1
         assert compared == (self.PROGRAMS_PER_MIX * len(VENDORS)
                             * len(self.OPT_LEVELS))
 
@@ -351,12 +345,12 @@ def _program(index: int, mix: str = "full"):
 
 @needs_c
 class TestFamilies:
-    """How a program's kernel shapes become C modules."""
+    """A program's vendors and opt levels share one C module."""
 
     def test_family_of_one_records_identical(self, machine,
-                                             fresh_kernel_cache):
-        # each vendor compiles and runs before the next compiles: every
-        # shape is built alone, as member 0 of its own module
+                                             fresh_kernel_cache, cc_calls):
+        # each vendor compiles and runs before the next compiles: still
+        # one compiler run, one module, each vendor in its own mode
         program, test_input = _program(3)
         runs = set()
         for vendor in VENDORS:
@@ -364,10 +358,10 @@ class TestFamilies:
             reference = run_under(binary, test_input, machine, "interp")
             got = run_under(binary, test_input, machine, "c")
             assert record_tuple(got) == record_tuple(reference), vendor
-            run, member = c_module(binary)
-            assert member == 0
-            runs.add(run)
-        assert len(runs) == len(VENDORS)
+            runs.add(c_module(binary))
+        assert len(cc_calls["build"]) == 1
+        assert len(cc_calls["load"]) == 1
+        assert len(runs) == 1
 
     def test_one_program_one_compiler_run(self, machine, fresh_kernel_cache,
                                           cc_calls):
@@ -381,72 +375,42 @@ class TestFamilies:
         assert len(cc_calls["build"]) == 1
         assert len(cc_calls["load"]) == 1
         assert ckernel.build_info()["compiled"] == 1
-        assert [c_module(b)[1] for b in binaries] == [0, 1, 2]
+        assert len({c_module(b) for b in binaries}) == 1
 
-    def _twins(self, program, alter=None):
-        """Two shapes of ``program`` lowered as one family (FTZ off),
-        the second optionally altered; each as a runnable binary."""
-        import dataclasses
-
-        cache = kcache.KernelCache()
-        template = get_backend("gcc").compile(program, "-O1")
-        binaries = []
-        for tag in ("first", "second"):
-            shape = cache.get_structural(
-                ("twins", tag),
-                lambda: StructuralLowerer(program, ftz=False).lower())
-            if tag == "second" and alter is not None:
-                alter(shape.ir)
-            binaries.append(dataclasses.replace(
-                template, kernel=bind_costs(shape, GCC, "-O1")))
-        return binaries
-
-    def test_identical_members_match_interp(self, machine):
+    def test_identical_members_match_interp(self, machine,
+                                            fresh_kernel_cache):
+        # gcc and clang below -O2 run the same mode of one module
         program, test_input = _program(5)
-        binaries = self._twins(program)
+        binaries = [get_backend(v).compile(program, "-O1")
+                    for v in ("gcc", "clang")]
         records = [(record_tuple(run_under(b, test_input, machine, "c")),
                     record_tuple(run_under(b, test_input, machine,
                                            "interp"))) for b in binaries]
-        assert records[0][0] == records[0][1] == records[1][0]
-        assert records[1][0] == records[1][1]
-        assert [c_module(b)[1] for b in binaries] == [0, 1]
-        assert c_module(binaries[0])[0] is c_module(binaries[1])[0]
-
-    def test_mismatched_skeleton_is_its_own_module(self, machine, cc_calls):
-        def alter(kir):
-            # three more branches charged before the closing Flush: a
-            # statement the other member lacks
-            kir.ops.insert(len(kir.ops) - 2, ir.Charge(0, None, None, 3.0))
-
-        program, test_input = _program(6)
-        plain, altered = self._twins(program, alter)
-        got = [(run_under(b, test_input, machine, "c"),
-                run_under(b, test_input, machine, "interp"))
-               for b in (plain, altered)]
-        for c_record, interp_record in got:
-            assert record_tuple(c_record) == record_tuple(interp_record)
-        assert (got[1][0].counters.branches
-                == got[0][0].counters.branches + 3)
-        assert c_module(plain)[0] is not c_module(altered)[0]
-        assert c_module(plain)[1] == c_module(altered)[1] == 0
-        assert len(cc_calls["build"]) == 2
+        for c_record, interp_record in records:
+            assert c_record == interp_record
+        assert binaries[0].kernel.mode == binaries[1].kernel.mode
+        assert c_module(binaries[0]) is c_module(binaries[1])
 
     def test_shape_lowered_after_its_family_build(self, machine,
                                                   fresh_kernel_cache,
                                                   cc_calls):
+        # vendors compiled after the first C bind, at every opt level,
+        # lower nothing and build nothing: they join the program's module
         program, test_input = _program(7)
+        cache = kcache.get_kernel_cache()
         early = [get_backend(v).compile(program, "-O3")
                  for v in ("gcc", "clang")]
         records = [run_under(b, test_input, machine, "c") for b in early]
-        late = get_backend("intel").compile(program, "-O3")
-        records.append(run_under(late, test_input, machine, "c"))
-        for binary, record in zip([*early, late], records):
+        late = [get_backend(v).compile(program, opt) for v in VENDORS
+                for opt in ("-O0", "-O1", "-O2", "-O3")]
+        records += [run_under(b, test_input, machine, "c") for b in late]
+        for binary, record in zip([*early, *late], records):
             assert record_tuple(record) == record_tuple(run_under(
                 binary, test_input, machine, "interp"))
-        assert c_module(early[0])[0] is c_module(early[1])[0]
-        assert c_module(late)[0] is not c_module(early[0])[0]
-        assert c_module(late)[1] == 0
-        assert len(cc_calls["build"]) == 2
+        assert len(cc_calls["build"]) == 1
+        assert len(cc_calls["load"]) == 1
+        assert cache.stats().structural_misses == 1
+        assert len({c_module(b) for b in [*early, *late]}) == 1
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +437,7 @@ class TestFaultParity:
     def test_faulting_records_identical(self, index, vendor, status,
                                         machine, fresh_kernel_cache):
         program, test_input = _program(index)
-        # the faulting vendor runs as a member of the program's family
+        # the faulting vendor runs from the module its siblings share
         binary = {v: get_backend(v).compile(program, "-O3")
                   for v in VENDORS}[vendor]
         ref = run_under(binary, test_input, machine, "interp")

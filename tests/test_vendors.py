@@ -85,8 +85,9 @@ class TestCompileBinary:
         gcc = compile_binary(p, GCC).kernel
         intel = compile_binary(p, INTEL).kernel
         assert gcc.constants != intel.constants  # vendor cost models
-        assert not gcc.structural.ir.ftz  # only intel flushes subnormals
-        assert intel.structural.ir.ftz
+        assert not gcc.mode[0]  # only intel flushes subnormals
+        assert intel.mode == (True, "basic")
+        assert gcc.mode == (False, "aggressive")
 
     def test_bad_opt_level_rejected(self, program_stream):
         with pytest.raises(CompilationError):
