@@ -22,7 +22,11 @@ toolchain exists.
 The grid is fixed: :data:`PROGRAMS` programs of each directive mix,
 :data:`INPUTS` inputs each, every vendor at every opt level.  Every
 program compiles for every vendor and opt level before any of its
-binaries runs, as in a campaign.
+binaries runs, as in a campaign.  A fault leg follows, since the grid's
+records all end OK: the :data:`FAULT_PROGRAMS` of the seed-777 ``full``
+stream at the 8-thread generator config whose runs end HANG (45 and 62,
+under intel) or CRASH (136, under gcc), each under every vendor at
+``-O3`` with input 0.
 """
 
 from __future__ import annotations
@@ -39,16 +43,35 @@ OPT_LEVELS = ("-O0", "-O1", "-O2", "-O3")
 MIXES = ("full", "paper", "reductions", "sync", "tasks", "worksharing")
 PROGRAMS = 10  # per directive mix
 INPUTS = 2     # per program
+FAULT_PROGRAMS = (45, 62, 136)
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def record_lines():
-    """The lines for the sample grid, in a fixed order."""
+def _lines(tag: str, program, test_inputs, opt_levels, machine):
+    """One line per (vendor, opt level, input) of one program, compiled
+    for every vendor and opt level first."""
     from repro.backends import get_backend
-    from repro.config import CampaignConfig
+
+    builds = [(vendor, opt, get_backend(vendor).compile(program, opt))
+              for vendor in VENDORS for opt in opt_levels]
+    for vendor, opt, exe in builds:
+        constants = _sha(repr(tuple(exe.kernel.constants)))
+        for k, test_input in enumerate(test_inputs):
+            row = get_backend(vendor).execute(exe, test_input,
+                                              machine).to_row()
+            record = _sha(json.dumps(row, sort_keys=True))
+            yield (f"{tag} {vendor} {opt} {k} "
+                   f"record={record} K={constants}")
+
+
+def record_lines():
+    """The lines for the sample grid and the fault leg, in a fixed
+    order."""
+    from repro.config import (CampaignConfig, GeneratorConfig,
+                              MachineConfig, apply_directive_mix)
     from repro.core.generator import ProgramGenerator
     from repro.core.inputs import InputGenerator
 
@@ -60,16 +83,18 @@ def record_lines():
             program = gen.generate(index)
             test_inputs = [input_gen.generate(program, k)
                            for k in range(INPUTS)]
-            builds = [(vendor, opt, get_backend(vendor).compile(program, opt))
-                      for vendor in VENDORS for opt in OPT_LEVELS]
-            for vendor, opt, exe in builds:
-                constants = _sha(repr(tuple(exe.kernel.constants)))
-                for k, test_input in enumerate(test_inputs):
-                    row = get_backend(vendor).execute(exe, test_input,
-                                                      cfg.machine).to_row()
-                    record = _sha(json.dumps(row, sort_keys=True))
-                    yield (f"{mix} {index} {vendor} {opt} {k} "
-                           f"record={record} K={constants}")
+            yield from _lines(f"{mix} {index}", program, test_inputs,
+                             OPT_LEVELS, cfg.machine)
+    fault_cfg = apply_directive_mix(
+        GeneratorConfig(max_total_iterations=4_000, loop_trip_max=60,
+                        num_threads=8), "full")
+    gen = ProgramGenerator(fault_cfg, seed=777)
+    input_gen = InputGenerator(fault_cfg, seed=778)
+    machine = MachineConfig()
+    for index in FAULT_PROGRAMS:
+        program = gen.generate(index)
+        yield from _lines(f"fault {index}", program,
+                         [input_gen.generate(program, 0)], ("-O3",), machine)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,8 +4,8 @@ The simulated backend executes generated programs with exact IEEE
 semantics on a virtual clock.  A vendor's "compiler" lowers the AST to a
 typed register IR (:mod:`repro.sim.lower`, :mod:`repro.sim.ir`); its
 "runtime" is a :class:`~repro.sim.runtime.RegionExecutor` cost model
-driven by hooks in the lowered code.  Two kernel backends execute the
-same IR byte-identically: interpreted Python emitted by
+the lowered code enters at region boundaries.  Two kernel backends
+execute the same IR byte-identically: interpreted Python emitted by
 :mod:`repro.sim.pykernel` (the reference) and compiled C emitted by
 :mod:`repro.sim.ckernel` — see :mod:`repro.sim.backend` for selection
 and :func:`backend_info` for what is active and why.

@@ -14,9 +14,14 @@ call-constant flag.
 Inside the function FP scalars are C ``double`` locals, int scalars are
 ``long``, arrays are malloc'd ``double*`` copies of the input lists, and
 the four cost-accumulator lanes live in registers between the
-Flush/Reload points — the Python interpreter is only re-entered at
-runtime hooks, which is what buys the order-of-magnitude throughput over
-the interpreted kernel.
+Flush/Reload points.  So does the region block: the event counters, the
+acquire count checked against the livelock threshold, the schedule lane
+that ``sched_next`` — the twin of :func:`repro.sim.pykernel.chunks` —
+charges while it walks a worksharing loop's chunks, and the per-thread
+lane deltas.  The Python interpreter is only re-entered at the prologue,
+region enter and exit, and the livelock abort (one shared label), which
+is what buys the order-of-magnitude throughput over the interpreted
+kernel.
 
 Bit-exactness contract (the reason the C backend requires
 :func:`repro.sim.values.native_values_active`):
@@ -130,28 +135,87 @@ static inline long idx_fix(long i, Py_ssize_t n, int *ierr) {
     return bad ? 0 : u;
 }
 
-static int set_attr_d(PyObject *o, const char *name, double v) {
-    PyObject *f = PyFloat_FromDouble(v);
-    int r;
-    if (!f) return -1;
-    r = PyObject_SetAttrString(o, name, f);
-    Py_DECREF(f);
-    return r;
-}
-static int get_attr_d(PyObject *o, const char *name, double *out) {
-    PyObject *f = PyObject_GetAttrString(o, name);
-    double v;
-    if (!f) return -1;
-    v = PyFloat_AsDouble(f);
-    Py_DECREF(f);
-    if (v == -1.0 && PyErr_Occurred()) return -1;
-    *out = v;
+/* pykernel.chunks: thread tid's next chunk [w[3], w[4]) of w[0]
+   iterations (w[1]: chunks walked, w[2]: guided start); *sch += cy once
+   (kind 0: static, 1: static,c) or per chunk (2: dynamic, 3: guided) */
+static int sched_next(int kind, long c, long t, long tid, long *w,
+                      double *sch, double cy) {
+    long n = w[0];
+    if (c < 1) c = 1;
+    if (kind < 2 && w[1] == 0) *sch += cy;
+    if (kind == 0) {
+        long q = (n > 0 ? n : 0) / t, r = (n > 0 ? n : 0) % t;
+        w[3] = tid * q + (tid < r ? tid : r);
+        w[4] = w[3] + q + (tid < r);
+        return w[1]++ == 0;
+    }
+    if (kind < 3) {
+        w[3] = (tid + w[1]++ * t) * c;
+        w[4] = w[3] + c < n ? w[3] + c : n;
+        if (w[3] >= n) return 0;
+        if (kind == 2) *sch += cy;
+        return 1;
+    }
+    while (w[2] < n) {  /* a chunk takes half a share of what is left */
+        long z = (n - w[2] + 2 * t - 1) / (2 * t);
+        w[3] = w[2];
+        w[2] += z > c ? z : c;
+        w[4] = w[2] < n ? w[2] : n;
+        if (w[1]++ % t == tid) { *sch += cy; return 1; }
+    }
     return 0;
 }
 
-#define CALL0(H) do { \
-    PyObject *_r = PyObject_CallNoArgs(H); \
-    if (!_r) goto fail; Py_DECREF(_r); } while (0)
+static PyObject *dlist(const double *v, long n) {
+    PyObject *l = PyList_New(n);
+    for (long i = 0; l && i < n; i++) {
+        PyObject *f = PyFloat_FromDouble(v[i]);
+        if (!f) Py_CLEAR(l); else PyList_SET_ITEM(l, i, f);
+    }
+    return l;
+}
+
+/* *comp = rt.region_exit(...); no op, no partials (None) */
+static int region_exit(PyObject *h, long rid, double *comp, double *part,
+                       long part_n, const char *op, long sync, long atom,
+                       long acq, double sch, double *lcy, double *lccy,
+                       long t) {
+    PyObject *pl = op ? dlist(part, part_n) : Py_NewRef(Py_None);
+    PyObject *lc = dlist(lcy, t), *lk = dlist(lccy, t), *r = NULL;
+    if (pl && lc && lk)
+        r = PyObject_CallFunction(h, "ldOsllldOO", rid, *comp, pl, op, sync,
+                                  atom, acq, sch, lc, lk);
+    Py_XDECREF(pl); Py_XDECREF(lc); Py_XDECREF(lk);
+    if (r) *comp = PyFloat_AsDouble(r);
+    Py_XDECREF(r);
+    return r && !(*comp == -1.0 && PyErr_Occurred()) ? 0 : -1;
+}
+
+/* the cost lanes to and from the CostState */
+static const char *const lane_names[4] = {"cy", "ccy", "ins", "br"};
+static int flush(PyObject *o, double cy, double ccy, double ins, double br) {
+    double v[4] = {cy, ccy, ins, br};
+    for (int i = 0; i < 4; i++) {
+        PyObject *f = PyFloat_FromDouble(v[i]);
+        int r = f ? PyObject_SetAttrString(o, lane_names[i], f) : -1;
+        Py_XDECREF(f);
+        if (r < 0) return -1;
+    }
+    return 0;
+}
+static int reload(PyObject *o, double *cy, double *ccy, double *ins,
+                  double *br) {
+    double *v[4] = {cy, ccy, ins, br};
+    for (int i = 0; i < 4; i++) {
+        PyObject *f = PyObject_GetAttrString(o, lane_names[i]);
+        if (!f) return -1;
+        *v[i] = PyFloat_AsDouble(f);
+        Py_DECREF(f);
+        if (*v[i] == -1.0 && PyErr_Occurred()) return -1;
+    }
+    return 0;
+}
+
 #define CALL_L(H, A) do { \
     PyObject *_r = PyObject_CallFunction((H), "l", (long)(A)); \
     if (!_r) goto fail; Py_DECREF(_r); } while (0)
@@ -197,8 +261,8 @@ class _Emitter:
         self.lines: list[str] = []
         self.depth = 1
         self.uniq = 0
-        self.hooks: dict[str, str] = {}   # hook name -> C var
-        self.iters: list[str] = []        # ForAssign iterator temps
+        self.rt_calls: dict[str, str] = {}  # runtime method -> C var
+        self.max_threads = 0              # widest team: thread-lane size
         self._ierr = False                # statement touched an array
 
     # -- plumbing ------------------------------------------------------
@@ -209,11 +273,12 @@ class _Emitter:
         self.uniq += 1
         return self.uniq
 
-    def hook(self, name: str) -> str:
-        var = self.hooks.get(name)
+    def rt_call(self, name: str) -> str:
+        """The C variable holding the runtime method ``name``."""
+        var = self.rt_calls.get(name)
         if var is None:
             var = f"h_{name}"
-            self.hooks[name] = var
+            self.rt_calls[name] = var
         return var
 
     def chk(self) -> None:
@@ -306,29 +371,46 @@ class _Emitter:
             self.chk()
             return
         if t is _ir.Flush:
-            self.w('if (set_attr_d(c_obj, "cy", cy) < 0) goto fail;')
-            self.w('if (set_attr_d(c_obj, "ccy", ccy) < 0) goto fail;')
-            self.w('if (set_attr_d(c_obj, "ins", ins) < 0) goto fail;')
-            self.w('if (set_attr_d(c_obj, "br", br) < 0) goto fail;')
+            self.w("if (flush(c_obj, cy, ccy, ins, br) < 0) goto fail;")
             return
         if t is _ir.Reload:
-            self.w('if (get_attr_d(c_obj, "cy", &cy) < 0) goto fail;')
-            self.w('if (get_attr_d(c_obj, "ccy", &ccy) < 0) goto fail;')
-            self.w('if (get_attr_d(c_obj, "ins", &ins) < 0) goto fail;')
-            self.w('if (get_attr_d(c_obj, "br", &br) < 0) goto fail;')
+            self.w("if (reload(c_obj, &cy, &ccy, &ins, &br) < 0) goto fail;")
             return
-        if t is _ir.Hook:
-            h = self.hook(op.name)
-            if op.tid:
-                self.w(f"CALL_L({h}, i__tid);")
-            else:
-                self.w(f"CALL0({h});")
+        if t is _ir.Prologue:
+            self.w("{")
+            self.w(f"    PyObject *_r = PyObject_CallNoArgs("
+                   f"{self.rt_call('prologue')});")
+            self.w('    int _ok = _r && PyArg_ParseTuple(_r, "ldd", &thr, '
+                   "&k_sch, &k_dsp);")
+            self.w("    Py_XDECREF(_r);")
+            self.w("    if (!_ok) goto fail;")
+            self.w("}")
+            return
+        if t is _ir.Count:
+            self.w(f"n_{op.event}++;")
+            return
+        if t is _ir.CritEnter:
+            self.rt_call("livelock")
+            self.w("if (++acq >= thr) goto livelock;")
             return
         if t is _ir.RegionEnter:
-            self.w(f"CALL_L({self.hook('region_enter')}, {op.rid});")
+            self.w(f"CALL_L({self.rt_call('region_enter')}, {op.rid});")
+            self.w("n_sync = n_atomic = 0; acq0 = acq; sch = 0.0;")
+            return
+        if t is _ir.ThreadBegin:
+            self.w("tcy = cy; tccy = ccy;")
+            return
+        if t is _ir.ThreadEnd:
+            self.w("lcy[i__tid] = cy - tcy; lccy[i__tid] = ccy - tccy;")
             return
         if t is _ir.RegionExit:
-            self._region_exit(op)
+            self.max_threads = max(self.max_threads, op.threads)
+            part = ('part, part_n, "' + op.op + '"' if op.has_partials
+                    else "NULL, 0, NULL")
+            h = self.rt_call("region_exit")
+            self.w(f"if (region_exit({h}, {op.rid}, &v_{op.comp}, {part}, "
+                   f"n_sync, n_atomic, acq - acq0, sch, lcy, lccy, "
+                   f"{op.threads}) < 0) goto fail;")
             return
         if t is _ir.InitPartials:
             self.w("part_n = 0;")
@@ -342,18 +424,6 @@ class _Emitter:
             self.w("    part = _np; part_cap = _nc;")
             self.w("}")
             self.w(f"part[part_n++] = v_{op.name};")
-            return
-        if t is _ir.Chunk:
-            h = self.hook("chunk")
-            self.w("{")
-            self.w(f"    PyObject *_r = PyObject_CallFunction({h}, "
-                   f'"ll", i__tid, (long)({self.iexpr(op.n)}));')
-            self.w("    if (!_r) goto fail;")
-            self.w(f'    if (!PyArg_ParseTuple(_r, "ll", '
-                   f"&i__lo_{op.label}, &i__hi_{op.label})) "
-                   "{ Py_DECREF(_r); goto fail; }")
-            self.w("    Py_DECREF(_r);")
-            self.w("}")
             return
         if t is _ir.ForRange:
             u = self.uid()
@@ -481,52 +551,23 @@ class _Emitter:
         raise TypeError(f"unknown IR op {t.__name__}")
 
     def _for_assign(self, op: _ir.ForAssign) -> None:
+        static = op.kind == "static"
+        kind = ((0 if op.chunk <= 0 else 1) if static
+                else 2 if op.kind == "dynamic" else 3)
         u = self.uid()
-        it = f"it{u}"
-        self.iters.append(it)
-        h = self.hook("assign")
         self.w("{")
-        self.w(f"    PyObject *_r = PyObject_CallFunction({h}, "
-               f'"llsl", i__tid, (long)({self.iexpr(op.n)}), '
-               f'"{op.kind}", (long){op.chunk});')
-        self.w("    if (!_r) goto fail;")
-        self.w(f"    {it} = PyObject_GetIter(_r); Py_DECREF(_r);")
-        self.w(f"    if (!{it}) goto fail;")
-        self.w("}")
-        self.w("while (1) {")
-        self.depth += 1
-        self.w(f"PyObject *_item = PyIter_Next({it});")
-        self.w("if (!_item) break;")
-        self.w(f"i_{op.var} = PyLong_AsLong(_item); Py_DECREF(_item);")
-        self.w(f"if (i_{op.var} == -1 && PyErr_Occurred()) goto fail;")
+        self.w(f"    long _w{u}[5] = {{{self.iexpr(op.n)}}};")
+        call = (f"sched_next({kind}, {op.chunk}, {op.threads}, i__tid, "
+                f"_w{u}, &sch, {'k_sch' if static else 'k_dsp'})")
+        # the default schedule deals one block: no loop over chunks
+        self.w(f"    {call};" if kind == 0 else f"    while ({call})")
+        self.w(f"    for (long _i{u} = _w{u}[3], _h{u} = _w{u}[4]; "
+               f"_i{u} < _h{u}; _i{u}++) {{")
+        self.depth += 2
+        self.w(f"i_{op.var} = _i{u};")
         self.block(op.body)
-        self.depth -= 1
-        self.w("}")
-        self.w("if (PyErr_Occurred()) goto fail;")
-        self.w(f"Py_CLEAR({it});")
-
-    def _region_exit(self, op: _ir.RegionExit) -> None:
-        h = self.hook("region_exit")
-        self.w("{")
-        self.w("    PyObject *_r;")
-        if op.has_partials:
-            self.w("    PyObject *_pl = PyList_New(part_n);")
-            self.w("    if (!_pl) goto fail;")
-            self.w("    for (long _i = 0; _i < part_n; _i++) {")
-            self.w("        PyObject *_f = PyFloat_FromDouble(part[_i]);")
-            self.w("        if (!_f) { Py_DECREF(_pl); goto fail; }")
-            self.w("        PyList_SET_ITEM(_pl, _i, _f);")
-            self.w("    }")
-            self.w(f'    _r = PyObject_CallFunction({h}, "ldOs", '
-                   f"(long){op.rid}, v_{op.comp}, _pl, \"{op.op}\");")
-            self.w("    Py_DECREF(_pl);")
-        else:
-            self.w(f'    _r = PyObject_CallFunction({h}, "ldOO", '
-                   f"(long){op.rid}, v_{op.comp}, Py_None, Py_None);")
-        self.w("    if (!_r) goto fail;")
-        self.w(f"    v_{op.comp} = PyFloat_AsDouble(_r); Py_DECREF(_r);")
-        self.w(f"    if (v_{op.comp} == -1.0 && PyErr_Occurred()) "
-               "goto fail;")
+        self.depth -= 2
+        self.w("    }")
         self.w("}")
 
     # -- whole module --------------------------------------------------
@@ -544,6 +585,13 @@ class _Emitter:
         w("    int mode = 0, fz, fm;")
         w(f"    double K[{nk}];")
         w("    double cy = 0.0, ccy = 0.0, ins = 0.0, br = 0.0;")
+        # the region block and the prologue's run constants
+        w("    long thr = 0, acq = 0, acq0 = 0, n_sync = 0, n_atomic = 0;")
+        w("    double sch = 0.0, k_sch = 0.0, k_dsp = 0.0, tcy = 0.0, "
+          "tccy = 0.0;")
+        if self.max_threads:
+            w(f"    double lcy[{self.max_threads}], "
+              f"lccy[{self.max_threads}];")
         w("    int ierr = 0;")
         w("    double *part = NULL; long part_n = 0, part_cap = 0;")
         ints = dict.fromkeys((*kir.int_vars, "_tid"))
@@ -556,10 +604,8 @@ class _Emitter:
         for name in kir.queues:
             w(f"    long *q_{name} = NULL; "
               f"long qn_{name} = 0, qc_{name} = 0;")
-        for var in self.hooks.values():
+        for var in self.rt_calls.values():
             w(f"    PyObject *{var} = NULL;")
-        for it in self.iters:
-            w(f"    PyObject *{it} = NULL;")
         w("    (void)ierr; (void)i__tid; (void)part;")
         w('    if (!PyArg_ParseTuple(call_args, "OOOOi", &args_obj, '
           "&rt_obj, &c_obj, &K_obj, &mode)) return NULL;")
@@ -584,12 +630,18 @@ class _Emitter:
             w("        if (K[_i] == -1.0 && PyErr_Occurred()) return NULL;")
             w("    }")
         w("    (void)K;")
-        for name, var in self.hooks.items():
+        for name, var in self.rt_calls.items():
             w(f'    {var} = PyObject_GetAttrString(rt_obj, "{name}");')
             w(f"    if (!{var}) goto fail;")
 
         tail: list[str] = []
         w = tail.append
+        h = self.rt_calls.get("livelock")
+        if h is not None:  # the one abort every acquire shares
+            w("    goto fail;")
+            w("livelock:")
+            w(f'    Py_XDECREF(PyObject_CallFunction({h}, "lldddd", '
+              "acq - acq0, n_atomic, cy, ccy, ins, br));")
         w("fail:")
         w("    Py_CLEAR(retval);")
         w("done:")
@@ -598,10 +650,8 @@ class _Emitter:
         for name in kir.queues:
             w(f"    free(q_{name});")
         w("    free(part);")
-        for var in self.hooks.values():
+        for var in self.rt_calls.values():
             w(f"    Py_XDECREF({var});")
-        for it in self.iters:
-            w(f"    Py_XDECREF({it});")
         w("    return retval;")
         w("}")
         w(_POSTLUDE)

@@ -7,8 +7,9 @@ the interpreted reference ``exec``'s, :mod:`repro.sim.ckernel` the C
 extension.  That is what makes the compiled backend byte-identical to the
 interpreter by construction: every operation a kernel performs — each FP
 op with its f32/FTZ/FMA/libm wrap, each fused cost charge against the
-``_K`` constants tuple, each runtime hook in order — is exactly one IR
-op, and the backends only differ in how they *execute* that op.
+``_K`` constants tuple, each OpenMP event and schedule step in order —
+is exactly one IR op, and the backends only differ in how they
+*execute* that op.
 
 One IR serves every vendor and opt level of a program.  What the
 vendors' FP modes change is read from the *mode* a kernel runs under,
@@ -32,10 +33,16 @@ Value semantics carried by the IR:
 * **Cost charges** add ``_K``-slot constants (and branch literals) to
   the four local accumulator lanes; :class:`Flush`/:class:`Reload`
   exchange the lanes with the shared
-  :class:`~repro.sim.lower.CostState` around the runtime hooks that
-  observe it.
-* **Hooks** call the :class:`~repro.sim.runtime.RegionExecutor` by
-  method name, with or without the ``_tid`` argument.
+  :class:`~repro.sim.lower.CostState` around the region boundaries.
+* **The region block.**  A kernel enters the
+  :class:`~repro.sim.runtime.RegionExecutor` only at :class:`Prologue`,
+  :class:`RegionEnter`, :class:`RegionExit` and the livelock abort of a
+  :class:`CritEnter`.  Everything the runtime used to observe per event
+  stays in kernel locals between a region's enter and exit: the
+  :class:`Count` counters, the acquires, the schedule-cycle lane the
+  :class:`ForAssign` walks charge, and the per-thread lane deltas
+  :class:`ThreadBegin`/:class:`ThreadEnd` take; :class:`RegionExit`
+  hands all of them over in one call.
 
 The IR is deliberately structured (loops and ifs nest) rather than a
 flat CFG: both backends are tree-walking source emitters, and neither
@@ -283,27 +290,66 @@ class Reload:
 
 
 @dataclass(slots=True)
-class Hook:
-    """``_rt.<name>()`` — a cost-transparent or flushed-around runtime
-    hook; ``tid`` appends the current ``_tid`` argument."""
+class Prologue:
+    """``_rt.prologue()`` at kernel entry (it may abort with the
+    miscompile fault); it returns the run's constants: the livelock
+    threshold of :class:`CritEnter`, and the ``omp for`` schedule and
+    dispatch cycles the :class:`ForAssign` walks charge."""
 
-    name: str
-    tid: bool
+
+#: the region-block counters :class:`Count` increments: ``sync`` one
+#: thread's arrival at a barrier round (an ``omp for``, ``single`` or
+#: ``sections`` end, an explicit barrier), ``atomic`` one atomic update
+EVENTS = ("sync", "atomic")
+
+
+@dataclass(slots=True)
+class Count:
+    """One OpenMP event on the region block's ``event`` counter (one of
+    :data:`EVENTS`)."""
+
+    event: str
+
+
+@dataclass(slots=True)
+class CritEnter:
+    """A critical-section acquire: one on the run's acquire count, which
+    aborts the run through ``_rt.livelock`` once it reaches the
+    prologue's threshold, handing over the region's acquires and atomic
+    updates so far and the four cost lanes."""
 
 
 @dataclass(slots=True)
 class RegionEnter:
+    """``_rt.region_enter(rid)``, then a fresh region block: counters,
+    acquire base, schedule lane and thread lanes."""
+
     rid: int
 
 
 @dataclass(slots=True)
+class ThreadBegin:
+    """Snapshot the ``_cy``/``_ccy`` lanes at a team member's start."""
+
+
+@dataclass(slots=True)
+class ThreadEnd:
+    """Record the team member's ``_cy``/``_ccy`` deltas since its
+    :class:`ThreadBegin` (the thread lanes, in thread order)."""
+
+
+@dataclass(slots=True)
 class RegionExit:
-    """``comp = _rt.region_exit(rid, comp, partials|None, op)``."""
+    """``comp = _rt.region_exit(rid, comp, partials|None, op, sync,
+    atomics, acquires, sched, compute, critical)``: the region block's
+    counts, schedule cycles and the ``threads`` thread lanes, in one
+    call."""
 
     rid: int
     comp: str
     has_partials: bool
     op: str | None
+    threads: int
 
 
 @dataclass(slots=True)
@@ -319,15 +365,6 @@ class AppendPartial:
 
 
 @dataclass(slots=True)
-class Chunk:
-    """``_lo_<label>, _hi_<label> = _rt.chunk(_tid, n)`` — the default
-    static schedule's two-endpoint form."""
-
-    label: str
-    n: IExpr
-
-
-@dataclass(slots=True)
 class ForRange:
     """``for var in range(lo, hi)`` (bounds evaluated once, at entry)."""
 
@@ -337,16 +374,39 @@ class ForRange:
     body: list
 
 
+#: worksharing schedule kinds :class:`ForAssign` walks
+SCHEDULES = ("static", "dynamic", "guided")
+
+
 @dataclass(slots=True)
 class ForAssign:
-    """``for var in _rt.assign(_tid, n, kind, chunk)`` — explicitly
-    scheduled worksharing iterations."""
+    """``for var in`` the iterations of ``range(max(0, n))`` that an
+    ``omp for``'s schedule assigns to ``_tid`` of a ``threads`` team,
+    walked by the kernel itself, in ascending order.
+
+    ``kind`` is one of :data:`SCHEDULES`.  ``static`` with ``chunk <= 0``
+    is the default schedule — one contiguous block per thread, the first
+    ``n % threads`` threads taking one extra iteration; with a chunk it
+    deals chunks round-robin.  ``dynamic`` (chunk ``max(chunk, 1)``) and
+    ``guided`` (chunks of ``max(chunk, 1, ceil(left / (2 * threads)))``
+    while iterations are left) are modelled as the same deterministic
+    round-robin over their chunk sequence.  A static walk adds the
+    schedule cycles to the schedule lane once; the others add the
+    dispatch cycles once per chunk the thread owns, before that chunk's
+    iterations — the lane sees no other adds, so it sums exactly as if
+    the thread added them all up front.
+    """
 
     var: str
     n: IExpr
     kind: str
     chunk: int
+    threads: int
     body: list
+
+    def __post_init__(self) -> None:
+        if self.kind not in SCHEDULES:
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
 
 
 @dataclass(slots=True)
@@ -426,10 +486,11 @@ class Return:
     name: str
 
 
-Stmt = (SetVar | SetIVar | AStore | Charge | Flush | Reload | Hook
-        | RegionEnter | RegionExit | InitPartials | AppendPartial | Chunk
-        | ForRange | ForAssign | ForList | QNew | QPush | QClear | If
-        | IfIntEq | LoadInt | LoadScalar | LoadArray | Return)
+Stmt = (SetVar | SetIVar | AStore | Charge | Flush | Reload | Prologue
+        | Count | CritEnter | RegionEnter | ThreadBegin | ThreadEnd
+        | RegionExit | InitPartials | AppendPartial | ForRange | ForAssign
+        | ForList | QNew | QPush | QClear | If | IfIntEq | LoadInt
+        | LoadScalar | LoadArray | Return)
 
 
 # ----------------------------------------------------------------------

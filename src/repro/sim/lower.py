@@ -21,11 +21,13 @@ The lowered kernel:
 * charges **statically pre-computed** cost constants per straight-line
   segment into local accumulators (``_cy``/``_ins``/``_br``; blocks
   inside critical sections charge the ``_ccy`` lane instead) that are
-  synchronized with the shared :class:`CostState` around every runtime
-  hook that observes or mutates it,
-* drives the simulated OpenMP runtime through ``_rt`` hooks
-  (:class:`repro.sim.runtime.RegionExecutor`): region enter/exit, static
-  chunking of ``omp for``, critical enter/exit, per-thread accounting.
+  synchronized with the shared :class:`CostState` at region boundaries,
+* keeps every per-event interaction with the simulated OpenMP runtime
+  in the kernel — event counts, critical-section acquires against the
+  livelock threshold, ``omp for`` schedule walks and their cycles,
+  per-thread lane deltas — and enters the runtime
+  (:class:`repro.sim.runtime.RegionExecutor`) only at the prologue,
+  region enter and exit, and the livelock abort.
 
 Per-thread semantics follow the sequential-serialization argument: for
 race-free programs (the generator's guarantee), executing team members
@@ -99,6 +101,7 @@ from ..core.nodes import (
 from typing import TYPE_CHECKING
 
 from ..core.types import AssignOpKind, BinOpKind, FPType
+from ..obs import metrics as _obs
 from . import ir as _ir
 from .pykernel import bind_py
 from .values import MATH_IMPLS, f32, f32z, fdiv, fma_d, fma_f, ftz_d
@@ -346,10 +349,9 @@ class ChargeSite:
 class RuntimeConstSite:
     """An unscaled runtime-parameter constant (e.g. one atomic RMW).
 
-    The classic lowerer charged these from inside the runtime hook; the
-    two-phase kernel charges them inline (same accumulator, same order)
-    so the hook stays cost-transparent and needs no local/shared
-    synchronization.
+    The classic lowerer charged these from inside a runtime call; the
+    two-phase kernel charges them inline (same accumulator, same order),
+    so the runtime never touches the lanes inside a region.
     """
 
     __slots__ = ("param", "k")
@@ -391,7 +393,10 @@ class LoweredKernel:
         Entries are memoized per backend, so repeated binds (every
         execution site, every input) reuse one callable instead of
         re-exec'ing / re-building.  The C backend falls back to the
-        interpreted entry — recording why — when unavailable.
+        interpreted entry — recording why — when unavailable; with
+        telemetry on, ``repro_kernel_binds_total{backend,reason}`` counts
+        the backend each new entry runs on, ``reason`` ``fallback`` when
+        a C request fell back and ``selected`` otherwise.
         """
         if backend is None:
             from .backend import active_kernel_backend
@@ -403,14 +408,20 @@ class LoweredKernel:
         return entry
 
     def _make_entry(self, backend: str) -> object:
+        entry = None
         if backend == "c":
             from .ckernel import bind_c
+            # None when unavailable (no toolchain / untrusted cache /
+            # build failure): ckernel recorded the reason and warned
             entry = bind_c(self.structural, self.constants, self.mode)
-            if entry is not None:
-                return entry
-            # unavailable (no toolchain / untrusted cache / build
-            # failure): sim.backend recorded the reason and warned
-        return bind_py(self.structural, self.constants, self.mode)
+        if _obs.enabled():
+            _obs.inc("repro_kernel_binds_total",
+                     backend="interp" if entry is None else "c",
+                     reason=("fallback" if entry is None and backend == "c"
+                             else "selected"))
+        if entry is None:
+            entry = bind_py(self.structural, self.constants, self.mode)
+        return entry
 
 
 # ======================================================================
@@ -683,24 +694,22 @@ class StructuralLowerer:
             self._emit_for(s, tid_var=tid_var)
             return
         if isinstance(s, OmpCritical):
-            # crit_enter may abort with the livelock fault: the shared
-            # cost state must be current when the driver reads it
-            b.emit(_ir.Flush())
-            b.emit(_ir.Hook("crit_enter", False))
+            # the acquire may abort with the livelock fault, which hands
+            # the runtime the cost lanes itself
+            b.emit(_ir.CritEnter())
             was = self._in_crit
             self._in_crit = True
             self.block(s.body, tid_var=tid_var)
             self._in_crit = was
-            b.emit(_ir.Hook("crit_exit", False))
             return
         if isinstance(s, OmpAtomic):
             assert tid_var is not None, "atomic outside a parallel region"
             # the update itself costs like the plain statement; the RMW
             # premium is the runtime's uncontended atomic cost, charged
-            # inline so the hook stays cost-transparent
+            # inline; contention is priced at region exit from the count
             self._charge((s.update,))
             self._runtime_const("atomic_rmw_cycles")
-            b.emit(_ir.Hook("atomic_update", False))
+            b.emit(_ir.Count("atomic"))
             self._emit_assignment(s.update)
             return
         if isinstance(s, OmpSingle):
@@ -714,11 +723,11 @@ class StructuralLowerer:
             self.block(s.body, tid_var=tid_var)
             b.emit(_ir.IfIntEq(tid_var, 0, b.pop()))
             self._runtime_const("single_arrival_cycles")
-            b.emit(_ir.Hook("single_done", True))
+            b.emit(_ir.Count("sync"))  # its implicit barrier
             return
         if isinstance(s, OmpBarrier):
             assert tid_var is not None, "barrier outside a parallel region"
-            b.emit(_ir.Hook("barrier", True))
+            b.emit(_ir.Count("sync"))
             return
         if isinstance(s, OmpSections):
             assert tid_var is not None, "sections outside a parallel region"
@@ -741,21 +750,13 @@ class StructuralLowerer:
             return _ir.ILit(bound.value)
         return _ir.IMax0(self.b.ivar(bound.var.name))
 
-    def _schedule(self, s: ForLoop, n: object, label: str, var: str):
+    def _schedule(self, s: ForLoop, n: object, var: str):
         """The loop op (awaiting its body) that runs ``var`` over the
         iterations of ``n`` that ``s``'s schedule clause assigns to the
-        current thread; the default schedule first emits its
-        :class:`~repro.sim.ir.Chunk`."""
-        if s.schedule is None or (s.schedule.value == "static"
-                                  and not s.schedule_chunk):
-            # the default schedule: static contiguous blocks — keep the
-            # cheap two-endpoint form on this hot path
-            self.b.emit(_ir.Chunk(label, n))
-            return partial(_ir.ForRange, var,
-                           _ir.IVar(self.b.ivar(f"_lo_{label}")),
-                           _ir.IVar(self.b.ivar(f"_hi_{label}")))
-        return partial(_ir.ForAssign, var, n, s.schedule.value,
-                       s.schedule_chunk)
+        current thread (no clause: the default static blocks)."""
+        kind = "static" if s.schedule is None else s.schedule.value
+        return partial(_ir.ForAssign, var, n, kind, s.schedule_chunk,
+                       self._region_threads)
 
     def _emit_for(self, s: ForLoop, *, tid_var: str | None) -> None:
         lv = s.loop_var.name
@@ -765,7 +766,7 @@ class StructuralLowerer:
         n = self._bound(s.bound)
         if s.omp_for:
             assert tid_var is not None, "omp for outside region"
-            loop = self._schedule(s, n, lv, lv)
+            loop = self._schedule(s, n, lv)
         else:
             loop = partial(_ir.ForRange, lv, _ir.ILit(0), n)
         self.b.ivar(lv)
@@ -773,7 +774,7 @@ class StructuralLowerer:
         self.block(s.body, extra=("loop", 1, 1.0), tid_var=tid_var)
         self.b.emit(loop(self.b.pop()))
         if s.omp_for:
-            self.b.emit(_ir.Hook("omp_for_done", True))
+            self.b.emit(_ir.Count("sync"))  # its implicit barrier
 
     def _emit_collapsed_for(self, s: ForLoop, *, tid_var: str | None) -> None:
         """``collapse(2)``: iterate the flattened n1*n2 space and derive
@@ -788,7 +789,7 @@ class StructuralLowerer:
         n1, n2 = self._bound(s.bound), self._bound(inner.bound)
         b.emit(_ir.SetIVar(b.ivar(n2v), n2))
         b.emit(_ir.SetIVar(b.ivar(nv), _ir.IMul(n1, _ir.IVar(n2v))))
-        loop = self._schedule(s, _ir.IVar(nv), lv, kv)
+        loop = self._schedule(s, _ir.IVar(nv), kv)
         b.ivar(kv)
         b.push()
         b.emit(_ir.SetIVar(b.ivar(lv),
@@ -798,7 +799,7 @@ class StructuralLowerer:
         # two loop heads' worth of bookkeeping per flattened iteration
         self.block(inner.body, extra=("loop", 2, 2.0), tid_var=tid_var)
         b.emit(loop(b.pop()))
-        b.emit(_ir.Hook("omp_for_done", True))
+        b.emit(_ir.Count("sync"))
 
     # ==================================================================
     # worksharing-graph constructs: sections arms + task queue
@@ -821,7 +822,7 @@ class StructuralLowerer:
             self.b.push()
             self._emit_arm_body(sec.body, tid_var)
             self.b.emit(_ir.IfIntEq(tid_var, i % t, self.b.pop()))
-        self.b.emit(_ir.Hook("sections_done", True))
+        self.b.emit(_ir.Count("sync"))  # its implicit barrier
 
     def _emit_arm_body(self, body: Block, tid_var: str) -> None:
         """One section arm; hosts the arm's deterministic task queue."""
@@ -852,13 +853,11 @@ class StructuralLowerer:
         # spawn cost now, run the body when the queue drains
         self._runtime_const("task_spawn_cycles")
         self.b.emit(_ir.QPush(arm["qn"], k))
-        self.b.emit(_ir.Hook("task_spawn", True))
 
     def _emit_taskwait(self, tid_var: str) -> None:
         arm = self._arm
         assert arm is not None, "taskwait outside a section arm"
         self._runtime_const("taskwait_cycles")
-        self.b.emit(_ir.Hook("taskwait", True))
         if arm["tasks"]:
             self._emit_task_drain()
 
@@ -927,7 +926,9 @@ class StructuralLowerer:
         comp = self.program.comp.name
 
         # region_enter charges spawn instructions/branches and may abort
-        # with the miscompile fault: synchronize both directions
+        # with the miscompile fault, and region_exit replaces the summed
+        # thread cycles with the region's elapsed time: synchronize both
+        # directions around each
         b = self.b
         b.emit(_ir.Flush())
         b.emit(_ir.RegionEnter(rid))
@@ -939,10 +940,7 @@ class StructuralLowerer:
             b.emit(_ir.InitPartials())
         b.ivar("_tid")
         b.push()
-        # thread_begin snapshots the shared lanes; they are current here
-        # because the previous thread's charges were flushed at its
-        # thread_end and nothing in between charges
-        b.emit(_ir.Hook("thread_begin", True))
+        b.emit(_ir.ThreadBegin())
         for v in fprivs:
             b.emit(_ir.SetVar(v.name, _ir.FVar(f"_save_{v.name}")))
         if reduction is not None:
@@ -957,14 +955,14 @@ class StructuralLowerer:
             self._subst.pop(comp, None)
         if reduction is not None:
             b.emit(_ir.AppendPartial("_rcomp"))
-        b.emit(_ir.Flush())
-        b.emit(_ir.Hook("thread_end", True))
+        b.emit(_ir.ThreadEnd())
         b.emit(_ir.ForRange("_tid", _ir.ILit(0), _ir.ILit(meta.n_threads),
                             b.pop()))
+        b.emit(_ir.Flush())
         b.emit(_ir.RegionExit(rid, b.fvar(comp), reduction is not None,
                               None if reduction is None
-                              else reduction.value))
-        b.emit(_ir.Reload())  # region_exit rewrote the shared lanes
+                              else reduction.value, meta.n_threads))
+        b.emit(_ir.Reload())
         for v in privs + fprivs:
             b.emit(_ir.SetVar(v.name, _ir.FVar(f"_save_{v.name}")))
 
@@ -973,7 +971,7 @@ class StructuralLowerer:
     # ==================================================================
     def lower(self) -> StructuralKernel:
         b = self.b
-        b.emit(_ir.Hook("prologue", False))
+        b.emit(_ir.Prologue())
         for p in self.program.params:
             if p.is_int:
                 b.emit(_ir.LoadInt(b.ivar(p.name)))

@@ -5,9 +5,12 @@ The twin of :mod:`repro.sim.ckernel`: one kernel IR under one FP mode
 whose body performs the IR's ops in order — FP ops through the
 :mod:`repro.sim.values` helpers (bound as parameter defaults, so every
 hot-loop reference is a ``LOAD_FAST``), cost charges into four
-fast-local accumulator lanes, runtime hooks on ``_rt``.  This is the
-reference semantics every other backend is checked against, and the
-fallback whenever the C backend cannot build.
+fast-local accumulator lanes, the region block (event counters,
+acquires, schedule lane, thread lanes) in fast locals too, and
+worksharing schedules walked by :func:`chunks`; ``_rt`` is called at
+the prologue, region enter and exit and the livelock abort only.  This
+is the reference semantics every other backend is checked against, and
+the fallback whenever the C backend cannot build.
 
 The emitter specializes the kernel to its mode: each op gets the wrap
 the mode implies, and each contraction site is written in the form the
@@ -24,7 +27,33 @@ from __future__ import annotations
 from . import ir as _ir
 from .values import MATH_IMPLS, f32, f32z, fdiv, fma_d, fma_f, ftz_d, ftz_f
 
+
+def chunks(kind: str, chunk: int, n: int, t: int, tid: int):
+    """The ``(start, end)`` iteration chunks of ``range(max(0, n))``
+    that the ``kind`` schedule (:data:`repro.sim.ir.SCHEDULES`) deals
+    thread ``tid`` of a ``t`` team, in order (see
+    :class:`repro.sim.ir.ForAssign`)."""
+    if kind == "static" and chunk <= 0:  # the default: contiguous blocks
+        base, rem = divmod(max(0, n), t)
+        lo = tid * base + min(tid, rem)
+        yield lo, lo + base + (tid < rem)
+        return
+    c = max(chunk, 1)
+    if kind != "guided":  # round-robin chunks of c
+        for start in range(tid * c, n, c * t):
+            yield start, min(start + c, n)
+        return
+    start, k = 0, 0
+    while start < n:  # each chunk takes half a share of what is left
+        size = max(c, -(-(n - start) // (2 * t)))
+        if k % t == tid:
+            yield start, min(start + size, n)
+        start += size
+        k += 1
+
+
 _HELPERS = {
+    "_chunks": chunks,
     "_div": fdiv,
     "_f32": f32,
     "_f32z": f32z,
@@ -38,12 +67,11 @@ _HELPERS = {
 #: helper parameter defaults appended to the kernel signature so every
 #: hot-loop helper reference is a LOAD_FAST instead of a LOAD_GLOBAL
 _HELPER_PARAMS = ("_f32", "_f32z", "_ftz", "_ftzf", "_div", "_fma",
-                  "_fmaf", "_MATH")
+                  "_fmaf", "_MATH", "_chunks")
 
 #: accumulator synchronization: the kernel mirrors the four CostState
 #: lanes in fast locals and exchanges them with the shared object only
-#: around runtime hooks that read, mutate, or may abort with a partial
-#: cost (see RegionExecutor's hook classification)
+#: around the region boundaries (see RegionExecutor)
 _FLUSH = "_c.cy = _cy; _c.ccy = _ccy; _c.ins = _ins; _c.br = _br"
 _RELOAD = "_cy = _c.cy; _ccy = _c.ccy; _ins = _c.ins; _br = _c.br"
 
@@ -162,34 +190,41 @@ class _Emitter:
             self.w(_FLUSH)
         elif t is _ir.Reload:
             self.w(_RELOAD)
-        elif t is _ir.Hook:
-            self.w(f"_rt.{op.name}({'_tid' if op.tid else ''})")
-            if op.name == "prologue":  # libm helpers into fast locals
-                for name in self.kir.math_funcs:
-                    self.w(f"_m_{name} = _MATH[{name!r}]")
+        elif t is _ir.Prologue:
+            self.w("_thr, _SCH, _DSP = _rt.prologue(); _acq = 0")
+            for name in self.kir.math_funcs:  # libm helpers into locals
+                self.w(f"_m_{name} = _MATH[{name!r}]")
+        elif t is _ir.Count:
+            self.w(f"_n_{op.event} += 1")
+        elif t is _ir.CritEnter:
+            self.w("_acq += 1")
+            self.w("if _acq >= _thr: _rt.livelock(_acq - _acq0, _n_atomic, "
+                   "_cy, _ccy, _ins, _br)")
         elif t is _ir.RegionEnter:
             self.w(f"_rt.region_enter({op.rid})")
+            self.w("_n_sync = _n_atomic = 0; _acq0 = _acq; _sch = 0.0; "
+                   "_lcy = []; _lccy = []")
+        elif t is _ir.ThreadBegin:
+            self.w("_tcy = _cy; _tccy = _ccy")
+        elif t is _ir.ThreadEnd:
+            self.w("_lcy.append(_cy - _tcy); _lccy.append(_ccy - _tccy)")
         elif t is _ir.RegionExit:
             tail = (f"_partials, {op.op!r}" if op.has_partials
                     else "None, None")
             self.w(f"{op.comp} = _rt.region_exit({op.rid}, {op.comp}, "
-                   f"{tail})")
+                   f"{tail}, _n_sync, _n_atomic, _acq - _acq0, _sch, _lcy, "
+                   "_lccy)")
         elif t is _ir.InitPartials:
             self.w("_partials = []")
         elif t is _ir.AppendPartial:
             self.w(f"_partials.append({op.name})")
-        elif t is _ir.Chunk:
-            self.w(f"_lo_{op.label}, _hi_{op.label} = "
-                   f"_rt.chunk(_tid, {self.iexpr(op.n)})")
         elif t is _ir.ForRange:
             hi = self.iexpr(op.hi)
             span = (hi if op.lo == _ir.ILit(0)
                     else f"{self.iexpr(op.lo)}, {hi}")
             self.block(f"for {op.var} in range({span}):", op.body)
         elif t is _ir.ForAssign:
-            self.block(f"for {op.var} in _rt.assign(_tid, "
-                       f"{self.iexpr(op.n)}, {op.kind!r}, {op.chunk}):",
-                       op.body)
+            self._for_assign(op)
         elif t is _ir.ForList:
             self.block(f"for {op.var} in {op.queue}:", op.body)
         elif t is _ir.QNew:
@@ -219,6 +254,19 @@ class _Emitter:
             self.w(f"return {op.name}")
         else:
             raise TypeError(f"unknown IR op {t.__name__}")
+
+    def _for_assign(self, op: _ir.ForAssign) -> None:
+        static = op.kind == "static"
+        if static:  # one schedule step per thread and encounter
+            self.w("_sch += _SCH")
+        u = op.var
+        self.w(f"for _s_{u}, _e_{u} in _chunks({op.kind!r}, {op.chunk}, "
+               f"{self.iexpr(op.n)}, {op.threads}, _tid):")
+        self.depth += 1
+        if not static:  # one dispatch per chunk the thread grabs
+            self.w("_sch += _DSP")
+        self.block(f"for {op.var} in range(_s_{u}, _e_{u}):", op.body)
+        self.depth -= 1
 
     # -- whole function ------------------------------------------------
     def emit(self) -> str:

@@ -1,10 +1,17 @@
 """The simulated OpenMP runtime: team, worksharing, locks, faults.
 
 One :class:`RegionExecutor` instance drives a single execution of a
-lowered binary.  The lowered code calls into it at every OpenMP event
-(region enter/exit, per-thread begin/end, ``omp for`` chunking, critical
-enter/exit); the executor converts those events into
+lowered binary.  The lowered kernel keeps every per-event interaction in
+its own locals — event counts, critical-section acquires, the ``omp
+for`` schedule walks and their cycles, each team member's lane deltas —
+and enters the executor only at region boundaries:
 
+* ``prologue`` at kernel entry: the no-region crash fallback, and the
+  run's constants the kernel needs (the livelock threshold, the schedule
+  and dispatch cycles of a worksharing loop);
+* ``region_enter``: team spawn cost, the miscompile crash;
+* ``region_exit``: the region's counts, schedule cycles and per-thread
+  lanes in one call, folded into
 * **virtual time** — a region's elapsed cycles are
   ``spawn + sched + max(per-thread compute) + serialized critical time +
   lock overhead + barriers`` (threads run concurrently, critical sections
@@ -12,29 +19,22 @@ enter/exit); the executor converts those events into
 * **perf counters** — wait time generates context switches / migrations /
   page faults / spin instructions at vendor-specific rates,
 * **profile samples** — cycles are charged to the vendor's runtime symbol
-  names so Fig. 6/7 listings can be rendered,
-* **fault behaviour** — deterministic crash (miscompile) and livelock
-  (queuing-lock hang, Fig. 9) triggers.
+  names so Fig. 6/7 listings can be rendered;
+* ``livelock``: the queuing-lock hang (Fig. 9), raised once the kernel's
+  acquire count reaches the prologue's threshold.
 
-Hook classification (the lowered code mirrors the :class:`CostState`
-lanes in fast locals and synchronizes them only where required):
-
-* **cost-observing/mutating** — ``prologue``, ``region_enter``,
-  ``thread_begin``/``thread_end``, ``region_exit``, and ``crit_enter``
-  (it can abort with a partial cost): lowered code flushes its local
-  accumulators before the call and reloads after the ones that mutate;
-* **cost-transparent** — ``chunk``, ``assign``, ``omp_for_done``,
-  ``barrier``, ``crit_exit``, ``atomic_update``, ``single_done``,
-  ``sections_done``, ``task_spawn``, ``taskwait``: these must never read
-  or write ``CostState`` (their per-event cycle charges are baked into
-  the kernel's ``_K`` constants by the cost pass).
+The kernel mirrors the :class:`CostState` lanes in fast locals and
+synchronizes them with it around ``region_enter`` and ``region_exit``
+(the prologue runs before the kernel reads them); ``livelock`` receives
+them as arguments.  The per-event cycle charges (atomic RMW, single
+arrival, task spawn, ...) are ``_K`` constants the kernel charges
+itself.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Callable
 
 from typing import TYPE_CHECKING
@@ -49,77 +49,14 @@ if TYPE_CHECKING:  # typing-only: breaks the sim <-> vendors import cycle
     from ..vendors.base import VendorModel
 
 
-#: memo of worksharing assignments: (kind, chunk, n, t) -> (per-tid
-#: iteration tuples, per-tid owned-chunk counts).  Every thread of every
-#: run recomputed the identical chunk walk before this cache; the mapping
-#: is a pure function of its key, so entries never go stale — the LRU
-#: bound only caps memory (an entry holds at most ``n`` indices).
-_ASSIGN_CACHE: OrderedDict = OrderedDict()
-_ASSIGN_CACHE_CAP = 128
-_ASSIGN_LOCK = threading.Lock()
-
-
-def _assigned_iterations(kind: str, chunk: int, n: int, t: int):
-    key = (kind, chunk, n, t)
-    with _ASSIGN_LOCK:
-        hit = _ASSIGN_CACHE.get(key)
-        if hit is not None:
-            _ASSIGN_CACHE.move_to_end(key)
-            return hit
-    per: list[list[int]] = [[] for _ in range(t)]
-    owned = [0] * t
-    if kind == "static":  # schedule(static, chunk): round-robin chunks
-        for tid in range(t):
-            for start in range(tid * chunk, n, chunk * t):
-                per[tid].extend(range(start, min(start + chunk, n)))
-    else:
-        if kind == "dynamic":
-            c = chunk if chunk > 0 else 1
-            sizes = [min(c, n - s) for s in range(0, n, c)]
-        else:  # guided
-            c_min = chunk if chunk > 0 else 1
-            sizes = []
-            remaining = n
-            while remaining > 0:
-                size = min(remaining, max(c_min, -(-remaining // (2 * t))))
-                sizes.append(size)
-                remaining -= size
-        start = 0
-        for i, size in enumerate(sizes):
-            tid = i % t
-            per[tid].extend(range(start, start + size))
-            owned[tid] += 1
-            start += size
-    entry = (tuple(tuple(p) for p in per), tuple(owned))
-    with _ASSIGN_LOCK:
-        _ASSIGN_CACHE[key] = entry
-        _ASSIGN_CACHE.move_to_end(key)
-        while len(_ASSIGN_CACHE) > _ASSIGN_CACHE_CAP:
-            _ASSIGN_CACHE.popitem(last=False)
-    return entry
-
-
 @dataclass(slots=True)
 class _RegionAccounting:
-    """Scratch state while executing one region entry."""
+    """What ``region_enter`` leaves for the matching ``region_exit``."""
 
     rid: int
     snap_cy: float
     snap_ccy: float
     spawn_cycles: float = 0.0
-    sched_cycles: float = 0.0
-    omp_for_rounds: int = 0
-    single_rounds: int = 0
-    barrier_rounds: int = 0
-    sections_rounds: int = 0
-    tasks_spawned: int = 0
-    taskwaits: int = 0
-    atomics: int = 0
-    acquires: int = 0
-    compute: list[float] = field(default_factory=list)
-    critical: list[float] = field(default_factory=list)
-    _t_cy: float = 0.0
-    _t_ccy: float = 0.0
 
 
 class RegionExecutor:
@@ -151,7 +88,6 @@ class RegionExecutor:
         self.fingerprint = fingerprint
 
         self._entries = 0
-        self._acq_total = 0
         self._cur: _RegionAccounting | None = None
         #: cycles attributed to parallel regions (driver derives serial time)
         self.region_cycles_total = 0.0
@@ -159,10 +95,21 @@ class RegionExecutor:
     # ------------------------------------------------------------------
     # kernel prologue
     # ------------------------------------------------------------------
-    def prologue(self) -> None:
-        """Called at kernel entry; hosts the no-region crash fallback."""
+    def prologue(self) -> tuple[int, float, float]:
+        """Called at kernel entry; hosts the no-region crash fallback.
+
+        Returns the run's constants: the run-wide critical-section
+        acquire count at which the livelock fault aborts (never, unless
+        it is armed for this run), and the cycles one static schedule
+        and one dynamic/guided chunk dispatch cost.
+        """
         if self.crash_active and not self.regions:
             self._crash()
+        rt = self.vendor.runtime
+        threshold = (self.vendor.faults.hang_min_acquires
+                     if self.hang_active else sys.maxsize)
+        return (threshold, rt.omp_for_sched_cycles,
+                rt.omp_for_dispatch_cycles)
 
     def _crash(self) -> None:
         # a miscompiled store: charge a little work, then "segfault"
@@ -208,152 +155,23 @@ class RegionExecutor:
         self.profile.charge("libc-2.28.so", sym.alloc, alloc)
         self._cur = acc
 
-    def thread_begin(self, tid: int) -> None:
-        acc = self._require_region()
-        acc._t_cy = self.c.cy
-        acc._t_ccy = self.c.ccy
-
-    def thread_end(self, tid: int) -> None:
-        acc = self._require_region()
-        acc.compute.append(self.c.cy - acc._t_cy)
-        acc.critical.append(self.c.ccy - acc._t_ccy)
-
-    @staticmethod
-    def _static_span(tid: int, n: int, t: int) -> tuple[int, int]:
-        """The default-schedule contiguous block of thread ``tid`` —
-        the same split every major runtime uses (first ``n % t`` threads
-        take one extra iteration)."""
-        base, rem = divmod(n, t)
-        lo = tid * base + min(tid, rem)
-        hi = lo + base + (1 if tid < rem else 0)
-        return lo, hi
-
-    def chunk(self, tid: int, n: int) -> tuple[int, int]:
-        """Static contiguous chunking of an ``omp for`` with no explicit
-        schedule clause (static is every implementation's default)."""
-        acc = self._require_region()
-        acc.sched_cycles += self.vendor.runtime.omp_for_sched_cycles
-        meta = self.regions[acc.rid]
-        n = max(0, int(n))
-        return self._static_span(tid, n, meta.n_threads)
-
-    def assign(self, tid: int, n: int, kind: str, chunk: int):
-        """Iterations of an explicitly scheduled ``omp for`` executed by
-        thread ``tid``.
-
-        ``schedule(static, c)`` follows the specified round-robin chunk
-        mapping exactly, so the simulation matches a real runtime
-        bit-for-bit.  ``dynamic``/``guided`` hand chunks out
-        first-come-first-served in reality; the simulator models them
-        with a deterministic round-robin over the same chunk sequence —
-        every simulated vendor uses the identical model, so verdicts
-        stay reproducible while the *costs* (per-chunk dispatch on a
-        contended counter) remain schedule-specific.
-        """
-        acc = self._require_region()
-        rt = self.vendor.runtime
-        meta = self.regions[acc.rid]
-        t = meta.n_threads
-        n = max(0, int(n))
-        if kind == "static":
-            acc.sched_cycles += rt.omp_for_sched_cycles
-            if chunk <= 0:
-                lo, hi = self._static_span(tid, n, t)
-                return range(lo, hi)
-            per, _owned = _assigned_iterations(kind, chunk, n, t)
-            return per[tid]
-        if kind not in ("dynamic", "guided"):
-            raise ValueError(f"unknown schedule kind {kind!r}")
-        per, owned = _assigned_iterations(kind, chunk, n, t)
-        # one contended-counter dispatch per chunk this thread grabbed;
-        # repeated += (not a single multiply) keeps the exact FP
-        # accumulation the per-chunk loop performed
-        d = rt.omp_for_dispatch_cycles
-        for _ in range(owned[tid]):
-            acc.sched_cycles += d
-        return per[tid]
-
-    def omp_for_done(self, tid: int) -> None:
-        """Implicit barrier bookkeeping at the end of an ``omp for``."""
-        acc = self._require_region()
-        acc.omp_for_rounds += 1
-
     # ------------------------------------------------------------------
-    # atomics / single / explicit barriers
+    # the livelock abort
     # ------------------------------------------------------------------
-    def atomic_update(self) -> None:
-        """One ``#pragma omp atomic`` RMW (cost-transparent hook).
-
-        The uncontended RMW cost (``atomic_rmw_cycles``) is charged by
-        the lowered code on the executing thread's lane; this hook only
-        counts the event — contention is folded in at region exit where
-        the team size is known."""
-        acc = self._cur  # hot hook: _require_region() inlined
-        if acc is None:
-            raise RuntimeError("OpenMP event outside a parallel region")
-        acc.atomics += 1
-        self.counters.atomic_updates += 1
-
-    def single_done(self, tid: int) -> None:
-        """Implicit barrier bookkeeping at the end of a ``single``; every
-        thread calls this once per encounter (cost-transparent hook —
-        the arrival-election cycles are charged by the lowered code)."""
-        acc = self._require_region()
-        acc.single_rounds += 1
-
-    def sections_done(self, tid: int) -> None:
-        """Implicit barrier bookkeeping at the end of a ``sections``
-        construct; every thread calls this once per encounter
-        (cost-transparent — the dispatch cycles are charged inline)."""
-        acc = self._require_region()
-        acc.sections_rounds += 1
-
-    def task_spawn(self, tid: int) -> None:
-        """One explicit task deferred onto the encountering thread's
-        queue (cost-transparent — spawn cycles are charged inline)."""
-        acc = self._require_region()
-        acc.tasks_spawned += 1
-
-    def taskwait(self, tid: int) -> None:
-        """``taskwait`` join point; called by the encountering thread
-        only, right before its queue drains (cost-transparent — the
-        join cycles are charged inline)."""
-        acc = self._require_region()
-        acc.taskwaits += 1
-
-    def barrier(self, tid: int) -> None:
-        """Explicit ``#pragma omp barrier``; called once per thread."""
-        acc = self._cur  # hot hook: _require_region() inlined
-        if acc is None:
-            raise RuntimeError("OpenMP event outside a parallel region")
-        acc.barrier_rounds += 1
-
-    # ------------------------------------------------------------------
-    # critical sections
-    # ------------------------------------------------------------------
-    def crit_enter(self) -> None:
-        # the hottest hook (once per critical-section entry, inside
-        # loops): region-local counting only; the perf counter and the
-        # run-wide acquire total are derived at region exit / only when
-        # the livelock fault is armed
-        acc = self._cur
-        if acc is None:
-            raise RuntimeError("OpenMP event outside a parallel region")
-        acc.acquires += 1
-        if self.hang_active:
-            self._acq_total += 1
-            if self._acq_total >= self.vendor.faults.hang_min_acquires:
-                self._hang()
-
-    def crit_exit(self) -> None:
-        pass  # lane switching is static in the lowered code
-
-    def _hang(self) -> None:
+    def livelock(self, acquires: int, atomics: int, cy: float, ccy: float,
+                 ins: float, br: float) -> None:
         """The Case-Study-3 livelock: every thread stuck acquiring the
-        queuing lock, split across the three states of the paper's Fig. 9."""
-        if self._cur is not None:
-            # the abort skips region_exit's derivation of this counter
-            self.counters.critical_acquires += self._cur.acquires
+        queuing lock, split across the three states of the paper's Fig. 9.
+
+        The kernel calls this on the acquire that reaches the prologue's
+        threshold, with the aborted region's acquires and atomic updates
+        so far and its four cost lanes, which become the run's partial
+        cost."""
+        # the abort skips region_exit's folding of these counters
+        self.counters.critical_acquires += acquires
+        self.counters.atomic_updates += atomics
+        c = self.c
+        c.cy, c.ccy, c.ins, c.br = cy, ccy, ins, br
         meta = self.regions[self._cur.rid] if self._cur else RegionMeta()
         t = meta.n_threads
         sym = self.vendor.symbols
@@ -374,27 +192,36 @@ class RegionExecutor:
     # region exit: fold per-thread lanes into elapsed time + counters
     # ------------------------------------------------------------------
     def region_exit(self, rid: int, comp: float, partials: list[float] | None,
-                    op: str | None) -> float:
+                    op: str | None, sync_rounds: int, atomics: int,
+                    acquires: int, sched_cycles: float, compute: list[float],
+                    critical: list[float]) -> float:
+        """Fold one region into the run: ``sync_rounds`` barrier arrivals
+        (``omp for``/``single``/``sections`` ends and explicit barriers,
+        one per thread each), ``atomics`` updates and ``acquires``
+        critical-section entries, the schedule lane ``sched_cycles``, and
+        each thread's ``compute`` and ``critical`` lane deltas in thread
+        order.  Returns ``comp`` with the reduction partials combined."""
         acc = self._require_region()
         rt = self.vendor.runtime
         sym = self.vendor.symbols
         meta = self.regions[rid]
         t = meta.n_threads
-        self.counters.critical_acquires += acc.acquires
+        self.counters.critical_acquires += acquires
+        self.counters.atomic_updates += atomics
 
-        compute_max = max(acc.compute, default=0.0)
-        compute_sum = sum(acc.compute)
-        crit_total = sum(acc.critical)
+        # float reductions stay in Python: sum() is compensated since
+        # CPython 3.12, so the kernels must not reorder or re-implement it
+        compute_max = max(compute, default=0.0)
+        compute_sum = sum(compute)
+        crit_total = sum(critical)
 
-        lock_cost = acc.acquires * (rt.lock_base_cycles
-                                    + (t - 1) * rt.lock_contention_cycles)
+        lock_cost = acquires * (rt.lock_base_cycles
+                                + (t - 1) * rt.lock_contention_cycles)
         # cache-line ping-pong of contended atomic RMWs, serialized like
         # lock traffic (each update invalidates every other core's copy)
-        atomic_cost = acc.atomics * (t - 1) * rt.atomic_contention_cycles
+        atomic_cost = atomics * (t - 1) * rt.atomic_contention_cycles
         # implicit barriers: region end, each omp-for end, each single
         # end, each sections end, plus the explicit barrier rounds
-        sync_rounds = (acc.omp_for_rounds + acc.single_rounds
-                       + acc.barrier_rounds + acc.sections_rounds)
         barrier_events = 1 + sync_rounds // max(1, t)
         barrier_cost = barrier_events * rt.barrier_cycles_per_thread * t
 
@@ -412,14 +239,14 @@ class RegionExecutor:
         #    migrations, page faults (the Table II mechanism)
         #  - barrier/imbalance waiting: within the runtime's blocktime the
         #    threads pure-spin -> instructions only
-        imbalance = sum(compute_max - x for x in acc.compute)
+        imbalance = sum(compute_max - x for x in compute)
         lock_wait = (t - 1) * crit_total + lock_cost + atomic_cost
         barrier_wait = imbalance + barrier_cost
         self._apply_wait_side_effects(lock_wait, reschedules=True)
         self._apply_wait_side_effects(barrier_wait, reschedules=False)
         wait = lock_wait + barrier_wait
 
-        elapsed = (acc.spawn_cycles + acc.sched_cycles + compute_max
+        elapsed = (acc.spawn_cycles + sched_cycles + compute_max
                    + crit_total + lock_cost + atomic_cost + barrier_cost
                    + combine_cost)
         if self.slow_armed:

@@ -72,7 +72,7 @@ def _body(kir: ir.KernelIR) -> list:
     parameter loads and the accumulator Reload; before the closing Flush
     and Return."""
     ops = kir.ops
-    assert ops[0] == ir.Hook("prologue", False)
+    assert ops[0] == ir.Prologue()
     assert ops[-2:] == [ir.Flush(), ir.Return(kir.comp)]
     start = ops.index(ir.Reload()) + 1
     return ops[start:-2]
@@ -207,7 +207,7 @@ class TestAssignments:
 # ----------------------------------------------------------------------
 
 class TestCritical:
-    def test_critical_flushes_and_charges_the_critical_lane(self):
+    def test_critical_counts_the_acquire_and_charges_the_critical_lane(self):
         x = _param("var_p")
 
         def body(comp):
@@ -218,15 +218,14 @@ class TestCritical:
             return Block([_region([loop])])
 
         kir = _lower(_mk(body, extra_params=[x])).ir
-        (loop,) = [op for op in _find_all(kir.ops, ir.ForRange)
-                   if op.var == "i_1"]
-        assert _names(loop.body) == ["Charge", "Flush", "Hook", "Charge",
-                                     "SetVar", "Hook"]
-        head, _, enter, inner, _, leave = loop.body
+        (loop,) = _find_all(kir.ops, ir.ForAssign)
+        # no flush and no runtime call per acquire: the livelock abort
+        # hands the runtime the lanes itself
+        assert _names(loop.body) == ["Charge", "CritEnter", "Charge",
+                                     "SetVar"]
+        head, _, inner, _ = loop.body
         assert head.lane == 0 and head.br == 1.0  # the loop-head charge
-        assert enter == ir.Hook("crit_enter", False)
         assert inner.lane == 1 and inner.k_cy is not None
-        assert leave == ir.Hook("crit_exit", False)
 
 
 class TestRuntimeConstants:
@@ -237,7 +236,7 @@ class TestRuntimeConstants:
 
         structural = _lower(_mk(body))
         thread = _thread_body(structural.ir)
-        at = thread.index(ir.Hook("atomic_update", False))
+        at = thread.index(ir.Count("atomic"))
         update, rmw = thread[at - 2:at]
         assert update == ir.Charge(0, update.k_cy, update.k_cy + 1, 0.0)
         assert rmw == ir.Charge(0, update.k_cy + 2, None, 0.0)
@@ -261,7 +260,7 @@ class TestRuntimeConstants:
         assert (guard.var, guard.k) == ("_tid", 0)
         assert _names(guard.body) == ["Charge", "SetVar"]
         assert arrival == ir.Charge(0, arrival.k_cy, None, 0.0)
-        assert done == ir.Hook("single_done", True)
+        assert done == ir.Count("sync")
         (site,) = [s for s in structural.sites
                    if isinstance(s, RuntimeConstSite)]
         assert (site.param, site.k) == ("single_arrival_cycles",
@@ -282,17 +281,19 @@ class TestRegion:
         p.params.append(self._x)
         ops = _body(_lower(p).ir)
         assert _names(ops) == ["Flush", "RegionEnter", "Reload", "SetVar",
-                               "ForRange", "RegionExit", "Reload",
+                               "ForRange", "Flush", "RegionExit", "Reload",
                                "SetVar"]
         assert ops[1] == ir.RegionEnter(0)
         assert ops[3] == ir.SetVar("_save_var_p", ir.FVar("var_p"))
         team = ops[4]
         assert (team.var, team.lo, team.hi) == ("_tid", ir.ILit(0),
                                                 ir.ILit(4))
-        assert team.body[0] == ir.Hook("thread_begin", True)
-        assert team.body[-2:] == [ir.Flush(), ir.Hook("thread_end", True)]
-        assert ops[5] == ir.RegionExit(0, "comp", False, None)
-        assert ops[7] == ir.SetVar("var_p", ir.FVar("_save_var_p"))
+        assert team.body[0] == ir.ThreadBegin()
+        assert team.body[-1] == ir.ThreadEnd()
+        assert not _find_all(team.body, ir.Flush)  # no per-thread flush
+        assert ops[5:8] == [ir.Flush(), ir.RegionExit(0, "comp", False, None,
+                                                      4), ir.Reload()]
+        assert ops[8] == ir.SetVar("var_p", ir.FVar("_save_var_p"))
 
     def test_reduction_region_collects_partials(self):
         def body(comp):
@@ -307,13 +308,12 @@ class TestRegion:
                                    "SetVar", "InitPartials"]
         thread = _thread_body(kir)
         assert thread[1] == ir.SetVar("_rcomp", ir.FLit(0.0))
-        assert thread[-3:] == [ir.AppendPartial("_rcomp"), ir.Flush(),
-                               ir.Hook("thread_end", True)]
+        assert thread[-2:] == [ir.AppendPartial("_rcomp"), ir.ThreadEnd()]
         # comp is the private copy inside the region
         (update,) = [op for op in _find_all(thread, ir.SetVar)
                      if op.name == "_rcomp" and isinstance(op.e, ir.FBin)]
         assert update.e.a == ir.FVar("_rcomp")
-        assert ir.RegionExit(0, "comp", True, "+") in ops
+        assert ir.RegionExit(0, "comp", True, "+", 4) in ops
 
 
 # ----------------------------------------------------------------------
@@ -332,13 +332,14 @@ class TestWorksharing:
         return _thread_body(_lower(_mk(body)).ir)
 
     def test_default_schedule_chunks_then_ranges(self):
+        # the default schedule is static without a chunk: each thread's
+        # one contiguous block, walked by the kernel
         thread = self._loop_region()
-        at = [type(op) for op in thread].index(ir.Chunk)
-        chunk, loop, done = thread[at:at + 3]
-        assert chunk == ir.Chunk("i_1", ir.ILit(8))
-        assert (loop.var, loop.lo, loop.hi) == (
-            "i_1", ir.IVar("_lo_i_1"), ir.IVar("_hi_i_1"))
-        assert done == ir.Hook("omp_for_done", True)
+        at = [type(op) for op in thread].index(ir.ForAssign)
+        loop, done = thread[at:at + 2]
+        assert (loop.var, loop.n, loop.kind, loop.chunk, loop.threads) == (
+            "i_1", ir.ILit(8), "static", 0, 4)
+        assert done == ir.Count("sync")
 
     def test_static_chunked_schedule_assigns(self):
         thread = self._loop_region(schedule=ScheduleKind.STATIC,
@@ -349,7 +350,6 @@ class TestWorksharing:
     def test_dynamic_schedule_assigns(self):
         thread = self._loop_region(schedule=ScheduleKind.DYNAMIC,
                                    schedule_chunk=2)
-        assert not _find_all(thread, ir.Chunk)
         (loop,) = _find_all(thread, ir.ForAssign)
         assert (loop.var, loop.n, loop.kind, loop.chunk) == (
             "i_1", ir.ILit(8), "dynamic", 2)
@@ -367,12 +367,11 @@ class TestWorksharing:
 
         thread = _thread_body(_lower(_mk(body)).ir)
         at = [type(op) for op in thread].index(ir.SetIVar)
-        n2, n, chunk, loop = thread[at:at + 4]
+        n2, n, loop = thread[at:at + 3]
         assert n2 == ir.SetIVar("_n2_i_1", ir.ILit(5))
         assert n == ir.SetIVar("_n_i_1", ir.IMul(ir.ILit(3),
                                                  ir.IVar("_n2_i_1")))
-        assert chunk == ir.Chunk("i_1", ir.IVar("_n_i_1"))
-        assert loop.var == "_k_i_1"
+        assert (loop.var, loop.n) == ("_k_i_1", ir.IVar("_n_i_1"))
         k, n2v = ir.IVar("_k_i_1"), ir.IVar("_n2_i_1")
         assert loop.body[:2] == [
             ir.SetIVar("i_1", ir.IFloorDiv(k, n2v)),
@@ -393,7 +392,7 @@ class TestWorksharing:
         guards = [op for op in thread if isinstance(op, ir.IfIntEq)]
         assert [(g.var, g.k) for g in guards] == [
             ("_tid", i % 2) for i in range(5)]
-        assert thread[-3] == ir.Hook("sections_done", True)
+        assert thread[-2] == ir.Count("sync")
 
 
 class TestTasks:
@@ -416,18 +415,15 @@ class TestTasks:
     def test_taskwait_drains_the_queue_in_spawn_order(self):
         arm = self._arm(lambda x: [self._task(x, 1.0), self._task(x, 2.0),
                                    OmpTaskwait()])
-        assert _names(arm) == ["QNew", "Charge", "QPush", "Hook", "Charge",
-                               "QPush", "Hook", "Charge", "Hook", "ForList",
-                               "QClear"]
+        assert _names(arm) == ["QNew", "Charge", "QPush", "Charge", "QPush",
+                               "Charge", "ForList", "QClear"]
         assert arm[0] == ir.QNew("_tq0")
         assert [op.k for op in arm if isinstance(op, ir.QPush)] == [0, 1]
-        assert arm[3] == ir.Hook("task_spawn", True)
-        assert arm[8] == ir.Hook("taskwait", True)
-        drain = arm[9]
+        drain = arm[6]
         assert (drain.queue, drain.var) == ("_tq0", "_tk0")
         assert [(g.var, g.k) for g in drain.body
                 if isinstance(g, ir.IfIntEq)] == [("_tk0", 0), ("_tk0", 1)]
-        assert arm[10] == ir.QClear("_tq0")
+        assert arm[7] == ir.QClear("_tq0")
 
     def test_unjoined_tasks_drain_at_arm_end(self):
         arm = self._arm(lambda x: [self._task(x, 1.0)])
@@ -457,11 +453,12 @@ _SAMPLES = {type(op): op for op in (
     ir.IFloorDiv(_I, ir.ILit(2)), ir.IModV(_I, ir.IVar("j")),
     ir.SetVar("x", ir.FLit(1.0)), ir.SetIVar("i", ir.ILit(0)),
     ir.AStore("a", ir.ILit(0), _X), ir.Charge(1, 0, 1, 1.0), ir.Flush(),
-    ir.Reload(), ir.Hook("barrier", True), ir.RegionEnter(0),
-    ir.RegionExit(0, "comp", True, "+"), ir.InitPartials(),
-    ir.AppendPartial("_rcomp"), ir.Chunk("i", ir.ILit(8)),
+    ir.Reload(), ir.Prologue(), ir.Count("sync"), ir.CritEnter(),
+    ir.RegionEnter(0), ir.ThreadBegin(), ir.ThreadEnd(),
+    ir.RegionExit(0, "comp", True, "+", 4), ir.InitPartials(),
+    ir.AppendPartial("_rcomp"),
     ir.ForRange("i", ir.ILit(0), ir.ILit(4), [ir.Flush()]),
-    ir.ForAssign("i", ir.ILit(8), "dynamic", 2, [ir.Flush()]),
+    ir.ForAssign("i", ir.ILit(8), "dynamic", 2, 4, [ir.Flush()]),
     ir.ForList("_tq0", "_tk0", [ir.Flush()]), ir.QNew("_tq0"),
     ir.QPush("_tq0", 0), ir.QClear("_tq0"),
     ir.If(ir.Cmp(_X, "<", ir.FLit(1.0)), [ir.Flush()]),
@@ -491,17 +488,23 @@ _IR_CLASSES = sorted({*typing.get_args(ir.Stmt), *typing.get_args(ir.FExpr),
                       *typing.get_args(ir.IExpr)},
                      key=lambda cls: cls.__name__)
 
+#: one emitter case per IR class, plus the default schedule: once an op
+#: of its own (``Chunk``), now a static ``ForAssign`` without a chunk,
+#: which both emitters walk on an arm the ``dynamic`` sample skips
+_CASES = {cls.__name__: _SAMPLES.get(cls) for cls in _IR_CLASSES}
+_CASES["Chunk"] = ir.ForAssign("i", ir.ILit(8), "static", 0, 4, [ir.Flush()])
 
-@pytest.mark.parametrize("cls", _IR_CLASSES, ids=lambda c: c.__name__)
+
+@pytest.mark.parametrize("name", sorted(_CASES))
 class TestEmittersCoverEveryOp:
-    def test_python_emitter(self, cls):
-        assert cls in _SAMPLES, f"add an {cls.__name__} sample"
-        source = emit_py(_kernel(_as_stmt(_SAMPLES[cls])), PLAIN)
+    def test_python_emitter(self, name):
+        assert _CASES[name] is not None, f"add an {name} sample"
+        source = emit_py(_kernel(_as_stmt(_CASES[name])), PLAIN)
         compile(source, "<test>", "exec")  # valid Python, not just text
 
-    def test_c_emitter(self, cls):
-        assert cls in _SAMPLES, f"add an {cls.__name__} sample"
-        assert "krun" in emit_c(_kernel(_as_stmt(_SAMPLES[cls])))
+    def test_c_emitter(self, name):
+        assert _CASES[name] is not None, f"add an {name} sample"
+        assert "krun" in emit_c(_kernel(_as_stmt(_CASES[name])))
 
 
 def _py_line(op) -> str:

@@ -11,15 +11,20 @@ The battery sweeps every directive mix × all three vendor models × two
 optimization levels and compares full records across backends; every
 vendor and opt level of a program runs from the program's one C module,
 each in its own FP mode.  That a program costs one compiler run and
-one module load whatever order its vendors compile and run in, and
-fault parity (CRASH/HANG records), are pinned separately.  Without a C
-toolchain there is nothing to compare against, so the cross-backend
-checks skip (the forced-``c`` CI leg fails instead of skipping).
+one module load whatever order its vendors compile and run in, fault
+parity (CRASH/HANG records), that a run enters the runtime only at
+region boundaries, and which backend each kernel entry bound to, are
+pinned separately.  Without a C toolchain there is nothing to compare
+against, so the cross-backend checks skip (the forced-``c`` CI leg
+fails instead of skipping).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -31,9 +36,36 @@ from repro.config import (
     MachineConfig,
     apply_directive_mix,
 )
+from repro import obs
 from repro.core.generator import ProgramGenerator
-from repro.core.inputs import InputGenerator
-from repro.driver import run_binary
+from repro.core.inputs import InputGenerator, TestInput
+from repro.core.nodes import (
+    Assignment,
+    Block,
+    ForLoop,
+    FPNumeral,
+    IntNumeral,
+    OmpAtomic,
+    OmpBarrier,
+    OmpCritical,
+    OmpParallel,
+    OmpSection,
+    OmpSections,
+    OmpSingle,
+    OmpTask,
+    OmpTaskwait,
+    Program,
+    VarRef,
+)
+from repro.core.types import (
+    AssignOpKind,
+    FPType,
+    OmpClauses,
+    ScheduleKind,
+    Variable,
+    VarKind,
+)
+from repro.driver import execution, run_binary
 from repro.driver.engine import ExecutionPlan, execute_unit, plan_units
 from repro.driver.records import RunStatus
 from repro.sim import _native, ckernel, kcache
@@ -46,7 +78,10 @@ from repro.sim.backend import (
     set_kernel_backend,
     use_kernel_backend,
 )
+from repro.sim.runtime import RegionExecutor
+from repro.obs.metrics import counter_value
 from repro.backends import get_backend
+from test_lowering import _mk
 
 VENDORS = ("gcc", "clang", "intel")
 
@@ -447,3 +482,202 @@ class TestFaultParity:
         got = run_under(binary, test_input, machine, "c")
         assert record_tuple(got) == record_tuple(ref), (
             f"c fault record diverged on program {index}/{vendor}")
+
+    #: the record below, as the runtime produced it when every acquire
+    #: and atomic update was a runtime call
+    HANG_AFTER_ATOMICS = (
+        RunStatus.HANG, "None", 5_000_000.0,
+        {"context_switches": 4, "cpu_migrations": 0, "page_faults": 222,
+         "cycles": 555573, "instructions": 126641, "branches": 25341,
+         "branch_misses": 675, "critical_acquires": 1500,
+         "atomic_updates": 3009},
+        {"__kmp_wait_4": [0, 1, 2, 3], "__kmp_eq_4": [4, 5],
+         "sched_yield": [6, 7]},
+        "stopped by SIGINT after timeout (livelock in critical)")
+
+    @pytest.mark.parametrize("backend", ["interp", "c"])
+    def test_hang_after_atomics_record_pinned(self, backend, machine):
+        # the aborted region ran 2,999 atomic updates before the abort,
+        # the region before it 10: all count, as do the cost lanes at
+        # the aborting acquire
+        if backend == "c" and not _C_OK:
+            pytest.skip(f"C kernel backend unavailable: {_C_WHY}")
+        binary, test_input = hang_after_atomics()
+        got = run_under(binary, test_input, machine, backend)
+        assert record_tuple(got) == self.HANG_AFTER_ATOMICS
+
+
+# ----------------------------------------------------------------------
+# the runtime boundary
+# ----------------------------------------------------------------------
+
+_X = Variable("var_x", FPType.DOUBLE, VarKind.PARAM)
+
+
+def _mini(body) -> Program:
+    """An 8-thread program over ``comp`` and the double parameter
+    ``var_x``; ``body(comp, x)`` lists its statements."""
+    return _mk(lambda comp: Block(body(comp, _X)), extra_params=[_X],
+               threads=8)
+
+
+def _add(v, c: float) -> Assignment:
+    return Assignment(VarRef(v), AssignOpKind.ADD_ASSIGN, FPNumeral(c))
+
+
+def _region(*stmts) -> OmpParallel:
+    return OmpParallel(OmpClauses(num_threads=8), Block(list(stmts)))
+
+
+def _for(var: str, trips: int, *stmts, **kw) -> ForLoop:
+    return ForLoop(Variable(var, None, VarKind.LOOP), IntNumeral(trips),
+                   Block(list(stmts)), omp_for=kw.pop("omp_for", True),
+                   **kw)
+
+
+def _input(program: Program, index: int = 0) -> TestInput:
+    test_input = TestInput(program_name=program.name, index=index)
+    test_input.values = {"comp": 0.0, "var_x": 0.5}
+    return test_input
+
+
+def hang_after_atomics():
+    """An intel binary, livelock armed, whose second region hangs on its
+    1,500th acquire after 2,999 atomic updates (the first region ran
+    10), and the input the fault fires on."""
+    program = _mini(lambda comp, x: [
+        _region(_for("i_1", 10, OmpAtomic(_add(x, 1.0)))),
+        _region(_for("i_2", 2000, OmpAtomic(_add(x, 1.0)),
+                     OmpCritical(Block([_add(comp, 1.0)])),
+                     OmpAtomic(_add(x, 2.0))))])
+    binary = dataclasses.replace(get_backend("intel").compile(program, "-O3"),
+                                 hang_armed=True)
+    return binary, _input(program, index=1)  # input 0 does not livelock
+
+
+#: name -> (program, region entries of one run): every construct whose
+#: events a kernel once reported to the runtime one call each
+BOUNDARY_PROGRAMS = {
+    "critical-in-for": (_mini(lambda comp, x: [
+        _region(_for("i_1", 64, OmpCritical(Block([_add(comp, 1.0)]))))]),
+        1),
+    "atomic": (_mini(lambda comp, x: [
+        _region(_for("i_1", 64, OmpAtomic(_add(x, 1.0))))]), 1),
+    "single-barrier": (_mini(lambda comp, x: [
+        _region(OmpSingle(Block([_add(x, 1.0)])), OmpBarrier(),
+                _for("i_1", 16, _add(x, 1.0)))]), 1),
+    "sections-tasks": (_mini(lambda comp, x: [
+        _region(OmpSections([
+            OmpSection(Block([OmpTask(Block([_add(x, 1.0)])),
+                              OmpTask(Block([_add(x, 2.0)])),
+                              OmpTaskwait()])),
+            OmpSection(Block([OmpTask(Block([_add(x, 3.0)]))]))]))]), 1),
+    "schedules": (_mini(lambda comp, x: [
+        _region(_for("i_1", 50, _add(x, 1.0),
+                     schedule=ScheduleKind.STATIC, schedule_chunk=3),
+                _for("i_2", 50, _add(x, 1.0),
+                     schedule=ScheduleKind.DYNAMIC, schedule_chunk=2),
+                _for("i_3", 50, _add(x, 1.0),
+                     schedule=ScheduleKind.GUIDED, schedule_chunk=1))]), 1),
+    "region-in-serial-loop": (_mini(lambda comp, x: [
+        _for("j_1", 12, _region(_for("i_1", 16, _add(x, 1.0))),
+             omp_for=False)]), 12),
+}
+
+
+@pytest.fixture()
+def runtime_calls(monkeypatch):
+    """Every call a run makes into its RegionExecutor, by method name."""
+    calls: Counter = Counter()
+    public = {name for name in vars(RegionExecutor)
+              if not name.startswith("_")}
+
+    class Spy(RegionExecutor):
+        def __getattribute__(self, name):
+            attr = super().__getattribute__(name)
+            if name not in public:
+                return attr
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return attr(*args, **kwargs)
+            return counted
+
+    monkeypatch.setattr(execution, "RegionExecutor", Spy)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["interp", "c"])
+class TestRuntimeBoundary:
+    """A run enters the runtime only at the prologue, region enter and
+    exit, and the livelock abort — once each per event, never per
+    OpenMP event inside a region."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_backend(self, backend):
+        if backend == "c" and not _C_OK:
+            pytest.skip(f"C kernel backend unavailable: {_C_WHY}")
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_PROGRAMS))
+    def test_runs_enter_the_runtime_at_region_boundaries(
+            self, backend, name, runtime_calls, machine):
+        program, entries = BOUNDARY_PROGRAMS[name]
+        binary = get_backend("gcc").compile(program, "-O3")
+        record = run_under(binary, _input(program), machine, backend)
+        assert record.status is RunStatus.OK
+        assert dict(runtime_calls) == {"prologue": 1,
+                                       "region_enter": entries,
+                                       "region_exit": entries}
+
+    def test_livelock_is_the_one_abort(self, backend, runtime_calls,
+                                       machine):
+        binary, test_input = hang_after_atomics()
+        record = run_under(binary, test_input, machine, backend)
+        assert record.status is RunStatus.HANG
+        assert dict(runtime_calls) == {"prologue": 1, "region_enter": 2,
+                                       "region_exit": 1, "livelock": 1}
+
+
+# ----------------------------------------------------------------------
+# which backend bound
+# ----------------------------------------------------------------------
+
+@pytest.fixture()
+def binds(monkeypatch):
+    """Telemetry on with a clean registry; returns a reader of
+    ``repro_kernel_binds_total`` series."""
+    monkeypatch.setattr(ckernel, "_N_FAILED", ckernel._N_FAILED)
+    monkeypatch.setattr(ckernel, "_LAST_FAILURE", ckernel._LAST_FAILURE)
+    obs.reset()
+    obs.enable(True)
+    yield lambda backend, reason: counter_value(
+        obs.registry_snapshot(), "repro_kernel_binds_total",
+        backend=backend, reason=reason)
+    obs.enable(False)
+    obs.reset()
+    os.environ.pop("REPRO_OBS", None)
+
+
+@needs_c
+class TestBindTelemetry:
+    def test_failed_build_binds_interp_as_fallback(
+            self, monkeypatch, binds, cc_calls, machine, fresh_kernel_cache):
+        monkeypatch.setattr(_native, "build_shared_object",
+                            lambda *args, **kwargs: (False, "no build"))
+        program, test_input = _program(3)
+        binary = get_backend("gcc").compile(program, "-O3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_under(binary, test_input, machine, "c")
+        assert binds("interp", "fallback") == 1
+        assert binds("c", "selected") == 0
+
+    def test_bound_backend_is_selected(self, binds, cc_calls, machine,
+                                       fresh_kernel_cache):
+        program, test_input = _program(3)
+        binary = get_backend("gcc").compile(program, "-O3")
+        run_under(binary, test_input, machine, "c")
+        run_under(binary, test_input, machine, "interp")
+        assert binds("c", "selected") == 1
+        assert binds("interp", "selected") == 1
+        assert binds("interp", "fallback") == 0

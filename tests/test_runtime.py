@@ -1,15 +1,41 @@
-"""Tests for the simulated OpenMP runtime (RegionExecutor)."""
+"""Tests for the simulated OpenMP runtime (RegionExecutor).
 
-import math
+Lowered kernels keep every per-event interaction in the kernel and enter
+the executor only at ``prologue``, ``region_enter``, ``region_exit`` and
+the ``livelock`` abort.  The region tests drive that contract the way a
+kernel does: the kernel's summed lanes flushed into the cost state, then
+one ``region_exit`` with the region's counts, schedule cycles and
+per-thread lane deltas.  Chunking and the acquire loop now run inside
+the kernels, so those tests run lowered kernels under every available
+backend.
+"""
 
 import pytest
 
+from repro.core.nodes import (
+    Assignment,
+    Block,
+    ForLoop,
+    FPNumeral,
+    IntNumeral,
+    OmpCritical,
+    OmpParallel,
+    VarRef,
+)
+from repro.core.types import AssignOpKind, OmpClauses, Variable, VarKind
 from repro.errors import SimulatedCrash, SimulatedHang
+from repro.sim.backend import _c_available
 from repro.sim.counters import PerfCounters
 from repro.sim.events import ProfileRecorder
-from repro.sim.lower import CostState, RegionMeta
+from repro.sim.lower import (CostState, RegionMeta, StructuralLowerer,
+                             bind_costs)
 from repro.sim.runtime import RegionExecutor
 from repro.vendors import CLANG, GCC, INTEL
+from test_lowering import _mk
+from test_schedules import walk
+
+#: the kernel backends this host can run
+BACKENDS = ("interp", "c") if _c_available()[0] else ("interp",)
 
 
 def _executor(vendor=GCC, *, regions=None, threads=4, **kw):
@@ -20,37 +46,42 @@ def _executor(vendor=GCC, *, regions=None, threads=4, **kw):
                           wrap_fn=lambda x: x, **kw), cost
 
 
+def _exit(ex, compute=(), critical=(), *, sync=0, atomics=0, acquires=0,
+          sched=0.0, rid=0):
+    """``region_exit`` of a region without a reduction, as a kernel makes
+    it."""
+    return ex.region_exit(rid, 0.0, None, None, sync, atomics, acquires,
+                          sched, list(compute), list(critical))
+
+
+#: default-schedule cases of the chunking tests: one kernel serves them
+_DEFAULT = tuple(("static", 0, t) for t in (4, 8, 32))
+
+
 class TestChunking:
     @pytest.mark.parametrize("n,threads", [(0, 4), (1, 4), (13, 4), (16, 4),
                                            (100, 32), (3, 8)])
     def test_chunks_partition_range(self, n, threads):
-        ex, _ = _executor(threads=threads)
-        ex.region_enter(0)
-        covered = []
-        for tid in range(threads):
-            lo, hi = ex.chunk(tid, n)
-            assert lo <= hi
-            covered.extend(range(lo, hi))
-        assert covered == list(range(n))
+        for backend in BACKENDS:
+            per = walk(backend, _DEFAULT, ("static", 0, threads), n)
+            covered = [i for iters, _ in per for i in iters]
+            assert covered == list(range(n)), backend
 
     def test_chunks_are_balanced(self):
-        ex, _ = _executor(threads=4)
-        ex.region_enter(0)
-        sizes = [hi - lo for lo, hi in (ex.chunk(t, 14) for t in range(4))]
-        assert max(sizes) - min(sizes) <= 1
+        for backend in BACKENDS:
+            per = walk(backend, _DEFAULT, ("static", 0, 4), 14)
+            sizes = [len(iters) for iters, _ in per]
+            assert max(sizes) - min(sizes) <= 1, backend
 
 
 class TestRegionAccounting:
     def test_elapsed_is_max_thread_plus_overheads(self):
         ex, cost = _executor(threads=2)
         ex.region_enter(0)
-        # thread 0 computes 1000 cycles, thread 1 computes 3000
-        for tid, work in ((0, 1000.0), (1, 3000.0)):
-            ex.thread_begin(tid)
-            cost.cy += work
-            ex.thread_end(tid)
-        before = cost.cy
-        ex.region_exit(0, 0.0, None, None)
+        # thread 0 computes 1000 cycles, thread 1 computes 3000; the
+        # kernel flushes their summed lanes before the exit
+        cost.cy += 4000.0
+        _exit(ex, compute=(1000.0, 3000.0), critical=(0.0, 0.0))
         # cycles were replaced by snapshot + elapsed, not the 4000 sum
         region_elapsed = cost.cy
         assert region_elapsed < 4000.0 + ex.vendor.runtime.spawn_cold_cycles \
@@ -60,24 +91,21 @@ class TestRegionAccounting:
     def test_critical_time_serializes(self):
         ex, cost = _executor(threads=2)
         ex.region_enter(0)
-        for tid in (0, 1):
-            ex.thread_begin(tid)
-            ex.crit_enter()
-            cost.ccy += 500.0
-            ex.crit_exit()
-            ex.thread_end(tid)
-        ex.region_exit(0, 0.0, None, None)
+        # each thread enters the critical section once, for 500 cycles
+        cost.ccy += 1000.0
+        _exit(ex, compute=(0.0, 0.0), critical=(500.0, 500.0), acquires=2)
         # both threads' critical bodies must appear in elapsed (serialized)
         assert cost.cy >= 1000.0
         assert cost.ccy == 0.0  # folded back
+        assert ex.counters.critical_acquires == 2
 
     def test_cold_then_warm_spawn(self):
         ex, _ = _executor(vendor=GCC)
         ex.region_enter(0)
-        ex.region_exit(0, 0.0, None, None)
+        _exit(ex)
         pf_after_cold = ex.counters.page_faults
         ex.region_enter(0)
-        ex.region_exit(0, 0.0, None, None)
+        _exit(ex)
         pf_after_warm = ex.counters.page_faults
         assert pf_after_cold == GCC.runtime.spawn_cold_page_faults
         assert pf_after_warm - pf_after_cold == GCC.runtime.spawn_warm_page_faults
@@ -88,7 +116,7 @@ class TestRegionAccounting:
         for i in range(CLANG.runtime.spawn_thrash_threshold + 3):
             before = cost.cy
             ex.region_enter(0)
-            ex.region_exit(0, 0.0, None, None)
+            _exit(ex)
             costs.append(cost.cy - before)
         # entries beyond the threshold pay the thrash cost
         assert costs[-1] > costs[2] * 3
@@ -100,9 +128,33 @@ class TestRegionAccounting:
             ex.region_enter(0)
 
     def test_event_outside_region_rejected(self):
+        # a region's events reach the runtime with its exit, and there
+        # is no exit without an enter
         ex, _ = _executor()
         with pytest.raises(RuntimeError):
-            ex.crit_enter()
+            _exit(ex, compute=(0.0,) * 4, critical=(0.0,) * 4, acquires=1)
+
+    def test_counts_fold_into_the_counters(self):
+        ex, _ = _executor(threads=4)
+        ex.region_enter(0)
+        _exit(ex, compute=(0.0,) * 4, critical=(0.0,) * 4, atomics=7,
+              acquires=5)
+        assert ex.counters.atomic_updates == 7
+        assert ex.counters.critical_acquires == 5
+
+    def test_sync_rounds_and_schedule_cycles_add_time(self):
+        def elapsed(**counts):
+            ex, cost = _executor(threads=4)
+            ex.region_enter(0)
+            _exit(ex, compute=(0.0,) * 4, critical=(0.0,) * 4, **counts)
+            return cost.cy
+
+        base = elapsed()
+        barrier = GCC.runtime.barrier_cycles_per_thread * 4
+        # one round is every thread's arrival at one barrier
+        assert elapsed(sync=4) == base + barrier
+        assert elapsed(sync=3) == base
+        assert elapsed(sched=700.0) == base + 700.0
 
 
 class TestReductionCombining:
@@ -149,25 +201,47 @@ class TestFaults:
         ex.prologue()
         ex.region_enter(0)
 
+    @staticmethod
+    def _critical_loop(trips: int, threads: int = 32):
+        """Intel's kernel for one region whose ``omp for`` runs ``trips``
+        critical sections."""
+        def body(comp):
+            lv = Variable("i_1", None, VarKind.LOOP)
+            crit = OmpCritical(Block([Assignment(
+                VarRef(comp), AssignOpKind.ADD_ASSIGN, FPNumeral(1.0))]))
+            loop = ForLoop(lv, IntNumeral(trips), Block([crit]), omp_for=True)
+            return Block([OmpParallel(OmpClauses(num_threads=threads),
+                                      Block([loop]))])
+
+        structural = StructuralLowerer(_mk(body, threads=threads)).lower()
+        return bind_costs(structural, INTEL, "-O3")
+
     def test_hang_after_threshold_acquires(self):
-        ex, _ = _executor(vendor=INTEL, threads=32, hang_active=True)
-        ex.region_enter(0)
-        ex.thread_begin(0)
-        with pytest.raises(SimulatedHang) as exc:
-            for _ in range(INTEL.faults.hang_min_acquires + 1):
-                ex.crit_enter()
-                ex.crit_exit()
-        states = exc.value.thread_states
-        assert sum(len(v) for v in states.values()) == 32
-        assert "__kmp_eq_4" in states
-        assert INTEL.symbols.yield_ in states
+        threshold = INTEL.faults.hang_min_acquires
+        kernel = self._critical_loop(threshold + 10)
+        for backend in BACKENDS:
+            ex, cost = _executor(vendor=INTEL, regions=kernel.regions,
+                                 hang_active=True)
+            assert ex.prologue()[0] == threshold
+            with pytest.raises(SimulatedHang) as exc:
+                kernel.bind(backend)({"comp": 0.0}, ex, cost)
+            # the kernel aborts on the threshold-th acquire, handing over
+            # the region's acquires and its partial cost
+            assert ex.counters.critical_acquires == threshold, backend
+            assert cost.ccy > 0.0
+            states = exc.value.thread_states
+            assert sum(len(v) for v in states.values()) == 32
+            assert "__kmp_eq_4" in states
+            assert INTEL.symbols.yield_ in states
 
     def test_no_hang_when_inactive(self):
-        ex, _ = _executor(vendor=INTEL, hang_active=False)
-        ex.region_enter(0)
-        ex.thread_begin(0)
-        for _ in range(INTEL.faults.hang_min_acquires + 10):
-            ex.crit_enter()
+        trips = INTEL.faults.hang_min_acquires + 10
+        kernel = self._critical_loop(trips)
+        for backend in BACKENDS:
+            ex, cost = _executor(vendor=INTEL, regions=kernel.regions,
+                                 hang_active=False)
+            assert kernel.bind(backend)({"comp": 0.0}, ex, cost) == trips
+            assert ex.counters.critical_acquires == trips, backend
 
 
 class TestWaitSideEffects:
@@ -194,13 +268,9 @@ class TestWaitSideEffects:
     def test_profile_receives_wait_symbols(self):
         ex, cost = _executor(vendor=INTEL, threads=2)
         ex.region_enter(0)
-        for tid in (0, 1):
-            ex.thread_begin(tid)
-            ex.crit_enter()
-            cost.ccy += 10_000.0
-            ex.crit_exit()
-            ex.thread_end(tid)
-        ex.region_exit(0, 0.0, None, None)
+        cost.ccy += 20_000.0
+        _exit(ex, compute=(0.0, 0.0), critical=(10_000.0, 10_000.0),
+              acquires=2)
         symbols = {sym for _, sym in ex.profile.samples}
         assert INTEL.symbols.wait_primary in symbols
         assert INTEL.symbols.lock in symbols
