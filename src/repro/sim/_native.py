@@ -25,6 +25,18 @@ The FMA keeps the x87 ``long double`` trick of the Python implementation
 (``(double)((long double)a * b + c)``): on every platform C ``long
 double`` is precisely the type ``numpy.longdouble`` wraps, so the
 contraction model agrees bit-for-bit with the fallback.
+
+The same extension carries the **kernel dispatcher** of the C backend
+(:mod:`repro.sim.ckernel`).  A compiled kernel is a plain C shared
+object over :data:`KERNEL_ABI`, the one C text both sides include:
+``kload`` opens it (``dlopen``, ``RTLD_LOCAL``; the object unloads when
+its entry is collected) and ``krun`` runs it with the callbacks that do
+everything Python-side — argument loads, the runtime calls, the
+cost-lane exchange, errors.  So kernels never include ``Python.h``, and
+the dispatcher is built and verified once per machine with the helpers
+whose FTZ flush (``ftz_sel``) it shares.  :func:`build_shared_object`
+builds both kinds of object; :func:`load_kernel_object` opens a kernel
+object after checking that it is not truncated.
 """
 
 from __future__ import annotations
@@ -38,17 +50,68 @@ import tempfile
 import threading
 import warnings
 from contextlib import contextmanager, suppress
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
+from struct import unpack_from
+
+#: The kernel ABI: the one C text that compiled kernels
+#: (:mod:`repro.sim.ckernel`) and the dispatcher below both include.  A
+#: kernel object exports ``int krun(rk_ctx *)`` and ``krun_abi``; the
+#: dispatcher fills the context and hands the kernel ``rk_api``, the
+#: callbacks for everything that touches Python: argument loads, the
+#: prologue, region enter and exit, the cost-lane exchange, the livelock
+#: abort and the errors.  ``ftz_sel`` is the FTZ flush both sides apply.
+KERNEL_ABI = r"""
+#define RK_ABI 1
+#define RK_SHORT 1  /* an array is shorter than the kernel's bound */
+enum { RK_E_INDEX, RK_E_MEMORY, RK_E_MODE, RK_E_ARITY };
+#define RK_MIN_NORMAL_D 0x1p-1022
+#define RK_MIN_NORMAL_F 0x1p-126
+
+typedef struct rk_api {
+    int (*load_int)(void *env, const char *name, long *out);
+    int (*load_float)(void *env, const char *name, double *out);
+    int (*load_array)(void *env, const char *name, double thr,
+                      double **out, long *n);
+    long (*array_len)(void *env, const char *name);
+    int (*prologue)(void *env, long *thr, double *k_sch, double *k_dsp);
+    int (*region_enter)(void *env, long rid);
+    int (*region_exit)(void *env, long rid, double *comp,
+                       const double *part, long part_n, const char *op,
+                       long sync, long atom, long acq, double sch,
+                       const double *lcy, const double *lccy, long t);
+    int (*flush)(void *env, double cy, double ccy, double ins, double br);
+    int (*reload)(void *env, double *cy, double *ccy, double *ins,
+                  double *br);
+    void (*livelock)(void *env, long acq, long atom, double cy, double ccy,
+                     double ins, double br);
+    void (*error)(void *env, int kind);
+} rk_api;
+
+/* mode: bit 0 the FTZ flag, the bits above it the FMA level */
+typedef struct rk_ctx {
+    void *env;
+    const rk_api *api;
+    const double *K;
+    long nk, mode;
+    double ret;
+} rk_ctx;
+
+/* the FTZ flush: a subnormal x becomes a zero of its sign when thr is
+   the smallest normal; thr = 0 flushes nothing, a zero or NaN never */
+static inline double ftz_sel(double x, double thr) {
+    return __builtin_fabs(x) < thr ? __builtin_copysign(0.0, x) : x;
+}
+"""
 
 _C_SOURCE = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <dlfcn.h>
 #include <math.h>
-
-static const double min_normal_d = 2.2250738585072014e-308;
-static const double min_normal_f = 1.1754943508222875e-38;
-
+#include <stdlib.h>
+""" + KERNEL_ABI + r"""
 static PyObject *nv_f32(PyObject *self, PyObject *arg) {
     double x = PyFloat_AsDouble(arg);
     if (x == -1.0 && PyErr_Occurred()) return NULL;
@@ -58,27 +121,20 @@ static PyObject *nv_f32(PyObject *self, PyObject *arg) {
 static PyObject *nv_ftz_d(PyObject *self, PyObject *arg) {
     double x = PyFloat_AsDouble(arg);
     if (x == -1.0 && PyErr_Occurred()) return NULL;
-    if (x != 0.0 && x < min_normal_d && x > -min_normal_d)
-        x = copysign(0.0, x);
-    return PyFloat_FromDouble(x);
+    return PyFloat_FromDouble(ftz_sel(x, RK_MIN_NORMAL_D));
 }
 
 static PyObject *nv_ftz_f(PyObject *self, PyObject *arg) {
     double x = PyFloat_AsDouble(arg);
     if (x == -1.0 && PyErr_Occurred()) return NULL;
-    if (x != 0.0 && x < min_normal_f && x > -min_normal_f)
-        x = copysign(0.0, x);
-    return PyFloat_FromDouble(x);
+    return PyFloat_FromDouble(ftz_sel(x, RK_MIN_NORMAL_F));
 }
 
 /* fused f32 + ftz_f: one call instead of two on the Intel binary32 path */
 static PyObject *nv_f32z(PyObject *self, PyObject *arg) {
     double x = PyFloat_AsDouble(arg);
     if (x == -1.0 && PyErr_Occurred()) return NULL;
-    x = (double)(float)x;
-    if (x != 0.0 && x < min_normal_f && x > -min_normal_f)
-        x = copysign(0.0, x);
-    return PyFloat_FromDouble(x);
+    return PyFloat_FromDouble(ftz_sel((double)(float)x, RK_MIN_NORMAL_F));
 }
 
 static PyObject *nv_fdiv(PyObject *self, PyObject *const *args,
@@ -146,6 +202,233 @@ NV_MATH1(fabs, fabs(x))
 NV_MATH1(tanh, tanh(x))
 NV_MATH1(atan, atan(x))
 
+/* ---- the kernel dispatcher: runs kernel objects over rk_api ---- */
+
+typedef struct { PyObject *args, *rt, *cost; } k_env;
+#define ENV ((k_env *)env)
+
+static int k_load_int(void *env, const char *name, long *out) {
+    PyObject *o = PyMapping_GetItemString(ENV->args, name);
+    if (!o) return -1;
+    *out = PyLong_AsLong(o);
+    Py_DECREF(o);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static int k_load_float(void *env, const char *name, double *out) {
+    PyObject *o = PyMapping_GetItemString(ENV->args, name);
+    if (!o) return -1;
+    *out = PyFloat_AsDouble(o);
+    Py_DECREF(o);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* a malloc'd copy the kernel frees, each element flushed at thr */
+static int k_load_array(void *env, const char *name, double thr,
+                        double **out, long *n) {
+    PyObject *o = PyMapping_GetItemString(ENV->args, name), *seq, **items;
+    double *a;
+    Py_ssize_t len;
+    if (!o) return -1;
+    seq = PySequence_Fast(o, "array argument is not a sequence");
+    Py_DECREF(o);
+    if (!seq) return -1;
+    len = PySequence_Fast_GET_SIZE(seq);
+    a = (double *)malloc((size_t)(len > 0 ? len : 1) * sizeof(double));
+    if (!a) { Py_DECREF(seq); PyErr_NoMemory(); return -1; }
+    items = PySequence_Fast_ITEMS(seq);
+    for (Py_ssize_t i = 0; i < len; i++) {
+        double x = PyFloat_AsDouble(items[i]);
+        if (x == -1.0 && PyErr_Occurred()) {
+            free(a); Py_DECREF(seq); return -1;
+        }
+        a[i] = ftz_sel(x, thr);
+    }
+    Py_DECREF(seq);
+    *out = a;
+    *n = (long)len;
+    return 0;
+}
+
+/* the length the array argument will load with; -1 (the kernel then
+   defers the call to interp) for a missing or non-list argument */
+static long k_array_len(void *env, const char *name) {
+    PyObject *o = PyMapping_GetItemString(ENV->args, name);
+    long n = -1;
+    if (!o) { PyErr_Clear(); return -1; }
+    if (PyList_Check(o)) n = (long)PyList_GET_SIZE(o);
+    else if (PyTuple_Check(o)) n = (long)PyTuple_GET_SIZE(o);
+    Py_DECREF(o);
+    return n;
+}
+
+static int k_prologue(void *env, long *thr, double *k_sch, double *k_dsp) {
+    PyObject *r = PyObject_CallMethod(ENV->rt, "prologue", NULL);
+    int ok = r && PyArg_ParseTuple(r, "ldd", thr, k_sch, k_dsp);
+    Py_XDECREF(r);
+    return ok ? 0 : -1;
+}
+
+static int k_region_enter(void *env, long rid) {
+    PyObject *r = PyObject_CallMethod(ENV->rt, "region_enter", "l", rid);
+    Py_XDECREF(r);
+    return r ? 0 : -1;
+}
+
+static PyObject *dlist(const double *v, long n) {
+    PyObject *l = PyList_New(n);
+    for (long i = 0; l && i < n; i++) {
+        PyObject *f = PyFloat_FromDouble(v[i]);
+        if (!f) Py_CLEAR(l); else PyList_SET_ITEM(l, i, f);
+    }
+    return l;
+}
+
+/* *comp = rt.region_exit(...); no op, no partials (None) */
+static int k_region_exit(void *env, long rid, double *comp,
+                         const double *part, long part_n, const char *op,
+                         long sync, long atom, long acq, double sch,
+                         const double *lcy, const double *lccy, long t) {
+    PyObject *pl = op ? dlist(part, part_n) : Py_NewRef(Py_None);
+    PyObject *lc = dlist(lcy, t), *lk = dlist(lccy, t), *r = NULL;
+    if (pl && lc && lk)
+        r = PyObject_CallMethod(ENV->rt, "region_exit", "ldOsllldOO", rid,
+                                *comp, pl, op, sync, atom, acq, sch, lc, lk);
+    Py_XDECREF(pl); Py_XDECREF(lc); Py_XDECREF(lk);
+    if (r) *comp = PyFloat_AsDouble(r);
+    Py_XDECREF(r);
+    return r && !(*comp == -1.0 && PyErr_Occurred()) ? 0 : -1;
+}
+
+/* the cost lanes to and from the CostState */
+static const char *const lane_names[4] = {"cy", "ccy", "ins", "br"};
+
+static int k_flush(void *env, double cy, double ccy, double ins, double br) {
+    double v[4] = {cy, ccy, ins, br};
+    for (int i = 0; i < 4; i++) {
+        PyObject *f = PyFloat_FromDouble(v[i]);
+        int r = f ? PyObject_SetAttrString(ENV->cost, lane_names[i], f) : -1;
+        Py_XDECREF(f);
+        if (r < 0) return -1;
+    }
+    return 0;
+}
+
+static int k_reload(void *env, double *cy, double *ccy, double *ins,
+                    double *br) {
+    double *v[4] = {cy, ccy, ins, br};
+    for (int i = 0; i < 4; i++) {
+        PyObject *f = PyObject_GetAttrString(ENV->cost, lane_names[i]);
+        if (!f) return -1;
+        *v[i] = PyFloat_AsDouble(f);
+        Py_DECREF(f);
+        if (*v[i] == -1.0 && PyErr_Occurred()) return -1;
+    }
+    return 0;
+}
+
+static void k_livelock(void *env, long acq, long atom, double cy,
+                       double ccy, double ins, double br) {
+    Py_XDECREF(PyObject_CallMethod(ENV->rt, "livelock", "lldddd", acq, atom,
+                                   cy, ccy, ins, br));
+}
+
+static void k_error(void *env, int kind) {
+    if (kind == RK_E_INDEX)
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+    else if (kind == RK_E_MEMORY)
+        PyErr_NoMemory();
+    else if (kind == RK_E_MODE)
+        PyErr_SetString(PyExc_ValueError, "kernel mode out of range");
+    else
+        PyErr_SetString(PyExc_TypeError, "constants tuple has wrong arity");
+}
+
+static const rk_api k_api = {
+    k_load_int, k_load_float, k_load_array, k_array_len, k_prologue,
+    k_region_enter, k_region_exit, k_flush, k_reload, k_livelock, k_error};
+
+typedef int (*rk_entry)(rk_ctx *);
+
+static void k_close(PyObject *cap) {
+    void *h = PyCapsule_GetContext(cap);
+    if (h) dlclose(h);
+}
+
+/* kload(path) -> the kernel's entry, which unloads the object when it
+   is collected */
+static PyObject *nv_kload(PyObject *self, PyObject *arg) {
+    PyObject *path, *cap;
+    void *h, *f;
+    const int *abi;
+    if (!PyUnicode_FSConverter(arg, &path)) return NULL;
+    h = dlopen(PyBytes_AS_STRING(path), RTLD_NOW | RTLD_LOCAL);
+    Py_DECREF(path);
+    if (!h) {
+        const char *why = dlerror();
+        PyErr_SetString(PyExc_ImportError, why ? why : "dlopen failed");
+        return NULL;
+    }
+    f = dlsym(h, "krun");
+    abi = (const int *)dlsym(h, "krun_abi");
+    if (!f || !abi || *abi != RK_ABI) {
+        dlclose(h);
+        PyErr_SetString(PyExc_ImportError, "not a kernel object of this ABI");
+        return NULL;
+    }
+    cap = PyCapsule_New(f, "repro.kernel", k_close);
+    if (!cap || PyCapsule_SetContext(cap, h) < 0) {
+        Py_XDECREF(cap);
+        dlclose(h);
+        return NULL;
+    }
+    return cap;
+}
+
+/* krun(kernel, args, rt, cost, K, mode) -> comp, or None when an array
+   is shorter than the kernel's bound (the kernel ran nothing) */
+static PyObject *nv_krun(PyObject *self, PyObject *const *a, Py_ssize_t n) {
+    double kbuf[256], *K = kbuf;
+    k_env env;
+    rk_ctx ctx;
+    rk_entry f;
+    Py_ssize_t nk;
+    long mode;
+    int rc;
+    if (n != 6) {
+        PyErr_SetString(PyExc_TypeError, "krun expects 6 arguments");
+        return NULL;
+    }
+    f = (rk_entry)PyCapsule_GetPointer(a[0], "repro.kernel");
+    if (!f) return NULL;
+    mode = PyLong_AsLong(a[5]);
+    if (mode == -1 && PyErr_Occurred()) return NULL;
+    if (!PyTuple_Check(a[4])) {
+        PyErr_SetString(PyExc_TypeError, "constants tuple has wrong arity");
+        return NULL;
+    }
+    nk = PyTuple_GET_SIZE(a[4]);
+    if (nk > 256 && !(K = (double *)malloc((size_t)nk * sizeof(double))))
+        return PyErr_NoMemory();
+    for (Py_ssize_t i = 0; i < nk; i++) {
+        K[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(a[4], i));
+        if (K[i] == -1.0 && PyErr_Occurred()) {
+            if (K != kbuf) free(K);
+            return NULL;
+        }
+    }
+    env.args = a[1]; env.rt = a[2]; env.cost = a[3];
+    ctx.env = &env; ctx.api = &k_api; ctx.K = K; ctx.nk = (long)nk;
+    ctx.mode = mode; ctx.ret = 0.0;
+    rc = f(&ctx);
+    if (K != kbuf) free(K);
+    if (rc == 0) return PyFloat_FromDouble(ctx.ret);
+    if (rc == RK_SHORT) Py_RETURN_NONE;
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_SystemError, "kernel failed without an error");
+    return NULL;
+}
+
 static PyMethodDef nv_methods[] = {
     {"f32", nv_f32, METH_O, "round binary64 to binary32 and back"},
     {"ftz_d", nv_ftz_d, METH_O, "flush subnormal binary64 to signed zero"},
@@ -156,6 +439,8 @@ static PyMethodDef nv_methods[] = {
      "long-double contracted multiply-add"},
     {"fma_f", (PyCFunction)nv_fma_f, METH_FASTCALL,
      "binary32 fused multiply-add (exact in binary64)"},
+    {"kload", nv_kload, METH_O, "open a kernel object"},
+    {"krun", (PyCFunction)nv_krun, METH_FASTCALL, "run a kernel"},
     {"m_sin", nv_m_sin, METH_O, NULL},
     {"m_cos", nv_m_cos, METH_O, NULL},
     {"m_tan", nv_m_tan, METH_O, NULL},
@@ -314,6 +599,47 @@ def import_shared_object(path: Path, name: str = "_repro_native_values"):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _truncation(data: bytes) -> str | None:
+    """Why an ELF object would fault the loader, or ``None``.
+
+    ``dlopen`` maps an object's segments without checking them against
+    the file's size, so a truncated object kills the process with SIGBUS
+    on the first touch of a missing page: every segment and the section
+    header table, which the linker writes last, must lie inside the
+    file.  Other formats are left to the loader, which rejects them with
+    an error."""
+    if data[:4] != b"\x7fELF":
+        return None
+    if len(data) < 64:
+        return "truncated ELF header"
+    wide, order = data[4] == 2, "<" if data[5] == 1 else ">"
+    word = order + ("Q" if wide else "I")
+    phoff = unpack_from(word, data, 0x20 if wide else 0x1C)[0]
+    shoff = unpack_from(word, data, 0x28 if wide else 0x20)[0]
+    phent, phnum, shent, shnum = unpack_from(order + "HHHH", data,
+                                             0x36 if wide else 0x2A)
+    ends = [phoff + phent * phnum, shoff + shent * shnum]
+    if max(ends) <= len(data):  # then each segment: p_offset + p_filesz
+        for i in range(phnum):
+            at = phoff + i * phent + (8 if wide else 4)
+            ends.append(unpack_from(word, data, at)[0] + unpack_from(
+                word, data, at + (24 if wide else 12))[0])
+    return "truncated ELF object" if max(ends) > len(data) else None
+
+
+def load_kernel_object(path: Path):
+    """``run(args, rt, cost, K, mode)`` for the kernel object at ``path``,
+    opened by the dispatcher of the loaded value-helper module (the C
+    backend requires it; see :func:`repro.sim.backend._c_available`).
+    Raises :class:`ImportError` for an object that cannot be loaded."""
+    from .values import _NATIVE
+
+    problem = _truncation(Path(path).read_bytes())
+    if problem is not None:
+        raise ImportError(f"{problem}: {os.fspath(path)}")
+    return partial(_NATIVE.krun, _NATIVE.kload(os.fspath(path)))
 
 
 def _verify(native) -> bool:

@@ -1,15 +1,25 @@
 """C backend: compile whole kernel bodies from :mod:`repro.sim.ir`.
 
-One program's IR becomes one CPython extension exporting ``run(args,
-rt, cost, K, mode)``, shared by every vendor and opt level that compiles
-the program: a program costs one compiler run and one loaded module.
-``mode`` packs the vendor's FP mode — bit 0 the FTZ flag, the bits
-above it the FMA level (the index in :data:`repro.sim.ir.FMA_MODES`) —
-and the kernel picks its behaviour on each call: every wrap, the flush
-after a contraction and each array load select on the FTZ flag, and
-each contraction site (:class:`~repro.sim.ir.FSite`) on the FMA level,
-``(fm >= level ? fused : plain)``.  Both are predictable branches on a
-call-constant flag.
+One program's IR becomes one plain C shared object — no ``Python.h``,
+no CPython extension — exporting ``int krun(rk_ctx *)`` over the kernel
+ABI (:data:`repro.sim._native.KERNEL_ABI`).  Every vendor and opt level
+that compiles the program runs it: a program costs one compiler run and
+one loaded object.  The dispatcher in the value-helper extension
+(:mod:`repro.sim._native`, built and battery-verified once per machine)
+opens the object and calls it with the argument mapping, the runtime and
+the cost state behind ``rk_api``, a table of callbacks for everything
+that touches Python: the argument loads (one call each), the prologue,
+region enter and exit, the cost-lane flush and reload, the livelock
+abort and the errors.
+
+The context's ``mode`` packs the vendor's FP mode — bit 0 the FTZ flag,
+the bits above it the FMA level (the index in
+:data:`repro.sim.ir.FMA_MODES`) — and the kernel picks its behaviour on
+each call.  The FTZ flag becomes a threshold, computed once per call:
+the smallest normal under FTZ, else ``0.0``, and every wrap, load flush
+and contraction flush is ``ftz_sel(x, thr)``, which flushes nothing at
+``thr = 0``.  Each contraction site (:class:`~repro.sim.ir.FSite`)
+selects on the FMA level, ``(fm >= level ? fused : plain)``.
 
 Inside the function FP scalars are C ``double`` locals, int scalars are
 ``long``, arrays are malloc'd ``double*`` copies of the input lists, and
@@ -18,49 +28,56 @@ Flush/Reload points.  So does the region block: the event counters, the
 acquire count checked against the livelock threshold, the schedule lane
 that ``sched_next`` — the twin of :func:`repro.sim.pykernel.chunks` —
 charges while it walks a worksharing loop's chunks, and the per-thread
-lane deltas.  The Python interpreter is only re-entered at the prologue,
-region enter and exit, and the livelock abort (one shared label), which
-is what buys the order-of-magnitude throughput over the interpreted
-kernel.
+lane deltas.
+
+Array indexing.  An index that is a constant ``c >= 0``, ``% M`` with a
+constant ``M > 0``, or the thread index ``_tid`` is in range whenever
+the array holds ``c + 1``, ``M`` or the kernel's widest team elements.
+The kernel checks each such array's length once, at entry, against the
+largest of these bounds, and indexes those sites directly; other index
+forms keep ``idx_fix`` (Python's one negative wrap, ``IndexError`` out of
+range).  A call whose array is shorter than its bound runs nothing —
+the check comes before the prologue and the first cost-state write —
+and the bound entry runs it on the interpreted kernel instead, so the
+record is the interpreter's by construction.
 
 Bit-exactness contract (the reason the C backend requires
 :func:`repro.sim.values.native_values_active`):
 
 * every wrap/FMA/libm helper is the *same C code* as the battery-verified
-  ``_repro_native_values`` module, so the compiled kernel and the
-  interpreted reference (whose helpers are bound to that module) compute
-  identical bits — ``(double)(float)x`` rounding, subnormal flushes at
-  the exact thresholds, x87 ``long double`` FMA recovery with the NaN
-  guard, direct libm calls into the same in-process ``libm``;
+  ``_repro_native_values`` module (``ftz_sel`` is its ABI text), so the
+  compiled kernel and the interpreted reference (whose helpers are bound
+  to that module) compute identical bits — ``(double)(float)x``
+  rounding, subnormal flushes at the exact thresholds, x87 ``long
+  double`` FMA recovery with the NaN guard, direct libm calls into the
+  same in-process ``libm``;
 * builds pass ``-ffp-contract=off`` (no surprise FMA contraction of the
   two-rounding ``(double)(float)(a*b+c)``) and ``-fno-builtin`` (no
   compile-time MPFR folding of libm calls that could differ from the
-  runtime library);
+  runtime library); the flush uses ``__builtin_fabs`` and
+  ``__builtin_copysign``, which stay inline under it;
 * FP literals are emitted as hexadecimal float constants
   (``float.hex()``), which round-trip exactly;
-* int arithmetic uses Python's floored ``%``/``//`` semantics and array
-  indexing wraps negative indices / raises ``IndexError`` exactly like
-  the interpreted kernel's list accesses.
+* int arithmetic uses Python's floored ``%``/``//`` semantics.
 
-Shared objects are content-addressed by the hash of the kernel's source
-in the same per-uid, trust-checked cache directory as the value helpers
-(one build per program per machine, ever); the module *name* is fixed
-(``_repro_kernel``) while filenames differ, which CPython's extension
-loader supports (its cache key is ``(filename, name)``).  Build or
-import failure falls back to the interpreted entry, recording the
-reason (see :func:`build_info`) and warning once — never silently.
+Objects are content-addressed by the hash of the kernel's source in the
+same per-uid, trust-checked cache directory as the value helpers (one
+build per program per machine, ever).  A build or load failure — no
+compiler, a failed build, a corrupt cached object — falls back to the
+interpreted entry, recording the reason (see :func:`build_info`) and
+warning once, never silently.
 """
 
 from __future__ import annotations
 
-import os
-import sysconfig
 import warnings
 from hashlib import sha256
 
+from ..obs import metrics as _obs
 from . import _native, ir as _ir
+from .pykernel import bind_py
 
-#: per-source-hash imported modules (one per program, process-wide)
+#: per-source-hash kernel entries (one per program, process-wide)
 _MODULES: dict[str, object] = {}
 
 #: last failure reason (None when every bind so far succeeded)
@@ -71,26 +88,16 @@ _N_FAILED = 0
 
 _warned: set = set()
 
-_CFLAGS = ("-O1", "-ffp-contract=off", "-fno-builtin")
+_CFLAGS = ("-O1", "-pipe", "-ffp-contract=off", "-fno-builtin")
 
 _PRELUDE = r"""
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
 #include <math.h>
 #include <stdlib.h>
+""" + _native.KERNEL_ABI + r"""
+const int krun_abi = RK_ABI;
 
-static const double min_normal_d = 2.2250738585072014e-308;
-static const double min_normal_f = 1.1754943508222875e-38;
-
-static inline double w_ftzd(double x) {
-    if (x != 0.0 && x < min_normal_d && x > -min_normal_d)
-        return copysign(0.0, x);
-    return x;
-}
-static inline double w_ftzf(double x) {
-    if (x != 0.0 && x < min_normal_f && x > -min_normal_f)
-        return copysign(0.0, x);
-    return x;
+static inline double f32_sel(double x, double thr) {
+    return ftz_sel((double)(float)x, thr);
 }
 
 /* long-double FMA recovery with the NaN guard of the reference helper */
@@ -104,14 +111,6 @@ static inline double h_fmad(double a, double b, double c) {
    round (NOT a hardware fma: -ffp-contract=off keeps it that way) */
 static inline double h_fmaf(double a, double b, double c) {
     return (double)(float)(a * b + c);
-}
-
-/* the running mode's FTZ flag picks the flush */
-static inline double w_ftzdq(double x, int fz) { return fz ? w_ftzd(x) : x; }
-static inline double w_ftzfq(double x, int fz) { return fz ? w_ftzf(x) : x; }
-static inline double w_f32q(double x, int fz) {
-    x = (double)(float)x;
-    return fz ? w_ftzf(x) : x;
 }
 
 /* Python's floored % and // (operands may be negative), branchless:
@@ -128,8 +127,8 @@ static inline long py_fdv(long a, long b) {
 /* Python list indexing: one negative wrap, sticky error flag OOB (a
    still-negative index is huge unsigned, so one compare covers both
    sides) */
-static inline long idx_fix(long i, Py_ssize_t n, int *ierr) {
-    long u = i + (i < 0 ? (long)n : 0);
+static inline long idx_fix(long i, long n, int *ierr) {
+    long u = i + (i < 0 ? n : 0);
     int bad = (unsigned long)u >= (unsigned long)n;
     *ierr |= bad;
     return bad ? 0 : u;
@@ -165,74 +164,6 @@ static int sched_next(int kind, long c, long t, long tid, long *w,
     }
     return 0;
 }
-
-static PyObject *dlist(const double *v, long n) {
-    PyObject *l = PyList_New(n);
-    for (long i = 0; l && i < n; i++) {
-        PyObject *f = PyFloat_FromDouble(v[i]);
-        if (!f) Py_CLEAR(l); else PyList_SET_ITEM(l, i, f);
-    }
-    return l;
-}
-
-/* *comp = rt.region_exit(...); no op, no partials (None) */
-static int region_exit(PyObject *h, long rid, double *comp, double *part,
-                       long part_n, const char *op, long sync, long atom,
-                       long acq, double sch, double *lcy, double *lccy,
-                       long t) {
-    PyObject *pl = op ? dlist(part, part_n) : Py_NewRef(Py_None);
-    PyObject *lc = dlist(lcy, t), *lk = dlist(lccy, t), *r = NULL;
-    if (pl && lc && lk)
-        r = PyObject_CallFunction(h, "ldOsllldOO", rid, *comp, pl, op, sync,
-                                  atom, acq, sch, lc, lk);
-    Py_XDECREF(pl); Py_XDECREF(lc); Py_XDECREF(lk);
-    if (r) *comp = PyFloat_AsDouble(r);
-    Py_XDECREF(r);
-    return r && !(*comp == -1.0 && PyErr_Occurred()) ? 0 : -1;
-}
-
-/* the cost lanes to and from the CostState */
-static const char *const lane_names[4] = {"cy", "ccy", "ins", "br"};
-static int flush(PyObject *o, double cy, double ccy, double ins, double br) {
-    double v[4] = {cy, ccy, ins, br};
-    for (int i = 0; i < 4; i++) {
-        PyObject *f = PyFloat_FromDouble(v[i]);
-        int r = f ? PyObject_SetAttrString(o, lane_names[i], f) : -1;
-        Py_XDECREF(f);
-        if (r < 0) return -1;
-    }
-    return 0;
-}
-static int reload(PyObject *o, double *cy, double *ccy, double *ins,
-                  double *br) {
-    double *v[4] = {cy, ccy, ins, br};
-    for (int i = 0; i < 4; i++) {
-        PyObject *f = PyObject_GetAttrString(o, lane_names[i]);
-        if (!f) return -1;
-        *v[i] = PyFloat_AsDouble(f);
-        Py_DECREF(f);
-        if (*v[i] == -1.0 && PyErr_Occurred()) return -1;
-    }
-    return 0;
-}
-
-#define CALL_L(H, A) do { \
-    PyObject *_r = PyObject_CallFunction((H), "l", (long)(A)); \
-    if (!_r) goto fail; Py_DECREF(_r); } while (0)
-"""
-
-_POSTLUDE = """
-static PyMethodDef k_methods[] = {
-    {"run", krun, METH_VARARGS, "run(args, rt, cost, K, mode) -> comp"},
-    {NULL, NULL, 0, NULL}};
-
-static struct PyModuleDef k_module = {
-    PyModuleDef_HEAD_INIT, "_repro_kernel",
-    "compiled lowered kernel", -1, k_methods};
-
-PyMODINIT_FUNC PyInit__repro_kernel(void) {
-    return PyModule_Create(&k_module);
-}
 """
 
 
@@ -247,23 +178,44 @@ def _clit(v: float) -> str:
     return v.hex()
 
 
+def _team(ops: list) -> int | None:
+    """The bound of ``_tid`` over a kernel's life: it starts at 0 and only
+    the region thread loops (``ForRange`` from a constant ``>= 0`` to a
+    constant) write it, so it stays below the widest team.  ``None`` when
+    anything else writes it."""
+    team = 1
+    stack = list(ops)
+    while stack:
+        op = stack.pop()
+        t = type(op)
+        if t is _ir.ForRange and op.var == "_tid":
+            if not (type(op.lo) is _ir.ILit and op.lo.v >= 0
+                    and type(op.hi) is _ir.ILit):
+                return None
+            team = max(team, op.hi.v)
+        elif (t in (_ir.ForAssign, _ir.ForList) and op.var == "_tid"
+              or t in (_ir.SetIVar, _ir.LoadInt) and op.name == "_tid"):
+            return None
+        stack.extend(getattr(op, "body", ()))
+    return team
+
+
 class _Emitter:
     """IR -> C source for one program's kernel, every mode in one
-    function: ``fz`` is the running mode's FTZ flag, ``fm`` its FMA
-    level."""
+    function: the FTZ threshold ``thr_d``/``thr_f`` and the FMA level
+    ``fm`` come from the running mode."""
 
     def __init__(self, kir: _ir.KernelIR) -> None:
         self.kir = kir
-        # the wrap of an op result and the flush of a loaded element or
-        # a contraction, each selecting on ``fz``
-        self.wq = "w_f32q" if kir.fp32 else "w_ftzdq"
-        self.zq = "w_ftzfq" if kir.fp32 else "w_ftzdq"
+        self.thr = "thr_f" if kir.fp32 else "thr_d"
         self.lines: list[str] = []
         self.depth = 1
         self.uniq = 0
-        self.rt_calls: dict[str, str] = {}  # runtime method -> C var
         self.max_threads = 0              # widest team: thread-lane size
-        self._ierr = False                # statement touched an array
+        self.team = _team(kir.ops)        # bound of ``_tid``, or None
+        self.bounds: dict[str, int] = {}  # array -> length checked at entry
+        self.labels: set[str] = set()     # shared labels the body jumps to
+        self._ierr = False                # statement used idx_fix
 
     # -- plumbing ------------------------------------------------------
     def w(self, line: str) -> None:
@@ -273,23 +225,38 @@ class _Emitter:
         self.uniq += 1
         return self.uniq
 
-    def rt_call(self, name: str) -> str:
-        """The C variable holding the runtime method ``name``."""
-        var = self.rt_calls.get(name)
-        if var is None:
-            var = f"h_{name}"
-            self.rt_calls[name] = var
-        return var
+    def goto(self, label: str) -> str:
+        self.labels.add(label)
+        return f"goto {label};"
 
     def chk(self) -> None:
         """Raise the interpreted kernel's IndexError after a statement whose
-        expressions indexed an array (the flag is sticky per statement;
-        expressions themselves are pure, so deferring the check to the
-        statement boundary cannot change observable behaviour)."""
+        expressions went through ``idx_fix`` (the flag is sticky per
+        statement; expressions themselves are pure, so deferring the check
+        to the statement boundary cannot change observable behaviour)."""
         if self._ierr:
-            self.w('if (ierr) { PyErr_SetString(PyExc_IndexError, '
-                   '"list index out of range"); goto fail; }')
+            self.w(f"if (ierr) {self.goto('index_error')}")
             self._ierr = False
+
+    def wrap(self, text: str) -> str:
+        """An op result under the running mode: binary32 rounding for a
+        float program, then the FTZ flush."""
+        fn = "f32_sel" if self.kir.fp32 else "ftz_sel"
+        return f"{fn}({text}, {self.thr})"
+
+    def element(self, arr: str, idx) -> str:
+        """``arr[idx]``: direct when the entry check covers the index,
+        else through ``idx_fix``."""
+        t = type(idx)
+        need = (idx.v + 1 if t is _ir.ILit and idx.v >= 0
+                else idx.modulus if t is _ir.IMod and idx.modulus > 0
+                else self.team if t is _ir.IVar and idx.name == "_tid"
+                else None)
+        if need is None:
+            self._ierr = True
+            return f"a_{arr}[idx_fix({self.iexpr(idx)}, an_{arr}, &ierr)]"
+        self.bounds[arr] = max(self.bounds.get(arr, 0), need)
+        return f"a_{arr}[{self.iexpr(idx)}]"
 
     # -- expressions ---------------------------------------------------
     def fexpr(self, e) -> str:
@@ -299,25 +266,22 @@ class _Emitter:
         if t is _ir.FVar:
             return f"v_{e.name}"
         if t is _ir.ALoad:
-            self._ierr = True
-            return (f"a_{e.arr}[idx_fix({self.iexpr(e.idx)}, "
-                    f"an_{e.arr}, &ierr)]")
+            return self.element(e.arr, e.idx)
         if t is _ir.IToF:
             return f"(double)({self.iexpr(e.ix)})"
         if t is _ir.FNeg:
             return f"(-({self.fexpr(e.x)}))"
         if t is _ir.FBin:
-            return (f"{self.wq}({self.fexpr(e.a)} {e.op} "
-                    f"{self.fexpr(e.b)}, fz)")
+            return self.wrap(f"{self.fexpr(e.a)} {e.op} {self.fexpr(e.b)}")
         if t is _ir.FSite:
             return (f"(fm >= {_ir.FMA_MODES.index(e.fma)} ? "
                     f"{self.fexpr(e.fused)} : {self.fexpr(e.plain)})")
         if t is _ir.FFma:
             fn = "h_fmaf" if self.kir.fp32 else "h_fmad"
-            return (f"{self.zq}({fn}({self.fexpr(e.a)}, {self.fexpr(e.b)}, "
-                    f"{self.fexpr(e.c)}), fz)")
+            return (f"ftz_sel({fn}({self.fexpr(e.a)}, {self.fexpr(e.b)}, "
+                    f"{self.fexpr(e.c)}), {self.thr})")
         if t is _ir.FCall:
-            return f"{self.wq}({e.func}({self.fexpr(e.arg)}), fz)"
+            return self.wrap(f"{e.func}({self.fexpr(e.arg)})")
         raise TypeError(f"unknown FP expr {t.__name__}")
 
     def iexpr(self, e) -> str:
@@ -364,37 +328,27 @@ class _Emitter:
             self.w(f"i_{op.name} = {self.iexpr(op.e)};")
             return
         if t is _ir.AStore:
-            self._ierr = True
             rhs = self.fexpr(op.e)
-            self.w(f"a_{op.arr}[idx_fix({self.iexpr(op.idx)}, "
-                   f"an_{op.arr}, &ierr)] = {rhs};")
+            self.w(f"{self.element(op.arr, op.idx)} = {rhs};")
             self.chk()
             return
         if t is _ir.Flush:
-            self.w("if (flush(c_obj, cy, ccy, ins, br) < 0) goto fail;")
+            self.w("if (api->flush(env, cy, ccy, ins, br)) goto out;")
             return
         if t is _ir.Reload:
-            self.w("if (reload(c_obj, &cy, &ccy, &ins, &br) < 0) goto fail;")
+            self.w("if (api->reload(env, &cy, &ccy, &ins, &br)) goto out;")
             return
         if t is _ir.Prologue:
-            self.w("{")
-            self.w(f"    PyObject *_r = PyObject_CallNoArgs("
-                   f"{self.rt_call('prologue')});")
-            self.w('    int _ok = _r && PyArg_ParseTuple(_r, "ldd", &thr, '
-                   "&k_sch, &k_dsp);")
-            self.w("    Py_XDECREF(_r);")
-            self.w("    if (!_ok) goto fail;")
-            self.w("}")
+            self.w("if (api->prologue(env, &thr, &k_sch, &k_dsp)) goto out;")
             return
         if t is _ir.Count:
             self.w(f"n_{op.event}++;")
             return
         if t is _ir.CritEnter:
-            self.rt_call("livelock")
-            self.w("if (++acq >= thr) goto livelock;")
+            self.w(f"if (++acq >= thr) {self.goto('livelock')}")
             return
         if t is _ir.RegionEnter:
-            self.w(f"CALL_L({self.rt_call('region_enter')}, {op.rid});")
+            self.w(f"if (api->region_enter(env, {op.rid})) goto out;")
             self.w("n_sync = n_atomic = 0; acq0 = acq; sch = 0.0;")
             return
         if t is _ir.ThreadBegin:
@@ -407,10 +361,9 @@ class _Emitter:
             self.max_threads = max(self.max_threads, op.threads)
             part = ('part, part_n, "' + op.op + '"' if op.has_partials
                     else "NULL, 0, NULL")
-            h = self.rt_call("region_exit")
-            self.w(f"if (region_exit({h}, {op.rid}, &v_{op.comp}, {part}, "
-                   f"n_sync, n_atomic, acq - acq0, sch, lcy, lccy, "
-                   f"{op.threads}) < 0) goto fail;")
+            self.w(f"if (api->region_exit(env, {op.rid}, &v_{op.comp}, "
+                   f"{part}, n_sync, n_atomic, acq - acq0, sch, lcy, lccy, "
+                   f"{op.threads})) goto out;")
             return
         if t is _ir.InitPartials:
             self.w("part_n = 0;")
@@ -420,7 +373,7 @@ class _Emitter:
             self.w("    long _nc = part_cap ? part_cap * 2 : 32;")
             self.w("    double *_np = (double *)realloc(part, "
                    "(size_t)_nc * sizeof(double));")
-            self.w("    if (!_np) { PyErr_NoMemory(); goto fail; }")
+            self.w(f"    if (!_np) {self.goto('nomem')}")
             self.w("    part = _np; part_cap = _nc;")
             self.w("}")
             self.w(f"part[part_n++] = v_{op.name};")
@@ -466,7 +419,7 @@ class _Emitter:
             self.w(f"    long _nc = qc_{q} ? qc_{q} * 2 : 8;")
             self.w(f"    long *_np = (long *)realloc(q_{q}, "
                    "(size_t)_nc * sizeof(long));")
-            self.w("    if (!_np) { PyErr_NoMemory(); goto fail; }")
+            self.w(f"    if (!_np) {self.goto('nomem')}")
             self.w(f"    q_{q} = _np; qc_{q} = _nc;")
             self.w("}")
             self.w(f"q_{q}[qn_{q}++] = {op.k};")
@@ -498,55 +451,22 @@ class _Emitter:
             self.w("}")
             return
         if t is _ir.LoadInt:
-            self.w("{")
-            self.w(f'    PyObject *_o = PyMapping_GetItemString(args_obj, '
-                   f'"{op.name}");')
-            self.w("    if (!_o) goto fail;")
-            self.w(f"    i_{op.name} = PyLong_AsLong(_o); Py_DECREF(_o);")
-            self.w(f"    if (i_{op.name} == -1 && PyErr_Occurred()) "
-                   "goto fail;")
-            self.w("}")
+            self.w(f'if (api->load_int(env, "{op.name}", &i_{op.name})) '
+                   "goto out;")
             return
         if t is _ir.LoadScalar:
-            self.w("{")
-            self.w(f'    PyObject *_o = PyMapping_GetItemString(args_obj, '
-                   f'"{op.name}");')
-            self.w("    if (!_o) goto fail;")
-            self.w("    double _x = PyFloat_AsDouble(_o); Py_DECREF(_o);")
-            self.w("    if (_x == -1.0 && PyErr_Occurred()) goto fail;")
-            self.w(f"    v_{op.name} = {self.wq}(_x, fz);")
-            self.w("}")
+            v = f"v_{op.name}"
+            self.w(f'if (api->load_float(env, "{op.name}", &{v})) goto out;')
+            self.w(f"{v} = {self.wrap(v)};")
             return
         if t is _ir.LoadArray:
             n = op.name
-            self.w("{")
-            self.w(f'    PyObject *_o = PyMapping_GetItemString(args_obj, '
-                   f'"{n}");')
-            self.w("    if (!_o) goto fail;")
-            self.w('    PyObject *_seq = PySequence_Fast(_o, "array '
-                   'argument is not a sequence");')
-            self.w("    Py_DECREF(_o);")
-            self.w("    if (!_seq) goto fail;")
-            self.w(f"    an_{n} = PySequence_Fast_GET_SIZE(_seq);")
-            self.w(f"    a_{n} = (double *)malloc((size_t)(an_{n} > 0 ? "
-                   f"an_{n} : 1) * sizeof(double));")
-            self.w(f"    if (!a_{n}) {{ Py_DECREF(_seq); PyErr_NoMemory(); "
-                   "goto fail; }")
-            self.w("    {")
-            self.w("        PyObject **_items = PySequence_Fast_ITEMS(_seq);")
-            self.w(f"        for (Py_ssize_t _i = 0; _i < an_{n}; _i++) {{")
-            self.w("            double _x = PyFloat_AsDouble(_items[_i]);")
-            self.w("            if (_x == -1.0 && PyErr_Occurred()) "
-                   "{ Py_DECREF(_seq); goto fail; }")
-            self.w(f"            a_{n}[_i] = {self.zq}(_x, fz);")
-            self.w("        }")
-            self.w("    }")
-            self.w("    Py_DECREF(_seq);")
-            self.w("}")
+            self.w(f'if (api->load_array(env, "{n}", {self.thr}, &a_{n}, '
+                   f"&an_{n})) goto out;")
             return
         if t is _ir.Return:
-            self.w(f"retval = PyFloat_FromDouble(v_{op.name});")
-            self.w("goto done;")
+            self.w(f"c->ret = v_{op.name}; rc = 0;")
+            self.w("goto out;")
             return
         raise TypeError(f"unknown IR op {t.__name__}")
 
@@ -570,20 +490,20 @@ class _Emitter:
         self.w("    }")
         self.w("}")
 
-    # -- whole module --------------------------------------------------
+    # -- whole object --------------------------------------------------
     def emit(self) -> str:
         kir = self.kir
         self.block(kir.ops)
         body = self.lines
-        nk = max(kir.n_constants, 1)
+        nk = kir.n_constants
 
         head: list[str] = [_PRELUDE]
         w = head.append
-        w("static PyObject *krun(PyObject *self, PyObject *call_args) {")
-        w("    PyObject *args_obj, *rt_obj, *c_obj, *K_obj;")
-        w("    PyObject *retval = NULL;")
-        w("    int mode = 0, fz, fm;")
-        w(f"    double K[{nk}];")
+        w("int krun(rk_ctx *c) {")
+        w("    void *env = c->env;")
+        w("    const rk_api *api = c->api;")
+        w("    long fm = c->mode >> 1;")
+        w(f"    double {self.thr}, K[{max(nk, 1)}];")
         w("    double cy = 0.0, ccy = 0.0, ins = 0.0, br = 0.0;")
         # the region block and the prologue's run constants
         w("    long thr = 0, acq = 0, acq0 = 0, n_sync = 0, n_atomic = 0;")
@@ -592,82 +512,69 @@ class _Emitter:
         if self.max_threads:
             w(f"    double lcy[{self.max_threads}], "
               f"lccy[{self.max_threads}];")
-        w("    int ierr = 0;")
+        if "index_error" in self.labels:
+            w("    int ierr = 0;")
         w("    double *part = NULL; long part_n = 0, part_cap = 0;")
+        w("    int rc = -1;")
         ints = dict.fromkeys((*kir.int_vars, "_tid"))
         for name in ints:
             w(f"    long i_{name} = 0;")
         for name in kir.fp_vars:
             w(f"    double v_{name} = 0.0;")
         for name in kir.arrays:
-            w(f"    double *a_{name} = NULL; Py_ssize_t an_{name} = 0;")
+            w(f"    double *a_{name} = NULL; long an_{name} = 0;")
         for name in kir.queues:
             w(f"    long *q_{name} = NULL; "
               f"long qn_{name} = 0, qc_{name} = 0;")
-        for var in self.rt_calls.values():
-            w(f"    PyObject *{var} = NULL;")
-        w("    (void)ierr; (void)i__tid; (void)part;")
-        w('    if (!PyArg_ParseTuple(call_args, "OOOOi", &args_obj, '
-          "&rt_obj, &c_obj, &K_obj, &mode)) return NULL;")
-        w(f"    if (mode < 0 || mode >= {2 * len(_ir.FMA_MODES)}) {{")
-        w('        PyErr_SetString(PyExc_ValueError, '
-          '"kernel mode out of range");')
-        w("        return NULL;")
+        w(f"    if (c->mode < 0 || c->mode >= {2 * len(_ir.FMA_MODES)}) {{")
+        w("        api->error(env, RK_E_MODE); return -1;")
         w("    }")
-        w("    fz = mode & 1;")
-        w("    fm = mode >> 1;")
-        w("    (void)fz; (void)fm;")
-        w(f"    if (!PyTuple_Check(K_obj) || PyTuple_GET_SIZE(K_obj) != "
-          f"{kir.n_constants}) {{")
-        w('        PyErr_SetString(PyExc_TypeError, '
-          '"constants tuple has wrong arity");')
-        w("        return NULL;")
-        w("    }")
-        if kir.n_constants:
-            w(f"    for (int _i = 0; _i < {kir.n_constants}; _i++) {{")
-            w("        K[_i] = PyFloat_AsDouble("
-              "PyTuple_GET_ITEM(K_obj, _i));")
-            w("        if (K[_i] == -1.0 && PyErr_Occurred()) return NULL;")
-            w("    }")
-        w("    (void)K;")
-        for name, var in self.rt_calls.items():
-            w(f'    {var} = PyObject_GetAttrString(rt_obj, "{name}");')
-            w(f"    if (!{var}) goto fail;")
+        w(f"    if (c->nk != {nk}) {{ api->error(env, RK_E_ARITY); "
+          "return -1; }")
+        # the bound check, before the prologue and any cost-state write
+        for name, need in self.bounds.items():
+            w(f'    if (api->array_len(env, "{name}") < {need}) '
+              "return RK_SHORT;")
+        if nk:
+            w(f"    for (int _i = 0; _i < {nk}; _i++) K[_i] = c->K[_i];")
+        minimum = "RK_MIN_NORMAL_F" if kir.fp32 else "RK_MIN_NORMAL_D"
+        w(f"    {self.thr} = c->mode & 1 ? {minimum} : 0.0;")
 
-        tail: list[str] = []
+        tail: list[str] = ["    goto out;"]
         w = tail.append
-        h = self.rt_calls.get("livelock")
-        if h is not None:  # the one abort every acquire shares
-            w("    goto fail;")
+        if "livelock" in self.labels:  # the one abort every acquire shares
             w("livelock:")
-            w(f'    Py_XDECREF(PyObject_CallFunction({h}, "lldddd", '
-              "acq - acq0, n_atomic, cy, ccy, ins, br));")
-        w("fail:")
-        w("    Py_CLEAR(retval);")
-        w("done:")
+            w("    api->livelock(env, acq - acq0, n_atomic, cy, ccy, ins, "
+              "br);")
+            w("    goto out;")
+        if "index_error" in self.labels:
+            w("index_error:")
+            w("    api->error(env, RK_E_INDEX);")
+            w("    goto out;")
+        if "nomem" in self.labels:
+            w("nomem:")
+            w("    api->error(env, RK_E_MEMORY);")
+        w("out:")
         for name in kir.arrays:
             w(f"    free(a_{name});")
         for name in kir.queues:
             w(f"    free(q_{name});")
         w("    free(part);")
-        for var in self.rt_calls.values():
-            w(f"    Py_XDECREF({var});")
-        w("    return retval;")
+        w("    return rc;")
         w("}")
-        w(_POSTLUDE)
-        return "\n".join(head + body + tail)
+        return "\n".join(head + body + tail) + "\n"
 
 
 def emit_c(kir: _ir.KernelIR) -> str:
-    """The full C source of one program's kernel, every mode in one
-    ``run(args, rt, cost, K, mode)``."""
+    """The full C source of one program's kernel object, every mode in
+    one ``krun``."""
     return _Emitter(kir).emit()
 
 
 def build_info() -> dict:
-    """How C-kernel builds have gone this process: modules built or
-    loaded, kernels fallen back to interp, and the last failure reason
-    (if any)."""
+    """How C-kernel builds have gone this process: kernel objects built
+    or loaded, kernels fallen back to interp, and the last failure
+    reason (if any)."""
     return {"compiled": len(_MODULES), "failed": _N_FAILED,
             "last_failure": _LAST_FAILURE}
 
@@ -684,17 +591,17 @@ def _fail(reason: str) -> None:
 
 
 def _load_module(source: str):
-    """Build-or-reuse the content-addressed extension for one source."""
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    key = sha256((source + suffix).encode()).hexdigest()[:20]
-    mod = _MODULES.get(key)
-    if mod is not None:
-        return mod
+    """Build-or-reuse the content-addressed kernel object for one source;
+    its ``run(args, rt, cost, K, mode)``, or ``None`` on failure."""
+    key = sha256(source.encode()).hexdigest()[:20]
+    run = _MODULES.get(key)
+    if run is not None:
+        return run
     cache_dir = _native._cache_dir()
     if not _native._cache_dir_trusted(cache_dir):
         _fail(f"untrusted cache dir {cache_dir}")
         return None
-    out = cache_dir / f"_repro_kernel-{key}{suffix}"
+    out = cache_dir / f"_repro_kernel-{key}.so"
     if not out.exists():
         cc = _native._find_cc()
         if cc is None:
@@ -706,34 +613,42 @@ def _load_module(source: str):
             _fail(f"build failed: {why}")
             return None
     try:
-        mod = _native.import_shared_object(out, name="_repro_kernel")
+        run = _native.load_kernel_object(out)
     except Exception as exc:
-        _fail(f"import failed: {type(exc).__name__}: {exc}")
+        _fail(f"load failed: {type(exc).__name__}: {exc}")
         return None
-    if mod is None or not hasattr(mod, "run"):
-        _fail(f"import failed: no run() in {os.fspath(out)}")
-        return None
-    _MODULES[key] = mod
-    return mod
+    _MODULES[key] = run
+    return run
 
 
 def bind_c(structural, constants: tuple[float, ...], mode: _ir.Mode):
     """The compiled entry for one vendor's binding of a kernel, or
     ``None`` (caller falls back to interp) when the build is impossible —
     with the reason recorded and warned once, never silently.  The first
-    bind of a kernel builds its module, which every mode then shares."""
+    bind of a kernel builds its object, which every mode then shares.  A
+    call whose array is shorter than the kernel's bound runs on the
+    interpreted entry (counted as
+    ``repro_kernel_runs_total{backend="interp",reason="short_array"}``
+    when telemetry is on)."""
     run = structural.backend_cache.get("c")
     if run is None:
         if "c_failed" in structural.backend_cache:
             return None
-        mod = _load_module(emit_c(structural.ir))
-        if mod is None:
+        run = _load_module(emit_c(structural.ir))
+        if run is None:
             structural.backend_cache["c_failed"] = _LAST_FAILURE
             return None
-        run = structural.backend_cache["c"] = mod.run
+        structural.backend_cache["c"] = run
     ftz, fma = mode
     code = int(ftz) | _ir.FMA_MODES.index(fma) << 1
 
+    def _short(_args, _rt, _c):
+        if _obs.enabled():
+            _obs.inc("repro_kernel_runs_total", backend="interp",
+                     reason="short_array")
+        return bind_py(structural, constants, mode)(_args, _rt, _c)
+
     def _kernel(_args, _rt, _c, run=run, constants=constants, code=code):
-        return run(_args, _rt, _c, constants, code)
+        comp = run(_args, _rt, _c, constants, code)
+        return _short(_args, _rt, _c) if comp is None else comp
     return _kernel

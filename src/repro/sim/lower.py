@@ -395,19 +395,23 @@ class LoweredKernel:
         re-exec'ing / re-building.  The C backend falls back to the
         interpreted entry — recording why — when unavailable; with
         telemetry on, ``repro_kernel_binds_total{backend,reason}`` counts
-        the backend each new entry runs on, ``reason`` ``fallback`` when
-        a C request fell back and ``selected`` otherwise.
+        the backend each new entry runs on, ``reason`` ``selected`` when
+        it is the backend asked for (C, or interp asked for explicitly)
+        and ``fallback`` when a ``c`` or ``auto`` request ended on interp,
+        whether the build failed or the selection already resolved to
+        interp.
         """
+        requested = backend
         if backend is None:
             from .backend import active_kernel_backend
             backend = active_kernel_backend()
         entry = self._entries.get(backend)
         if entry is None:
-            entry = self._make_entry(backend)
+            entry = self._make_entry(backend, requested)
             self._entries[backend] = entry
         return entry
 
-    def _make_entry(self, backend: str) -> object:
+    def _make_entry(self, backend: str, requested: str | None) -> object:
         entry = None
         if backend == "c":
             from .ckernel import bind_c
@@ -415,10 +419,13 @@ class LoweredKernel:
             # build failure): ckernel recorded the reason and warned
             entry = bind_c(self.structural, self.constants, self.mode)
         if _obs.enabled():
+            if requested is None:
+                from .backend import kernel_backend_info
+                requested = kernel_backend_info()["requested"]
             _obs.inc("repro_kernel_binds_total",
                      backend="interp" if entry is None else "c",
-                     reason=("fallback" if entry is None and backend == "c"
-                             else "selected"))
+                     reason=("selected" if entry is not None
+                             or requested == "interp" else "fallback"))
         if entry is None:
             entry = bind_py(self.structural, self.constants, self.mode)
         return entry

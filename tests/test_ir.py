@@ -10,6 +10,9 @@ Python emitter's semantic choices.
 
 from __future__ import annotations
 
+import math
+import re
+import sys
 import typing
 
 import pytest
@@ -48,6 +51,7 @@ from repro.sim import ir
 from repro.sim.backend import _c_available
 from repro.sim.ckernel import bind_c, emit_c
 from repro.sim.lower import (
+    CostState,
     RuntimeConstSite,
     StructuralKernel,
     StructuralLowerer,
@@ -569,9 +573,10 @@ class TestFamilyEmitter:
                       ir.LoadArray("a"))
         kir.fp32 = True
         source = emit_c(kir)
-        assert "fz = mode & 1;" in source
-        assert "v_x = w_f32q(v_x + 0x1.0000000000000p+1, fz);" in source
-        assert "a_a[_i] = w_ftzfq(_x, fz);" in source
+        # the flag picks the flush threshold once per call
+        assert "thr_f = c->mode & 1 ? RK_MIN_NORMAL_F : 0.0;" in source
+        assert "v_x = f32_sel(v_x + 0x1.0000000000000p+1, thr_f);" in source
+        assert 'api->load_array(env, "a", thr_f, &a_a, &an_a)' in source
 
     def test_differing_subexpressions_select_on_the_member(self):
         # a contraction site selects its form on the running FMA level
@@ -579,23 +584,98 @@ class TestFamilyEmitter:
         site = ir.FSite(ir.FFma(ir.FNeg(_X), y, one),
                         ir.FBin("-", one, ir.FBin("*", _X, y)), "aggressive")
         source = emit_c(_kernel(ir.SetVar("x", ir.FNeg(site))))
-        assert "fm = mode >> 1;" in source
+        assert "long fm = c->mode >> 1;" in source
         assert ("v_x = (-((fm >= 2 ? "
-                "w_ftzdq(h_fmad((-(v_x)), v_y, 0x1.0000000000000p+0), fz) : "
-                "w_ftzdq(0x1.0000000000000p+0 - w_ftzdq(v_x * v_y, fz), "
-                "fz))));") in source
+                "ftz_sel(h_fmad((-(v_x)), v_y, 0x1.0000000000000p+0), "
+                "thr_d) : "
+                "ftz_sel(0x1.0000000000000p+0 - ftz_sel(v_x * v_y, thr_d), "
+                "thr_d))));") in source
         # the same select whether or not a form folded
         source = emit_c(_kernel(ir.SetVar("x", _SAMPLES[ir.FSite])))
         assert ("v_x = (fm >= 1 ? "
-                "w_ftzdq(h_fmad(v_x, v_x, 0x1.0000000000000p+0), fz) : "
-                "w_ftzdq(0x1.0000000000000p+1 + 0x1.0000000000000p+0, "
-                "fz));") in source
+                "ftz_sel(h_fmad(v_x, v_x, 0x1.0000000000000p+0), thr_d) : "
+                "ftz_sel(0x1.0000000000000p+1 + 0x1.0000000000000p+0, "
+                "thr_d));") in source
 
     def test_signed_zero_literals_are_not_merged(self):
         # a per-mode literal keeps the sign of each mode's zero
         site = ir.FSite(ir.FLit(-0.0), ir.FLit(0.0), "aggressive")
         source = emit_c(_kernel(ir.SetVar("x", site)))
         assert "(fm >= 2 ? -0x0.0p+0 : 0x0.0p+0)" in source
+
+
+
+class TestKernelObjectEmitter:
+    """The kernel object :func:`emit_c` writes: plain C over the kernel
+    ABI, arrays indexed directly where one length check at entry covers
+    the index."""
+
+    def test_no_python_header(self):
+        source = emit_c(_kernel(*[_as_stmt(c) for c in _CASES.values()]))
+        assert "Python.h" not in source
+        assert re.search(r"\bPy[A-Z_]", source) is None  # no C-API name
+        assert [line for line in source.splitlines()
+                if line.startswith("#include")] == ["#include <math.h>",
+                                                    "#include <stdlib.h>"]
+        assert "int krun(rk_ctx *c) {" in source
+
+    #: a[3] (constant), a[i % 5] (``% M``), b[_tid] in a 4-thread loop,
+    #: and b[j] over a loop variable
+    BOUNDED = ir.KernelIR(
+        ops=[ir.LoadInt("i"), ir.LoadArray("a"), ir.LoadArray("b"),
+             ir.SetVar("comp", ir.ALoad("a", ir.ILit(3))),
+             ir.AStore("a", ir.IMod(ir.IVar("i"), 5), ir.FLit(1.0)),
+             ir.ForRange("_tid", ir.ILit(0), ir.ILit(4), [
+                 ir.SetVar("comp", ir.FBin("+", ir.FVar("comp"),
+                                           ir.ALoad("b", ir.IVar("_tid"))))]),
+             ir.ForRange("j", ir.ILit(0), ir.IVar("i"), [
+                 ir.AStore("b", ir.IVar("j"), ir.FVar("comp"))]),
+             ir.Return("comp")],
+        comp="comp", fp_vars=("comp",), int_vars=("i", "j"),
+        arrays=("a", "b"))
+
+    def test_bounded_sites_skip_idx_fix(self):
+        body = emit_c(self.BOUNDED).split("int krun(rk_ctx *c) {")[1]
+        assert "v_comp = a_a[3];" in body
+        assert "a_a[py_mod(i_i, 5)] = 0x1.0000000000000p+0;" in body
+        assert "a_b[i__tid]" in body
+        # the loop variable keeps the wrap and the range check
+        assert "a_b[idx_fix(i_j, an_b, &ierr)] = v_comp;" in body
+        assert body.count("idx_fix(") == 1
+        assert body.count("if (ierr) goto index_error;") == 1
+        assert body.count("index_error:") == 1
+
+    def test_one_length_check_per_array(self):
+        body = emit_c(self.BOUNDED).split("int krun(rk_ctx *c) {")[1]
+        # a: max(3 + 1, 5); b: the widest team
+        assert body.count("api->array_len(") == 2
+        assert 'if (api->array_len(env, "a") < 5) return RK_SHORT;' in body
+        assert 'if (api->array_len(env, "b") < 4) return RK_SHORT;' in body
+        # before the prologue's first runtime call
+        kir = ir.KernelIR(ops=[ir.Prologue(), *self.BOUNDED.ops],
+                          comp="comp", fp_vars=("comp",),
+                          int_vars=("i", "j"), arrays=("a", "b"))
+        body = emit_c(kir).split("int krun(rk_ctx *c) {")[1]
+        assert body.index("api->array_len(") < body.index("api->prologue(")
+
+    def test_tid_written_elsewhere_is_not_bounded(self):
+        kir = ir.KernelIR(
+            ops=[ir.LoadInt("_tid"), ir.LoadArray("a"),
+                 ir.SetVar("comp", ir.ALoad("a", ir.IVar("_tid"))),
+                 ir.Return("comp")],
+            comp="comp", fp_vars=("comp",), arrays=("a",))
+        body = emit_c(kir).split("int krun(rk_ctx *c) {")[1]
+        assert "a_a[idx_fix(i__tid, an_a, &ierr)]" in body
+        assert "array_len" not in body
+
+    def test_negative_constant_keeps_the_wrap(self):
+        kir = ir.KernelIR(
+            ops=[ir.LoadArray("a"),
+                 ir.SetVar("comp", ir.ALoad("a", ir.ILit(-1))),
+                 ir.Return("comp")],
+            comp="comp", fp_vars=("comp",), arrays=("a",))
+        body = emit_c(kir).split("int krun(rk_ctx *c) {")[1]
+        assert "a_a[idx_fix(-1, an_a, &ierr)]" in body
 
 
 def _c_entry_or_skip():
@@ -672,6 +752,88 @@ class TestCPreludeIntSemantics:
         expected = float((i // j) * 10000 + (i % j) * 100 + i % 5)
         assert _run_both(self.INTS, {"i": i, "j": j}) == [expected,
                                                           expected]
+
+
+
+class _Recorder:
+    """A runtime that records its calls and charges nothing."""
+
+    def __init__(self) -> None:
+        self.calls: list[str] = []
+
+    def prologue(self):
+        self.calls.append("prologue")
+        return sys.maxsize, 0.0, 0.0
+
+
+class TestShortArrays:
+    """A C call whose array is shorter than the kernel's bound runs
+    nothing and defers to the interpreted entry: the same result, the
+    same exception, the same runtime calls and cost lanes."""
+
+    #: comp = a[0]; if i == 1: comp += a[3]; one charge — a needs 4
+    KIR = ir.KernelIR(
+        ops=[ir.Prologue(), ir.LoadInt("i"), ir.LoadArray("a"), ir.Reload(),
+             ir.SetVar("comp", ir.ALoad("a", ir.ILit(0))),
+             ir.IfIntEq("i", 1, [ir.SetVar("comp", ir.FBin(
+                 "+", ir.FVar("comp"), ir.ALoad("a", ir.ILit(3))))]),
+             ir.Charge(0, 0, None, 1.0), ir.Flush(), ir.Return("comp")],
+        n_constants=1, comp="comp", fp_vars=("comp",), int_vars=("i",),
+        arrays=("a",))
+
+    @staticmethod
+    def _observe(entry, args: dict) -> tuple:
+        rt, cost = _Recorder(), CostState()
+        try:
+            out = entry(dict(args), rt, cost)
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            out = (type(exc), str(exc))
+        return out, rt.calls, (cost.cy, cost.ccy, cost.ins, cost.br)
+
+    @pytest.mark.parametrize("args", [
+        {"i": 1, "a": [1.0, 2.0, 3.0, 4.0]},   # long enough: C runs
+        {"i": 0, "a": [1.0, 2.0]},             # short, a[3] not reached
+        {"i": 1, "a": [1.0, 2.0]},             # short, a[3] out of range
+        {"i": 0, "a": []},                     # a[0] out of range
+        {"i": 0},                              # no array argument
+    ], ids=["long", "short", "short-oob", "empty", "missing"])
+    def test_short_call_is_the_interp_call(self, args):
+        _c_entry_or_skip()
+        shape = _shape(self.KIR)
+        interp = self._observe(bind_py(shape, (5.0,), PLAIN), args)
+        assert self._observe(bind_c(shape, (5.0,), PLAIN), args) == interp
+        assert interp[1] == ["prologue"]  # the C attempt added none
+
+    def test_short_call_runs_nothing_in_c(self):
+        _c_entry_or_skip()
+        shape = _shape(self.KIR)
+        bind_c(shape, (5.0,), PLAIN)
+        rt, cost = _Recorder(), CostState()
+        run = shape.backend_cache["c"]
+        assert run({"i": 0, "a": [1.0, 2.0]}, rt, cost, (5.0,), 0) is None
+        assert rt.calls == []
+        assert (cost.cy, cost.ccy, cost.ins, cost.br) == (0.0,) * 4
+        assert run({"i": 0, "a": [1.0] * 4}, rt, cost, (5.0,), 0) == 1.0
+        assert rt.calls == ["prologue"]
+
+    def test_short_call_is_counted(self, monkeypatch):
+        from repro import obs
+        from repro.obs.metrics import counter_value
+
+        _c_entry_or_skip()
+        monkeypatch.setenv("REPRO_OBS", "0")  # enable() writes it
+        entry = bind_c(_shape(self.KIR), (5.0,), PLAIN)
+        obs.reset()
+        obs.enable(True)
+        try:
+            self._observe(entry, {"i": 0, "a": [1.0, 2.0]})
+            self._observe(entry, {"i": 0, "a": [1.0] * 4})
+            assert counter_value(obs.registry_snapshot(),
+                                 "repro_kernel_runs_total", backend="interp",
+                                 reason="short_array") == 1
+        finally:
+            obs.enable(False)
+            obs.reset()
 
 
 class TestFamilyRuns:
@@ -775,6 +937,54 @@ class TestFamilyRuns:
                  "aggressive": True}
         for (_, fma), (ref, _) in zip(self.MODES, runs):
             assert abs(ref) == (eps * eps if fused[fma] else 0.0)
+
+    #: every value a wrap or flush decides on, with both signs: zero, the
+    #: smallest subnormal, the smallest double and float normals and the
+    #: values just below them, infinity; and NaN
+    EDGES = [v for m in (0.0, 5e-324, 2.2250738585072014e-308,
+                         math.nextafter(2.2250738585072014e-308, 0.0),
+                         1.1754943508222875e-38,
+                         math.nextafter(1.1754943508222875e-38, 0.0),
+                         f32(math.nextafter(1.1754943508222875e-38, 0.0)),
+                         math.inf)
+             for v in (m, -m)] + [math.nan]
+
+    @staticmethod
+    def _edge_kernel(fp32: bool) -> ir.KernelIR:
+        """``sel`` picks what comp holds: 0 the loaded scalar, 1 the loaded
+        array element, 2 an op result ``x * 1``, 3 a contraction site
+        ``x * 1 + 0`` (the FMA flush when it fuses)."""
+        x, one, zero = ir.FVar("x"), ir.FLit(1.0), ir.FLit(0.0)
+        forms = [x, ir.ALoad("a", ir.ILit(0)), ir.FBin("*", x, one),
+                 ir.FSite(ir.FFma(x, one, zero),
+                          ir.FBin("+", ir.FBin("*", x, one), zero), "basic")]
+        return ir.KernelIR(
+            ops=[ir.LoadInt("sel"), ir.LoadScalar("x"), ir.LoadArray("a"),
+                 *[ir.IfIntEq("sel", k, [ir.SetVar("comp", e)])
+                   for k, e in enumerate(forms)],
+                 ir.Return("comp")],
+            comp="comp", fp_vars=("x", "comp"), int_vars=("sel",),
+            arrays=("a",), fp32=fp32)
+
+    @pytest.mark.parametrize("fp32", [False, True], ids=["fp64", "fp32"])
+    def test_ftz_edge_values_match_interp(self, fp32):
+        _c_entry_or_skip()
+        shape = _shape(self._edge_kernel(fp32))
+        entries = [(mode, bind_py(shape, (), mode), bind_c(shape, (), mode))
+                   for mode in self.MODES]
+
+        def bits(v):
+            return "nan" if v != v else v.hex()
+
+        flushed = 0
+        for x in self.EDGES:
+            for sel in range(4):
+                args = {"sel": sel, "x": x, "a": [x]}
+                for mode, py, c in entries:
+                    ref = _call(py, args)
+                    assert bits(_call(c, args)) == bits(ref), (mode, x, sel)
+                    flushed += mode[0] and ref == 0.0 and x != 0.0
+        assert flushed  # FTZ flushed some subnormal on every path
 
     def test_mode_out_of_range_is_rejected(self):
         _c_entry_or_skip()

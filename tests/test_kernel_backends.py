@@ -124,13 +124,13 @@ def fresh_kernel_cache(monkeypatch):
 
 @pytest.fixture()
 def cc_calls(tmp_path, monkeypatch):
-    """A fresh on-disk kernel cache and no loaded kernel modules; returns
-    the lists every compiler run and module load is appended to."""
+    """A fresh on-disk kernel cache and no loaded kernel objects; returns
+    the lists every compiler run and object load is appended to."""
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     monkeypatch.setattr(ckernel, "_MODULES", {})
     calls = {"build": [], "load": []}
     for key, attr in (("build", "build_shared_object"),
-                      ("load", "import_shared_object")):
+                      ("load", "load_kernel_object")):
         def counted(*args, _fn=getattr(_native, attr), _log=calls[key],
                     **kwargs):
             _log.append(args)
@@ -681,3 +681,105 @@ class TestBindTelemetry:
         assert binds("c", "selected") == 1
         assert binds("interp", "selected") == 1
         assert binds("interp", "fallback") == 0
+
+
+class TestRequestResolvedToInterp:
+    """A ``c`` or ``auto`` request that selection already resolved to
+    interp is a fallback too; only interp asked for is ``selected``."""
+
+    @pytest.mark.parametrize("requested,reason", [
+        ("c", "fallback"), ("auto", "fallback"), ("interp", "selected")])
+    def test_counted_by_request(self, requested, reason, monkeypatch, binds,
+                                machine, fresh_kernel_cache):
+        monkeypatch.setattr(backend_mod, "_C_AVAIL",
+                            (False, "simulated: no toolchain"))
+        program, test_input = _program(3)
+        with warnings.catch_warnings():  # an explicit c request warns
+            warnings.simplefilter("ignore", RuntimeWarning)
+            binary = get_backend("gcc").compile(program, "-O3")
+            run_under(binary, test_input, machine, requested)
+        other = "selected" if reason == "fallback" else "fallback"
+        assert binds("interp", reason) == 1
+        assert binds("interp", other) == 0
+        assert binds("c", "selected") == 0
+
+
+# ----------------------------------------------------------------------
+# bad objects in the kernel cache, short arrays
+# ----------------------------------------------------------------------
+
+@needs_c
+class TestCorruptCachedObject:
+    """A truncated or foreign file where a kernel object should be falls
+    back to interp with the reason recorded, never crashes the process."""
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-elf"])
+    def test_falls_back_to_interp(self, damage, monkeypatch, cc_calls,
+                                  machine, tmp_path):
+        monkeypatch.setattr(ckernel, "_N_FAILED", ckernel._N_FAILED)
+        monkeypatch.setattr(ckernel, "_LAST_FAILURE", ckernel._LAST_FAILURE)
+        program, test_input = _program(3)
+        built = tmp_path / "built"
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(built))
+        monkeypatch.setattr(kcache, "_DEFAULT_CACHE", kcache.KernelCache())
+        run_under(get_backend("gcc").compile(program, "-O3"), test_input,
+                  machine, "c")
+        (obj,) = built.glob("_repro_kernel-*.so")
+        data = obj.read_bytes()
+        # the damaged copy in a cache of its own: the loader would hand
+        # back the object this process loaded from the same path
+        damaged = tmp_path / "damaged"
+        damaged.mkdir(mode=0o700)
+        (damaged / obj.name).write_bytes(
+            data[:len(data) // 2] if damage == "truncated"
+            else b"not a kernel object\n" * 8)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(damaged))
+
+        # a new process: nothing loaded, nothing lowered
+        monkeypatch.setattr(ckernel, "_MODULES", {})
+        monkeypatch.setattr(kcache, "_DEFAULT_CACHE", kcache.KernelCache())
+        failed = ckernel.build_info()["failed"]
+        binary = get_backend("gcc").compile(program, "-O3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = run_under(binary, test_input, machine, "c")
+        info = ckernel.build_info()
+        assert info["failed"] == failed + 1
+        assert info["last_failure"].startswith("load failed: ImportError")
+        assert ("truncated ELF object" in info["last_failure"]) == (
+            damage == "truncated")
+        assert len(cc_calls["build"]) == 1  # the cached path is reused
+        assert record_tuple(got) == record_tuple(
+            run_under(binary, test_input, machine, "interp"))
+
+
+@needs_c
+class TestShortArrayRecords:
+    """Arrays shorter than the kernel's bound: the C entry defers the
+    whole call to interp, so the run enters the runtime exactly as the
+    interpreted run does — the C attempt adds no prologue."""
+
+    @pytest.mark.parametrize("length", [0, 999, 1000])  # bound: 1000
+    def test_short_arrays_run_the_interp_record(self, length, monkeypatch,
+                                                runtime_calls, machine):
+        build_args = execution.build_args
+
+        def short_args(binary, test_input):
+            args = build_args(binary, test_input)
+            return {k: v[:length] if isinstance(v, list) else v
+                    for k, v in args.items()}
+
+        monkeypatch.setattr(execution, "build_args", short_args)
+        program, test_input = _program(3)
+        binary = get_backend("gcc").compile(program, "-O3")
+        outcomes = []
+        for backend in ("interp", "c"):
+            runtime_calls.clear()
+            try:
+                outcome = record_tuple(run_under(binary, test_input,
+                                                 machine, backend))
+            except IndexError as exc:  # as the interpreted kernel raises
+                outcome = repr(exc)
+            outcomes.append((outcome, dict(runtime_calls)))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[0][1]["prologue"] == 1
