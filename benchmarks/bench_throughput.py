@@ -121,6 +121,11 @@ def profile_stages(cfg: CampaignConfig) -> dict:
     t_lower_warm = time.perf_counter() - t0
     cache_warm = cold_cache.stats().since(mark).as_dict()
 
+    # bind (and load or build) every entry outside the execute clock:
+    # this cache's programs have no kernel objects loaded yet
+    for bins in binaries.values():
+        for b in bins:
+            _ = b.entry
     t0 = time.perf_counter()
     all_records = []
     for p in programs:
@@ -215,8 +220,7 @@ def end_to_end(cfg: CampaignConfig, passes: int = 1) -> dict:
 
 def cold_end_to_end(cfg: CampaignConfig) -> dict:
     """:func:`end_to_end` with every kernel built inside the clock: a
-    fresh temporary on-disk cache and an empty process kernel cache.
-    Run it before anything else in the process has loaded kernels."""
+    fresh temporary on-disk cache and an empty process kernel cache."""
     saved = os.environ.get("REPRO_NATIVE_CACHE")
     with tempfile.TemporaryDirectory(prefix="repro-bench-cold-") as tmp:
         os.environ["REPRO_NATIVE_CACHE"] = tmp

@@ -62,10 +62,14 @@ Bit-exactness contract (the reason the C backend requires
 
 Objects are content-addressed by the hash of the kernel's source in the
 same per-uid, trust-checked cache directory as the value helpers (one
-build per program per machine, ever).  A build or load failure — no
-compiler, a failed build, a corrupt cached object — falls back to the
-interpreted entry, recording the reason (see :func:`build_info`) and
-warning once, never silently.
+build per program per machine, ever).  A loaded object belongs to the
+structural kernel it was built from (its ``backend_cache``), and so to
+the program's :class:`~repro.sim.kcache.KernelCache` entry: the
+dispatcher unloads it (``dlclose``) once the last reference goes, when
+the program has left the cache and no binary still runs it.  A build or
+load failure — no compiler, a failed build, a corrupt cached object —
+falls back to the interpreted entry, recording the reason (see
+:func:`build_info`) and warning once, never silently.
 """
 
 from __future__ import annotations
@@ -77,8 +81,8 @@ from ..obs import metrics as _obs
 from . import _native, ir as _ir
 from .pykernel import bind_py
 
-#: per-source-hash kernel entries (one per program, process-wide)
-_MODULES: dict[str, object] = {}
+#: count of kernel objects built or loaded
+_N_COMPILED = 0
 
 #: last failure reason (None when every bind so far succeeded)
 _LAST_FAILURE: str | None = None
@@ -573,9 +577,10 @@ def emit_c(kir: _ir.KernelIR) -> str:
 
 def build_info() -> dict:
     """How C-kernel builds have gone this process: kernel objects built
-    or loaded, kernels fallen back to interp, and the last failure
+    or loaded (a program loaded again after leaving the kernel cache
+    counts again), kernels fallen back to interp, and the last failure
     reason (if any)."""
-    return {"compiled": len(_MODULES), "failed": _N_FAILED,
+    return {"compiled": _N_COMPILED, "failed": _N_FAILED,
             "last_failure": _LAST_FAILURE}
 
 
@@ -593,10 +598,8 @@ def _fail(reason: str) -> None:
 def _load_module(source: str):
     """Build-or-reuse the content-addressed kernel object for one source;
     its ``run(args, rt, cost, K, mode)``, or ``None`` on failure."""
+    global _N_COMPILED
     key = sha256(source.encode()).hexdigest()[:20]
-    run = _MODULES.get(key)
-    if run is not None:
-        return run
     cache_dir = _native._cache_dir()
     if not _native._cache_dir_trusted(cache_dir):
         _fail(f"untrusted cache dir {cache_dir}")
@@ -617,7 +620,7 @@ def _load_module(source: str):
     except Exception as exc:
         _fail(f"load failed: {type(exc).__name__}: {exc}")
         return None
-    _MODULES[key] = run
+    _N_COMPILED += 1
     return run
 
 

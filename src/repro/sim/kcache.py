@@ -3,20 +3,21 @@
 A campaign compiles every generated program once per simulated vendor;
 sessions, benchmarks, resumed runs, and test suites re-compile the same
 programs again and again.  :class:`KernelCache` memoizes both lowering
-phases behind bounded LRU maps:
+phases in one bounded LRU map with one entry per program, keyed by its
+fingerprint.  The entry owns everything built from the program:
 
-* **structural entries** — keyed by the fingerprint alone: the
-  expensive pass (AST walk, constant folding, IR construction).  A
-  program lowers to one IR whatever vendor or opt level compiles it
-  (the vendors' FP modes are read at run time), so every vendor × opt
-  level of a program shares that IR — and the executables the backends
-  build from it on first bind (the compiled Python code of each mode,
-  one C extension), which the entry keeps in its ``backend_cache``;
-* **kernel entries** — keyed by ``(fingerprint, vendor, opt_level,
-  fast_armed, slow_armed)``: the bound
-  :class:`~repro.sim.lower.LoweredKernel` (the program's IR + that
-  vendor's ``_K`` constants and FP mode).  Bound kernels also memoize
-  their callable per backend
+* its :class:`~repro.sim.lower.StructuralKernel` — the expensive pass
+  (AST walk, constant folding, IR construction).  A program lowers to
+  one IR whatever vendor or opt level compiles it (the vendors' FP modes
+  are read at run time), so every vendor × opt level of a program
+  shares that IR — and the executables the backends build from it on
+  first bind (the compiled Python code of each mode, the loaded C
+  kernel object), which the structural kernel keeps in its
+  ``backend_cache``;
+* the :class:`~repro.sim.lower.LoweredKernel` bound from it per
+  ``(vendor, opt_level, fast_armed, slow_armed)``: the program's IR +
+  that vendor's ``_K`` constants and FP mode.  Bound kernels also
+  memoize their callable per backend
   (:meth:`~repro.sim.lower.LoweredKernel.bind`), so a cache hit skips
   the bind as well.
 
@@ -24,9 +25,14 @@ Invalidation is purely capacity-based (LRU eviction): every component of
 a key is content-derived — the fingerprint hashes the emitted C++
 translation unit, and the fault arms are deterministic functions of
 ``(fingerprint, vendor)`` — so an entry can never go stale, only cold.
-Capacities bound worst-case memory (a program's IR and charge sites,
-plus the compiled Python code once it runs under ``interp``); the
-defaults hold a full 200-program campaign with room to spare.
+The capacity bounds worst-case memory and the C kernel objects a
+process keeps loaded: evicting a program drops the cache's references
+to its kernels, and its object unloads as soon as no
+:class:`~repro.vendors.binary.Binary` still holds one — by reference
+count, with no cyclic GC pass, because the bound kernels hang off the
+entry, not off the structural kernel they reference.  A running call
+holds its kernel, so no object unloads under it.  The default holds a
+full 200-program campaign with room to spare.
 
 The cache is **process-local** by design: worker processes of a
 :class:`~repro.driver.engine.ProcessPoolEngine` each warm their own copy
@@ -42,6 +48,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, TypeVar
 
+S = TypeVar("S")
 T = TypeVar("T")
 
 
@@ -87,75 +94,57 @@ class CacheStats:
         )
 
 
-class _LruMap:
-    """A tiny bounded LRU over OrderedDict (thread-safety lives above)."""
+class KernelCache:
+    """Bounded, thread-safe memoization of both lowering phases, one
+    entry per program."""
 
-    __slots__ = ("capacity", "data", "evictions")
-
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int = 512):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.data: OrderedDict = OrderedDict()
-        self.evictions = 0
-
-    def get(self, key):
-        try:
-            value = self.data[key]
-        except KeyError:
-            return None
-        self.data.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        self.data[key] = value
-        self.data.move_to_end(key)
-        while len(self.data) > self.capacity:
-            self.data.popitem(last=False)
-            self.evictions += 1
-
-
-class KernelCache:
-    """Bounded, thread-safe memoization of both lowering phases."""
-
-    def __init__(self, structural_capacity: int = 512,
-                 kernel_capacity: int = 2048):
-        self._structural = _LruMap(structural_capacity)
-        self._kernels = _LruMap(kernel_capacity)
+        #: fingerprint -> (structural kernel, {key: bound kernel}), least
+        #: recently used first
+        self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._shits = 0
         self._smisses = 0
         self._khits = 0
         self._kmisses = 0
+        self._evictions = 0
 
     # ------------------------------------------------------------------
-    def get_structural(self, fingerprint: str,
-                       build: Callable[[], T]) -> T:
-        """The structural kernel of the program ``fingerprint`` names,
-        building on first use."""
+    def get(self, fingerprint: str, lower: Callable[[], S], key: Hashable,
+            bind: Callable[[S], T]) -> T:
+        """The kernel ``key`` names, bound from the program
+        ``fingerprint`` names: ``lower()`` builds the program's
+        structural kernel and ``bind(structural)`` the bound kernel, each
+        on first use and outside the lock (lowering can be slow)."""
         with self._lock:
-            hit = self._structural.get(fingerprint)
-            if hit is not None:
+            entry = self._entries.get(fingerprint)
+            if entry is None:
+                self._smisses += 1
+            else:
                 self._shits += 1
-                return hit
-            self._smisses += 1
-        value = build()  # built outside the lock: lowering can be slow
+                self._entries.move_to_end(fingerprint)
+        if entry is None:
+            built = (lower(), {})
+            with self._lock:  # a racing thread's entry wins: one object
+                entry = self._entries.setdefault(fingerprint, built)
+                while len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+                    self._evictions += 1
+        structural, kernels = entry
         with self._lock:
-            self._structural.put(fingerprint, value)
-        return value
-
-    def get_kernel(self, key: Hashable, build: Callable[[], T]) -> T:
-        """The vendor-bound kernel for ``key``, building on first use."""
-        with self._lock:
-            hit = self._kernels.get(key)
-            if hit is not None:
+            kernel = kernels.get(key)
+            if kernel is None:
+                self._kmisses += 1
+            else:
                 self._khits += 1
-                return hit
-            self._kmisses += 1
-        value = build()
-        with self._lock:
-            self._kernels.put(key, value)
-        return value
+        if kernel is None:
+            kernel = bind(structural)
+            with self._lock:
+                kernel = kernels.setdefault(key, kernel)
+        return kernel
 
     # ------------------------------------------------------------------
     def stats(self) -> CacheStats:
@@ -167,8 +156,7 @@ class KernelCache:
                 structural_misses=self._smisses,
                 kernel_hits=self._khits,
                 kernel_misses=self._kmisses,
-                evictions=(self._structural.evictions
-                           + self._kernels.evictions),
+                evictions=self._evictions,
             )
 
     def reset(self) -> None:
@@ -183,18 +171,12 @@ class KernelCache:
             self._smisses = 0
             self._khits = 0
             self._kmisses = 0
-            self._structural.evictions = 0
-            self._kernels.evictions = 0
-
-    def clear(self) -> None:
-        """Drop every entry (counters keep accumulating)."""
-        with self._lock:
-            self._structural.data.clear()
-            self._kernels.data.clear()
+            self._evictions = 0
 
     def __len__(self) -> int:
+        """The number of programs cached."""
         with self._lock:
-            return len(self._structural.data) + len(self._kernels.data)
+            return len(self._entries)
 
 
 # ----------------------------------------------------------------------

@@ -47,9 +47,11 @@ program share one walk of its tree:
    discovery — runs once per program and produces a
    :class:`StructuralKernel`: the program's
    :class:`~repro.sim.ir.KernelIR`, whose cost charges read slots of a
-   constants tuple ``_K`` and whose contraction sites
-   (:class:`~repro.sim.ir.FSite`) hold both their fused and their
-   two-rounding form;
+   constants tuple ``_K`` (two per charge site: cycles, instructions)
+   and whose contraction sites (:class:`~repro.sim.ir.FSite`) hold both
+   their fused and their two-rounding form, plus the program's count of
+   critical sections inside ``omp for`` loops, which gates the hang
+   fault;
 2. a **cost pass** (:func:`bind_costs`) — pure arithmetic over the
    vendor's :class:`~repro.vendors.base.OpCosts` and scale factors —
    fills in the per-vendor ``_K`` values without touching the IR,
@@ -61,7 +63,8 @@ The cost pass reproduces the exact floating-point evaluation order of the
 classic single-pass lowerer (including its ``%.1f`` constant rounding),
 so two-phase kernels are byte-identical in behaviour to the seed
 reproduction.  Campaign compiles go through
-:class:`repro.sim.kcache.KernelCache`, which caches both phases.
+:class:`repro.sim.kcache.KernelCache`, whose entry for a program holds
+its structural kernel and every kernel bound from it.
 """
 
 from __future__ import annotations
@@ -100,6 +103,7 @@ from ..core.nodes import (
 )
 from typing import TYPE_CHECKING
 
+from ..core.features import extract_features
 from ..core.types import AssignOpKind, BinOpKind, FPType
 from ..obs import metrics as _obs
 from . import ir as _ir
@@ -200,27 +204,8 @@ def _contraction(e: BinOp) -> tuple[BinOp, bool] | None:
 
 
 # ======================================================================
-# cost model (phase 2 arithmetic, also used structurally in phase 1)
+# cost model (phase 2 arithmetic)
 # ======================================================================
-
-class _RefOps:
-    """Positivity reference mirroring the OpCosts defaults.
-
-    The structural pass only needs to know whether a charge site has
-    *any* cost contribution (all vendor per-op costs are strictly
-    positive, so zero cost is a structural property, not a vendor one);
-    using a local mirror avoids importing :mod:`repro.vendors.base` at
-    module scope, which would recreate the sim <-> vendors import cycle.
-    """
-
-    arith = (14.0, 4.0)
-    div = (40.0, 5.0)
-    math_call = (110.0, 40.0)
-    load = (10.0, 1.0)
-    store = (12.0, 1.0)
-    branch = (6.0, 2.0)
-    loop_iter = (8.0, 3.0)
-
 
 class CostModel:
     """Vendor-parameterized static cost functions.
@@ -319,9 +304,6 @@ class CostModel:
         return cy, ins
 
 
-_REF_MODEL = CostModel(_RefOps, "none")
-
-
 # ======================================================================
 # charge sites: what the cost pass fills in per vendor
 # ======================================================================
@@ -329,21 +311,19 @@ _REF_MODEL = CostModel(_RefOps, "none")
 class ChargeSite:
     """One fused cost charge: statements plus an optional head term.
 
-    ``k_cy``/``k_ins`` are indices into the kernel's ``_K`` constants
-    tuple (``None`` when that component is structurally zero); ``br`` is
+    ``k_cy``/``k_ins`` are the indices of its cycle and instruction
+    costs in the kernel's ``_K`` constants tuple; its branch count is
     vendor-independent and baked into the IR as a literal.
     """
 
-    __slots__ = ("stmts", "extra", "br", "in_crit", "k_cy", "k_ins")
+    __slots__ = ("stmts", "extra", "k_cy", "k_ins")
 
-    def __init__(self, stmts: tuple, extra: tuple | None, br: float,
-                 in_crit: bool):
+    def __init__(self, stmts: tuple, extra: tuple | None, k_cy: int,
+                 k_ins: int):
         self.stmts = stmts
         self.extra = extra
-        self.br = br
-        self.in_crit = in_crit
-        self.k_cy: int | None = None
-        self.k_ins: int | None = None
+        self.k_cy = k_cy
+        self.k_ins = k_ins
 
 
 class RuntimeConstSite:
@@ -368,8 +348,13 @@ class StructuralKernel:
     ir: _ir.KernelIR = field(repr=False)
     sites: tuple[object, ...]  # ChargeSite | RuntimeConstSite, in _K order
     regions: list[RegionMeta]
+    #: critical sections nested in ``omp for`` loops
+    #: (:attr:`~repro.core.features.ProgramFeatures.critical_in_omp_for`):
+    #: the hang fault arms only where this is nonzero
+    critical_in_omp_for: int = 0
     #: executables built lazily by the backends on first bind and shared
-    #: by every vendor: the Python code compiled per mode, the C module
+    #: by every vendor: the Python code compiled per mode, the loaded C
+    #: kernel object (unloaded once this kernel is collected)
     backend_cache: dict = field(default_factory=dict, repr=False,
                                 compare=False)
 
@@ -600,22 +585,16 @@ class StructuralLowerer:
                 br: float = 0.0) -> None:
         """Emit one accumulator update for a fused segment.
 
-        Which components appear is decided structurally (every vendor
-        per-op cost is strictly positive, so a site's cost is zero for
-        one vendor exactly when it is zero for all); the *values* are
-        ``_K`` slots the cost pass fills per vendor.
+        Every segment holds a statement or a head term, and every
+        vendor per-op cost is strictly positive, so each site charges
+        both cycles and instructions; the *values* are ``_K`` slots the
+        cost pass fills per vendor.
         """
-        site = ChargeSite(stmts, extra, br, self._in_crit)
-        ref_cy, ref_ins = _REF_MODEL.site_cost(site)
-        if ref_cy:
-            site.k_cy = self._alloc()
-        if ref_ins:
-            site.k_ins = self._alloc()
-        if site.k_cy is not None or site.k_ins is not None:
-            self.sites.append(site)
-        if site.k_cy is not None or site.k_ins is not None or br:
-            self.b.emit(_ir.Charge(1 if self._in_crit else 0, site.k_cy,
-                                   site.k_ins, float(br)))
+        k_cy = self._alloc()
+        k_ins = self._alloc()
+        self.sites.append(ChargeSite(stmts, extra, k_cy, k_ins))
+        self.b.emit(_ir.Charge(1 if self._in_crit else 0, k_cy, k_ins,
+                               float(br)))
 
     def _runtime_const(self, param: str) -> None:
         """Charge one unscaled runtime-parameter constant on the cycle
@@ -994,8 +973,10 @@ class StructuralLowerer:
                              comp=self.program.comp.name,
                              math_funcs=tuple(sorted(self.math_used)),
                              fp32=self.fp32)
-        return StructuralKernel(ir=kernel_ir, sites=tuple(self.sites),
-                                regions=self.regions)
+        return StructuralKernel(
+            ir=kernel_ir, sites=tuple(self.sites), regions=self.regions,
+            critical_in_omp_for=extract_features(
+                self.program).critical_in_omp_for)
 
 
 # ======================================================================
@@ -1027,10 +1008,8 @@ def bind_costs(structural: StructuralKernel, vendor: "VendorModel",
             constants[site.k] = float(getattr(vendor.runtime, site.param))
             continue
         cy, ins = model.site_cost(site)
-        if site.k_cy is not None:
-            constants[site.k_cy] = float(f"{cy * cy_scale:.1f}")
-        if site.k_ins is not None:
-            constants[site.k_ins] = float(f"{ins * ins_scale:.1f}")
+        constants[site.k_cy] = float(f"{cy * cy_scale:.1f}")
+        constants[site.k_ins] = float(f"{ins * ins_scale:.1f}")
     return LoweredKernel(structural=structural, constants=tuple(constants),
                          regions=structural.regions,
                          mode=(vendor.traits.flush_subnormals, fma))

@@ -15,11 +15,13 @@ Step (3) runs through the two-phase pipeline of :mod:`repro.sim.lower`
 behind the process-local :class:`~repro.sim.kcache.KernelCache`: the
 structural pass runs once per program, keyed by the fingerprint alone,
 so every vendor × opt level of a program shares one IR and the one C
-module built from it, in whatever order they compile; recompiling a
-program the cache has seen (same fingerprint, vendor, opt level) returns
-the previously bound kernel outright.  Step (1) hashes the translation
-unit it just emitted instead of re-emitting it, so one compile performs
-one C++ emission, not two.
+kernel object built from it, in whatever order they compile;
+recompiling a program the cache has seen (same fingerprint, vendor, opt
+level) returns the previously bound kernel outright.  The hang fault of
+step (2) reads the program's critical-in-``omp for`` count from its
+structural kernel, so it costs no tree walk of its own.  Step (1) hashes
+the translation unit it just emitted instead of re-emitting it, so one
+compile performs one C++ emission, not two.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import hashlib
 
 from ..codegen.emit_main import emit_translation_unit
-from ..core.features import extract_features
 from ..core.nodes import Program
 from ..errors import CompilationError
 from ..obs import metrics as _obs
@@ -36,24 +37,6 @@ from ..sim.kcache import KernelCache, get_kernel_cache
 from ..sim.lower import StructuralLowerer, bind_costs
 from .base import VendorModel
 from .binary import Binary
-
-
-#: fingerprint -> critical-in-omp-for count, for the hang-fault gate.
-#: Content-keyed (never stale); cleared wholesale when it outgrows the
-#: cap so the common three-vendor compile of one program walks the tree
-#: once instead of three times.
-_CRIT_MEMO: dict[str, int] = {}
-_CRIT_MEMO_CAP = 4096
-
-
-def _critical_in_omp_for(program: Program, fingerprint: str) -> int:
-    count = _CRIT_MEMO.get(fingerprint)
-    if count is None:
-        count = extract_features(program).critical_in_omp_for
-        if len(_CRIT_MEMO) >= _CRIT_MEMO_CAP:
-            _CRIT_MEMO.clear()
-        _CRIT_MEMO[fingerprint] = count
-    return count
 
 
 def compile_binary(program: Program, vendor: VendorModel,
@@ -79,11 +62,6 @@ def compile_binary(program: Program, vendor: VendorModel,
     # for a second emission of the translation unit we already hold
     fingerprint = hashlib.sha256(cpp.encode()).hexdigest()
 
-    crash = vendor.decides_crash(fingerprint)
-    # the livelock lives in the queuing lock: only programs that actually
-    # contend a critical section can expose it (Case Study 3)
-    hang = (vendor.decides_hang(fingerprint)
-            and _critical_in_omp_for(program, fingerprint) > 0)
     slow = vendor.decides_slow(fingerprint)
     fast = vendor.decides_fast(fingerprint)
 
@@ -96,18 +74,21 @@ def compile_binary(program: Program, vendor: VendorModel,
         misses.add("structural")
         return StructuralLowerer(program).lower()
 
-    def build_kernel():
+    def build_kernel(structural):
         misses.add("kernel")
         return bind_costs(structural, vendor, opt_level,
                           fast_armed=fast, slow_armed=slow)
 
-    structural = cache.get_structural(fingerprint, build_structural)
     # key the bound kernel by the vendor *value*, not its name: a custom
     # VendorModel variant (same name, different costs/traits) must never
     # receive another model's constants — frozen dataclasses hash by
     # content, so the key stays correct for replace()-built variants
-    kernel = cache.get_kernel(
-        (fingerprint, vendor, opt_level, fast, slow), build_kernel)
+    kernel = cache.get(fingerprint, build_structural,
+                       (vendor, opt_level, fast, slow), build_kernel)
+    # the livelock lives in the queuing lock: only programs that actually
+    # contend a critical section can expose it (Case Study 3)
+    hang = (vendor.decides_hang(fingerprint)
+            and kernel.structural.critical_in_omp_for > 0)
     if obs_on:
         backend = active_kernel_backend()
         for phase in ("structural", "kernel"):
@@ -121,7 +102,7 @@ def compile_binary(program: Program, vendor: VendorModel,
         fingerprint=fingerprint,
         cpp_source=cpp,
         kernel=kernel,
-        crash_armed=crash,
+        crash_armed=vendor.decides_crash(fingerprint),
         hang_armed=hang,
         slow_armed=slow,
         fast_armed=fast,

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
-from repro.config import MachineConfig
+from repro.config import (DIRECTIVE_MIXES, GeneratorConfig, MachineConfig,
+                          apply_directive_mix)
+from repro.core.features import extract_features
 from repro.core.generator import ProgramGenerator
 from repro.core.inputs import InputGenerator
 from repro.sim.kcache import KernelCache, get_kernel_cache, set_kernel_cache
@@ -71,11 +76,11 @@ class TestKernelCache:
         assert a.kernel.constants != b.kernel.constants  # vendor costs
 
     def test_lru_eviction_bounds_entries(self, program_stream):
-        cache = KernelCache(structural_capacity=2, kernel_capacity=2)
+        cache = KernelCache(capacity=2)
         for p in program_stream[:4]:
             compile_binary(p, GCC, cache=cache)
-        assert len(cache) <= 4  # 2 structural + 2 kernel entries
-        assert cache.stats().evictions >= 4
+        assert len(cache) == 2  # one entry per program
+        assert cache.stats().evictions == 2
 
     def test_cached_and_fresh_kernels_execute_identically(
             self, program, input_gen, machine):
@@ -117,12 +122,46 @@ class TestKernelCache:
         assert cache.stats().kernel_misses == 0
 
     def test_reset_zeroes_evictions(self, program_stream):
-        cache = KernelCache(structural_capacity=1, kernel_capacity=1)
+        cache = KernelCache(capacity=1)
         for p in program_stream[:3]:
             compile_binary(p, GCC, cache=cache)
         assert cache.stats().evictions > 0
         cache.reset()
         assert cache.stats().evictions == 0
+
+    def test_threads_share_one_cache(self, program_stream):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a lost counter update or a lost entry shows here
+        cache = KernelCache(capacity=2)
+        programs = program_stream[:4]
+        errors = []
+
+        def work():
+            try:
+                for _ in range(3):
+                    for p in programs:
+                        compile_binary(p, GCC, cache=cache)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        stats = cache.stats()
+        calls = len(threads) * 3 * len(programs)
+        assert stats.structural_hits + stats.structural_misses == calls
+        assert stats.kernel_hits + stats.kernel_misses == calls
+        assert len(cache) == 2
+        assert stats.evictions <= stats.structural_misses - 2
 
     def test_default_cache_swap(self):
         original = get_kernel_cache()
@@ -188,6 +227,23 @@ class TestTwoPhaseLowering:
         structural = StructuralLowerer(program).lower()
         bind_costs(structural, GCC, "-O3").bind("c")
         assert list(structural.backend_cache) == ["c"]
+
+    def test_critical_in_omp_for_matches_features(self):
+        # the hang fault arms only where this count is nonzero, so the
+        # structural kernel must count exactly what the features count
+        counts = []
+        for mix in sorted(DIRECTIVE_MIXES):
+            gen_cfg = apply_directive_mix(
+                GeneratorConfig(max_total_iterations=4_000,
+                                loop_trip_max=60, num_threads=8), mix)
+            gen = ProgramGenerator(gen_cfg, seed=777)
+            for i in range(20):
+                program = gen.generate(i)
+                got = StructuralLowerer(program).lower().critical_in_omp_for
+                assert got == extract_features(
+                    program).critical_in_omp_for, (mix, i)
+                counts.append(got)
+        assert 0 in counts and max(counts) > 0
 
     def test_regions_metadata_preserved(self, program):
         kernel = bind_costs(StructuralLowerer(program).lower(),

@@ -22,6 +22,7 @@ fails instead of skipping).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import warnings
 from collections import Counter
@@ -124,10 +125,9 @@ def fresh_kernel_cache(monkeypatch):
 
 @pytest.fixture()
 def cc_calls(tmp_path, monkeypatch):
-    """A fresh on-disk kernel cache and no loaded kernel objects; returns
-    the lists every compiler run and object load is appended to."""
+    """A fresh on-disk kernel cache; returns the lists every compiler run
+    and object load is appended to."""
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-    monkeypatch.setattr(ckernel, "_MODULES", {})
     calls = {"build": [], "load": []}
     for key, attr in (("build", "build_shared_object"),
                       ("load", "load_kernel_object")):
@@ -401,6 +401,7 @@ class TestFamilies:
     def test_one_program_one_compiler_run(self, machine, fresh_kernel_cache,
                                           cc_calls):
         program, test_input = _program(4)
+        compiled = ckernel.build_info()["compiled"]
         binaries = [get_backend(v).compile(program, "-O3") for v in VENDORS]
         for binary in binaries:
             assert record_tuple(run_under(binary, test_input, machine,
@@ -409,7 +410,7 @@ class TestFamilies:
                                        "interp"))
         assert len(cc_calls["build"]) == 1
         assert len(cc_calls["load"]) == 1
-        assert ckernel.build_info()["compiled"] == 1
+        assert ckernel.build_info()["compiled"] == compiled + 1
         assert len({c_module(b) for b in binaries}) == 1
 
     def test_identical_members_match_interp(self, machine,
@@ -735,8 +736,7 @@ class TestCorruptCachedObject:
             else b"not a kernel object\n" * 8)
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(damaged))
 
-        # a new process: nothing loaded, nothing lowered
-        monkeypatch.setattr(ckernel, "_MODULES", {})
+        # a new process: nothing lowered, so nothing loaded
         monkeypatch.setattr(kcache, "_DEFAULT_CACHE", kcache.KernelCache())
         failed = ckernel.build_info()["failed"]
         binary = get_backend("gcc").compile(program, "-O3")
@@ -751,6 +751,57 @@ class TestCorruptCachedObject:
         assert len(cc_calls["build"]) == 1  # the cached path is reused
         assert record_tuple(got) == record_tuple(
             run_under(binary, test_input, machine, "interp"))
+
+
+def _mapped_objects(cache_dir) -> set[str]:
+    """The kernel objects under ``cache_dir`` this process has mapped."""
+    with open("/proc/self/maps") as fh:
+        return {line.split()[-1] for line in fh
+                if f"{cache_dir}/_repro_kernel-" in line}
+
+
+@needs_c
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="no /proc/self/maps to read the loaded objects")
+class TestEvictionUnloads:
+    """A program that leaves the kernel cache unloads its kernel object,
+    by reference count, once no binary holds it."""
+
+    CAPACITY = 2
+
+    def test_capacity_bounds_loaded_objects(self, cc_calls, monkeypatch,
+                                            machine, tmp_path):
+        monkeypatch.setattr(kcache, "_DEFAULT_CACHE",
+                            kcache.KernelCache(self.CAPACITY))
+        program, test_input = _program(0)
+        kept = get_backend("gcc").compile(program, "-O3")
+        with use_kernel_backend("c"):
+            _ = kept.entry  # bound to C before its program is evicted
+        (obj,) = _mapped_objects(tmp_path)
+        for index in range(1, 2 * self.CAPACITY + 1):
+            other, other_input = _program(index)
+            binary = get_backend("gcc").compile(other, "-O3")
+            with use_kernel_backend("c"):
+                _ = binary.entry
+                run_binary(binary, other_input, machine)
+        del binary
+        gc.collect()
+        loads = len(cc_calls["load"])
+        assert loads == 2 * self.CAPACITY + 1
+        mapped = _mapped_objects(tmp_path)
+        # the evicted program's object stays while its binary lives
+        assert obj in mapped
+        assert len(mapped) <= self.CAPACITY + 1
+        with use_kernel_backend("c"):
+            got = run_binary(kept, test_input, machine)
+        assert len(cc_calls["load"]) == loads  # its own object, no reload
+        assert record_tuple(got) == record_tuple(
+            run_under(kept, test_input, machine, "interp"))
+        del kept
+        gc.collect()
+        mapped = _mapped_objects(tmp_path)
+        assert obj not in mapped
+        assert len(mapped) <= self.CAPACITY
 
 
 @needs_c

@@ -205,14 +205,13 @@ class TestReducer:
         # every backend compiles before any executes, so a never-seen
         # candidate's three kernel shapes build as one C module
         from repro.reduce.reducer import run_differential_test
-        from repro.sim import _native, ckernel, kcache
+        from repro.sim import _native, kcache
         from repro.sim.backend import _c_available, use_kernel_backend
 
         ok, why = _c_available()
         if not ok:
             pytest.skip(f"C kernel backend unavailable: {why}")
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        monkeypatch.setattr(ckernel, "_MODULES", {})
         monkeypatch.setattr(kcache, "_DEFAULT_CACHE", kcache.KernelCache())
         builds = []
         real = _native.build_shared_object
