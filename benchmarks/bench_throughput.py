@@ -7,10 +7,11 @@ checked-in copy of that file is the **baseline**: ``--check`` re-runs
 the benchmark and fails (exit 1) if end-to-end throughput regressed more
 than 20% against it, on either path:
 
-* **cold** (``end_to_end_cold``) — timed first, on a fresh private
-  on-disk kernel cache (a temporary ``REPRO_NATIVE_CACHE``) and an empty
-  process kernel cache, so every C kernel module is built inside the
-  clock, as for every new program of a campaign;
+* **cold** (``end_to_end_cold``) — timed first, as the median of
+  :data:`COLD_PASSES` passes, each on a fresh private on-disk kernel
+  cache (a temporary ``REPRO_NATIVE_CACHE``) and an empty process kernel
+  cache, so every C kernel module is built inside the clock, as for
+  every new program of a campaign;
 * **warm** (``end_to_end``) — timed last, after the stage profile and
   the backend sweep have built and bound every kernel, as the median of
   :data:`WARM_PASSES` passes: the quick warm grid takes about 0.3 s, so
@@ -18,13 +19,29 @@ than 20% against it, on either path:
 
 Cross-host comparability: absolute tests/s moves with the host, so the
 gate compares *normalized* throughput — ``tests_per_s x calibration_s``,
-where ``calibration_s`` is the median of five runs of a fixed
-pure-Python spin, taken right before each timed pass and stored in that
-pass's entry.  A 2x-slower host halves both factors' movement and the
-product stays put; a real hot-path regression moves only
-``tests_per_s``.  Calibrating per pass, not once per profile, keeps the
-host's drift over the minutes between the cold and the warm grid, and
-between the warm passes, out of the normalized numbers.
+where ``calibration_s`` is the median of five runs of a yardstick that
+tracks what the pass spends its time on, taken right before each timed
+pass and stored in that pass's entry (with the yardstick's name under
+``calibration``), everything in wall seconds:
+
+* the warm grid runs Python, so its yardstick is a fixed pure-Python
+  spin (``spin``);
+* the cold grid is mostly compiler time, in child processes a Python
+  spin does not track, so its yardstick is a fixed reference C compile
+  (``cc``): the same compiler the kernels use on a fixed source with
+  fixed flags (:data:`REFERENCE_CC_FLAGS`), independent of the kernels'
+  own, so a kernel-build regression moves only the grid's time.
+
+A 2x-slower host halves both factors' movement and the product stays
+put; a real regression moves only ``tests_per_s``.  Calibrating per
+pass, not once per profile, keeps the host's drift over the minutes
+between the cold and the warm grid, and between passes, out of the
+normalized numbers.  A shared host also changes speed in phases of a
+second or more (on a 2-vCPU host the reference compile reads 0.10 s or
+0.165 s, in runs of several compiles), which one pass and its
+calibration can straddle, so each path's entry is its median pass.  A
+baseline entry calibrated by another yardstick cannot be compared, and
+fails the gate until refreshed.
 
 Usage::
 
@@ -43,9 +60,11 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from repro.analysis.outliers import analyze_test
@@ -55,7 +74,7 @@ from repro.backends import get_backend
 from repro.core.inputs import InputGenerator
 from repro.driver.execution import run_binary
 from repro.harness.session import CampaignSession
-from repro.sim import backend_info
+from repro.sim import _native, backend_info
 from repro.sim.backend import _c_available, use_kernel_backend
 from repro.sim.kcache import KernelCache, set_kernel_cache
 from repro.sim.values import native_values_active
@@ -66,16 +85,28 @@ FULL_PROGRAMS = int(os.environ.get("REPRO_BENCH_THROUGHPUT_PROGRAMS", "50"))
 QUICK_PROGRAMS = 10
 REGRESSION_THRESHOLD = 0.20
 CALIBRATION_SPINS = 5
-#: timed passes of the warm grid; its entry is the median pass
+#: timed passes of each grid; its entry is the median pass
+COLD_PASSES = 5
 WARM_PASSES = 5
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_throughput.json"
 
 
+#: the reference compile of the cold grid's yardstick: a fixed source
+#: (100 loops of FP arithmetic over an array, no header) built with
+#: fixed flags, about a tenth of a second on a 2-vCPU host
+REFERENCE_CC_SOURCE = (
+    "double ref(double *a, long n) {\n    double s = 0.0;\n"
+    + "".join(f"    for (long i = 0; i < n; i++) "
+              f"s = s * {k}.5 + a[i] / (s + {k}.25);\n" for k in range(100))
+    + "    return s;\n}\n")
+REFERENCE_CC_FLAGS = ("-O1", "-fPIC", "-shared", "-nostdlib")
+
+
 def calibrate() -> float:
     """Median seconds of :data:`CALIBRATION_SPINS` runs of a fixed
-    pure-Python spin — the host-speed yardstick."""
+    pure-Python spin — the warm grid's host-speed yardstick."""
     times = []
     for _ in range(CALIBRATION_SPINS):
         t0 = time.perf_counter()
@@ -83,6 +114,25 @@ def calibrate() -> float:
         for i in range(1_500_000):
             acc += (i % 7) * 0.5
         times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def calibrate_cc() -> float:
+    """Median seconds of :data:`CALIBRATION_SPINS` compiler runs on
+    :data:`REFERENCE_CC_SOURCE` with :data:`REFERENCE_CC_FLAGS` — the
+    cold grid's compiler-speed yardstick."""
+    cc = _native._find_cc()
+    if cc is None:
+        raise RuntimeError("the cold grid's yardstick needs a C compiler")
+    times = []
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cc-") as tmp:
+        src = Path(tmp) / "ref.c"
+        src.write_text(REFERENCE_CC_SOURCE)
+        for _ in range(CALIBRATION_SPINS):
+            t0 = time.perf_counter()
+            subprocess.run([cc, str(src), "-o", str(Path(tmp) / "ref.so"),
+                            *REFERENCE_CC_FLAGS], check=True)
+            times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
 
@@ -196,20 +246,25 @@ def backend_sweep(cfg: CampaignConfig) -> dict:
     return out
 
 
-def end_to_end(cfg: CampaignConfig, passes: int = 1) -> dict:
+def end_to_end(cfg: CampaignConfig, passes: int = 1,
+               cold: bool = False) -> dict:
     """Serial ``CampaignSession`` throughput over the grid, each pass
-    normalized by a host calibration taken right before it.  Several
+    normalized by a host calibration taken right before it: the Python
+    spin for a warm pass, the reference compile for a cold one, which
+    runs on fresh kernel caches (:func:`fresh_kernel_caches`).  Several
     passes give the median pass by normalized throughput, plus every
     pass's normalized throughput."""
     entries = []
     for _ in range(passes):
-        calibration_s = calibrate()
-        t0 = time.perf_counter()
-        result = CampaignSession(cfg).run()
-        wall = time.perf_counter() - t0
+        calibration_s = calibrate_cc() if cold else calibrate()
+        with fresh_kernel_caches() if cold else nullcontext():
+            t0 = time.perf_counter()
+            result = CampaignSession(cfg).run()
+            wall = time.perf_counter() - t0
         tests_per_s = len(result.verdicts) / wall
         entries.append({
             "wall_s": round(wall, 3), "tests_per_s": round(tests_per_s, 2),
+            "calibration": "cc" if cold else "spin",
             "calibration_s": round(calibration_s, 4),
             "normalized": round(tests_per_s * calibration_s, 4)})
     median = sorted(entries, key=lambda e: e["normalized"])[passes // 2]
@@ -218,15 +273,16 @@ def end_to_end(cfg: CampaignConfig, passes: int = 1) -> dict:
     return median
 
 
-def cold_end_to_end(cfg: CampaignConfig) -> dict:
-    """:func:`end_to_end` with every kernel built inside the clock: a
-    fresh temporary on-disk cache and an empty process kernel cache."""
+@contextmanager
+def fresh_kernel_caches():
+    """A fresh temporary on-disk kernel cache and an empty process
+    kernel cache, so every kernel first bound inside is built."""
     saved = os.environ.get("REPRO_NATIVE_CACHE")
     with tempfile.TemporaryDirectory(prefix="repro-bench-cold-") as tmp:
         os.environ["REPRO_NATIVE_CACHE"] = tmp
         set_kernel_cache(KernelCache())
         try:
-            return end_to_end(cfg)
+            yield
         finally:
             if saved is None:
                 del os.environ["REPRO_NATIVE_CACHE"]
@@ -237,7 +293,7 @@ def cold_end_to_end(cfg: CampaignConfig) -> dict:
 def run_profile(n_programs: int) -> dict:
     cfg = CampaignConfig(n_programs=n_programs, inputs_per_program=3,
                          seed=SEED)
-    cold = cold_end_to_end(cfg)
+    cold = end_to_end(cfg, COLD_PASSES, cold=True)
     stages = profile_stages(cfg)
     backends = backend_sweep(cfg)
     return {
@@ -265,7 +321,8 @@ def check_regression(current: dict, baseline: dict,
     Both dicts are single-profile results (see :func:`run_profile`).
     Normalized throughput (tests/s x host calibration seconds) must not
     drop more than ``threshold`` on the cold path or on the warm one;
-    grids must match for the comparison to mean anything.
+    grids, and each path's yardstick, must match for the comparison to
+    mean anything.
     """
     if current["grid"] != baseline["grid"]:
         return False, (f"grid mismatch: current {current['grid']} vs "
@@ -275,6 +332,13 @@ def check_regression(current: dict, baseline: dict,
         if key not in baseline:
             ok = False
             msgs.append(f"{path}: baseline lacks {key!r}; refresh it")
+            continue
+        used = [entry.get("calibration", "spin")
+                for entry in (current[key], baseline[key])]
+        if used[0] != used[1]:
+            ok = False
+            msgs.append(f"{path}: baseline calibrated by {used[1]!r}, this "
+                        f"run by {used[0]!r}; refresh it")
             continue
         cur = current[key]["normalized"]
         base = baseline[key]["normalized"]

@@ -22,6 +22,13 @@ Greedy first-accept iteration over the deterministic pass pipeline
 (:data:`repro.reduce.passes.DEFAULT_PASSES`) makes the whole reduction a
 pure function of the case: reducing twice yields byte-identical
 programs, which the property suite pins.
+
+A candidate is a one-shot program: it runs once or twice and is never
+seen again, so the oracle builds its C kernel object in the quick tier
+(:func:`repro.sim.backend.quick_kernel_builds`, ``-O0``), which computes
+the same bits as a campaign's ``-O1`` object for a fraction of the
+compiler time.  The case's own program goes through the same oracle (a
+process that already bound it keeps that kernel, whatever its tier).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from ..core.surgery import count_statements, reads_undeclared_locals
 from ..driver.records import RunRecord
 from ..errors import GrammarError, ReproError
 from ..obs.spans import span
+from ..sim.backend import quick_kernel_builds
 from .passes import DEFAULT_PASSES, ReductionPass
 
 
@@ -113,11 +121,13 @@ class ReductionOracle:
 
     def run_differential(self, program: Program,
                          test_input: TestInput) -> TestVerdict:
-        """Re-run the differential test through the backend registry."""
+        """Re-run the differential test through the backend registry,
+        building the program's kernel in the quick tier."""
         case = self.case
-        return run_differential_test(program, test_input, case.compilers,
-                                     case.opt_level, case.machine,
-                                     case.outliers)
+        with quick_kernel_builds():
+            return run_differential_test(program, test_input,
+                                         case.compilers, case.opt_level,
+                                         case.machine, case.outliers)
 
     def still_fails(self, verdict: TestVerdict) -> bool:
         return any(o.vendor == self.case.vendor and o.kind is self.case.kind

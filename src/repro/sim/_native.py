@@ -35,8 +35,11 @@ everything Python-side — argument loads, the runtime calls, the
 cost-lane exchange, errors.  So kernels never include ``Python.h``, and
 the dispatcher is built and verified once per machine with the helpers
 whose FTZ flush (``ftz_sel``) it shares.  :func:`build_shared_object`
-builds both kinds of object; :func:`load_kernel_object` opens a kernel
-object after checking that it is not truncated.
+builds both kinds of object, each with its caller's flags: the helpers
+at ``-O2`` against the Python headers, a kernel object at its build
+tier's ``-O`` level with no system header and, on ELF, no C start files
+or libraries (:mod:`repro.sim.ckernel`).  :func:`load_kernel_object`
+opens a kernel object after checking that it is not truncated.
 """
 
 from __future__ import annotations
@@ -544,20 +547,28 @@ def _find_cc() -> str | None:
     return None
 
 
+#: the flags that make a shared object whose undefined symbols resolve
+#: from the process that loads it
+SHARED_FLAGS = ("-fPIC", "-shared") + (
+    ("-undefined", "dynamic_lookup") if sys.platform == "darwin" else ())
+
+
 def build_shared_object(cc: str, c_source: str, out: Path,
-                        extra_flags: tuple[str, ...] = ()) -> tuple[bool, str]:
+                        flags: tuple[str, ...]) -> tuple[bool, str]:
     """Compile ``c_source`` into the shared object ``out``.
 
     Shared by the value-helper module and the kernel backend
-    (:mod:`repro.sim.ckernel`).  Returns ``(ok, reason)`` — the reason
-    is a short diagnostic (including a stderr snippet on compiler
-    errors) instead of the old silent ``False``.  The source and the
-    unrenamed output live under per-builder names beside ``out`` and are
-    removed on success and failure alike (``out`` is content-addressed
-    by its source, so nothing reads the source again); the final rename
-    is atomic, so concurrent builders race harmlessly.
+    (:mod:`repro.sim.ckernel`).  ``flags`` are every flag of the
+    compiler run (:data:`SHARED_FLAGS` among them); they follow the
+    source on the command line, so a library flag links what the source
+    needs.  Returns ``(ok, reason)`` — the reason is a short diagnostic
+    (including a stderr snippet on compiler errors) instead of the old
+    silent ``False``.  The source and the unrenamed output live under
+    per-process, per-thread names beside ``out`` and are removed on
+    success and failure alike (``out`` is content-addressed by its
+    source and flags, so nothing reads the source again); the final
+    rename is atomic, so concurrent builds race harmlessly.
     """
-    include = sysconfig.get_paths()["include"]
     tag = f".tmp{os.getpid()}.{threading.get_ident()}"
     src = out.with_name(out.name + tag + ".c")
     tmp = out.with_name(out.name + tag)
@@ -567,10 +578,7 @@ def build_shared_object(cc: str, c_source: str, out: Path,
             src.write_text(c_source)
         except OSError as exc:
             return False, f"cannot write build inputs: {exc}"
-        cmd = [cc, "-O2", "-fPIC", "-shared", *extra_flags, f"-I{include}",
-               str(src), "-o", str(tmp)]
-        if sys.platform == "darwin":
-            cmd[4:4] = ["-undefined", "dynamic_lookup"]
+        cmd = [cc, str(src), "-o", str(tmp), *flags]
         try:
             proc = subprocess.run(cmd, capture_output=True, timeout=120)
         except (OSError, subprocess.TimeoutExpired) as exc:
@@ -739,7 +747,9 @@ def load():
             cc = _find_cc()
             if cc is None:
                 return _fall_back("no C compiler found (CC/cc/gcc/clang)")
-            ok, why = build_shared_object(cc, _C_SOURCE, out)
+            include = sysconfig.get_paths()["include"]
+            ok, why = build_shared_object(
+                cc, _C_SOURCE, out, ("-O2", *SHARED_FLAGS, f"-I{include}"))
             if not ok:
                 return _fall_back(f"build failed: {why}")
         native = import_shared_object(out)

@@ -19,6 +19,14 @@ through this).  Like the ``REPRO_NATIVE_VALUES`` loader, an explicit
 request that cannot be honoured never silently changes semantics — it
 warns once and records the reason, visible via
 :func:`kernel_backend_info`.
+
+C kernel objects build in one of two tiers, which differ only in the
+``-O`` level, never in a result bit: ``full`` (``-O1``) by default, and
+``quick`` (``-O0``) inside :func:`quick_kernel_builds`, for one-shot
+programs such as reducer candidates, which would pay more for an
+optimized build than they save in their few runs.  The tier is a
+context variable, so a reduction on one thread leaves another thread's
+campaign builds alone.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 BACKENDS = ("auto", "c", "interp")
 
@@ -139,3 +148,26 @@ def use_kernel_backend(backend: str | None):
         yield
     finally:
         _OVERRIDE = prev
+
+
+#: the build tier of C kernel objects first bound in this context
+_BUILD_TIER: ContextVar[str] = ContextVar("repro_kernel_build_tier",
+                                          default="full")
+
+
+def kernel_build_tier() -> str:
+    """``quick`` inside :func:`quick_kernel_builds`, else ``full``."""
+    return _BUILD_TIER.get()
+
+
+@contextmanager
+def quick_kernel_builds():
+    """Build the C kernel objects first bound inside at ``-O0``: for
+    one-shot programs, such as the candidates a reducer tries.  A
+    program keeps the object its first bind loaded, whatever tier built
+    it; on disk the two tiers never share a file."""
+    token = _BUILD_TIER.set("quick")
+    try:
+        yield
+    finally:
+        _BUILD_TIER.reset(token)

@@ -56,30 +56,50 @@ Bit-exactness contract (the reason the C backend requires
   compile-time MPFR folding of libm calls that could differ from the
   runtime library); the flush uses ``__builtin_fabs`` and
   ``__builtin_copysign``, which stay inline under it;
+* none of this depends on the ``-O`` level, so both build tiers
+  (:func:`repro.sim.backend.kernel_build_tier`: ``-O1`` for ``full``,
+  ``-O0`` for ``quick``) compute the same bits: binary64 is SSE2 with no
+  excess precision, contraction is off, and the FMA recovery is the
+  explicit ``long double`` expression above;
 * FP literals are emitted as hexadecimal float constants
-  (``float.hex()``), which round-trip exactly;
+  (``float.hex()``), which round-trip exactly, and NaN and the
+  infinities as ``__builtin_nan("")`` and ``__builtin_inf()``;
 * int arithmetic uses Python's floored ``%``/``//`` semantics.
 
-Objects are content-addressed by the hash of the kernel's source in the
-same per-uid, trust-checked cache directory as the value helpers (one
-build per program per machine, ever).  A loaded object belongs to the
+A kernel object pays no fixed build cost it does not need: its prelude
+includes no system header, only declaring the functions a kernel calls
+(``realloc``, ``free`` and the libm names of
+:data:`repro.sim.values.MATH_IMPLS`), and on ELF it links with
+``-nostdlib``.  Those functions resolve from the loading process,
+which has libm and the C library mapped, so the object has no
+``DT_NEEDED`` entry.
+
+Objects are content-addressed by the hash of the build flags and the
+kernel's source in the same per-uid, trust-checked cache directory as
+the value helpers (one build per program and tier per machine, ever;
+the tiers never share a file).  A loaded object belongs to the
 structural kernel it was built from (its ``backend_cache``), and so to
 the program's :class:`~repro.sim.kcache.KernelCache` entry: the
 dispatcher unloads it (``dlclose``) once the last reference goes, when
 the program has left the cache and no binary still runs it.  A build or
 load failure — no compiler, a failed build, a corrupt cached object —
 falls back to the interpreted entry, recording the reason (see
-:func:`build_info`) and warning once, never silently.
+:func:`build_info`) and warning once, never silently.  With telemetry
+on, ``repro_kernel_builds_total{tier}`` counts the objects built or
+loaded per tier.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from hashlib import sha256
 
 from ..obs import metrics as _obs
 from . import _native, ir as _ir
+from .backend import kernel_build_tier
 from .pykernel import bind_py
+from .values import MATH_IMPLS
 
 #: count of kernel objects built or loaded
 _N_COMPILED = 0
@@ -92,12 +112,23 @@ _N_FAILED = 0
 
 _warned: set = set()
 
-_CFLAGS = ("-O1", "-pipe", "-ffp-contract=off", "-fno-builtin")
+#: on ELF a kernel object links with no C start files or libraries
+#: (``-lgcc`` is a static archive: it adds a compiler helper only where
+#: a target needs one, none on x86-64)
+_NO_RUNTIME = () if sys.platform == "darwin" else ("-nostdlib", "-lgcc")
 
-_PRELUDE = r"""
-#include <math.h>
-#include <stdlib.h>
-""" + _native.KERNEL_ABI + r"""
+#: the compiler flags of a kernel object, per build tier
+_CFLAGS = {tier: (opt, "-pipe", *_native.SHARED_FLAGS, "-ffp-contract=off",
+                  "-fno-builtin", *_NO_RUNTIME)
+           for tier, opt in (("full", "-O1"), ("quick", "-O0"))}
+
+#: no system header: the functions a kernel calls, resolved from the
+#: loading process
+_DECLS = ("typedef __SIZE_TYPE__ size_t;\n#define NULL ((void *)0)\n"
+          "void *realloc(void *, size_t);\nvoid free(void *);\n"
+          + "".join(f"double {name}(double);\n" for name in MATH_IMPLS))
+
+_PRELUDE = "\n" + _DECLS + _native.KERNEL_ABI + r"""
 const int krun_abi = RK_ABI;
 
 static inline double f32_sel(double x, double thr) {
@@ -107,7 +138,7 @@ static inline double f32_sel(double x, double thr) {
 /* long-double FMA recovery with the NaN guard of the reference helper */
 static inline double h_fmad(double a, double b, double c) {
     long double r;
-    if (a != a || b != b || c != c) return (double)NAN;
+    if (a != a || b != b || c != c) return __builtin_nan("");
     r = (long double)a * (long double)b + (long double)c;
     return (double)r;
 }
@@ -174,11 +205,11 @@ static int sched_next(int kind, long c, long t, long tid, long *w,
 def _clit(v: float) -> str:
     """Exact C literal for a Python float (hexfloat round-trips)."""
     if v != v:
-        return "(double)NAN"
+        return '__builtin_nan("")'
     if v == float("inf"):
-        return "HUGE_VAL"
+        return "__builtin_inf()"
     if v == float("-inf"):
-        return "(-HUGE_VAL)"
+        return "(-__builtin_inf())"
     return v.hex()
 
 
@@ -577,9 +608,9 @@ def emit_c(kir: _ir.KernelIR) -> str:
 
 def build_info() -> dict:
     """How C-kernel builds have gone this process: kernel objects built
-    or loaded (a program loaded again after leaving the kernel cache
-    counts again), kernels fallen back to interp, and the last failure
-    reason (if any)."""
+    or loaded in either tier (a program loaded again after leaving the
+    kernel cache counts again), kernels fallen back to interp, and the
+    last failure reason (if any)."""
     return {"compiled": _N_COMPILED, "failed": _N_FAILED,
             "last_failure": _LAST_FAILURE}
 
@@ -596,10 +627,13 @@ def _fail(reason: str) -> None:
 
 
 def _load_module(source: str):
-    """Build-or-reuse the content-addressed kernel object for one source;
-    its ``run(args, rt, cost, K, mode)``, or ``None`` on failure."""
+    """Build-or-reuse the content-addressed kernel object for one source
+    at the context's build tier; its ``run(args, rt, cost, K, mode)``, or
+    ``None`` on failure."""
     global _N_COMPILED
-    key = sha256(source.encode()).hexdigest()[:20]
+    tier = kernel_build_tier()
+    flags = _CFLAGS[tier]
+    key = sha256("\0".join((*flags, source)).encode()).hexdigest()[:20]
     cache_dir = _native._cache_dir()
     if not _native._cache_dir_trusted(cache_dir):
         _fail(f"untrusted cache dir {cache_dir}")
@@ -610,8 +644,7 @@ def _load_module(source: str):
         if cc is None:
             _fail("no C compiler found (CC/cc/gcc/clang)")
             return None
-        ok, why = _native.build_shared_object(cc, source, out,
-                                              extra_flags=_CFLAGS)
+        ok, why = _native.build_shared_object(cc, source, out, flags)
         if not ok:
             _fail(f"build failed: {why}")
             return None
@@ -621,6 +654,8 @@ def _load_module(source: str):
         _fail(f"load failed: {type(exc).__name__}: {exc}")
         return None
     _N_COMPILED += 1
+    if _obs.enabled():
+        _obs.inc("repro_kernel_builds_total", tier=tier)
     return run
 
 

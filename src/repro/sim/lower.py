@@ -103,7 +103,6 @@ from ..core.nodes import (
 )
 from typing import TYPE_CHECKING
 
-from ..core.features import extract_features
 from ..core.types import AssignOpKind, BinOpKind, FPType
 from ..obs import metrics as _obs
 from . import ir as _ir
@@ -440,6 +439,13 @@ class StructuralLowerer:
         #: name substitution (comp -> reduction private copy inside regions)
         self._subst: dict[str, str] = {}
         self._in_crit = False
+        #: lowering the body of an ``omp for`` loop (the grammar keeps
+        #: regions, section arms and tasks out of one), and the criticals
+        #: met there: the
+        #: :attr:`~repro.core.features.ProgramFeatures.critical_in_omp_for`
+        #: count, taken on this walk
+        self._in_omp_for = False
+        self._crit_in_omp_for = 0
         #: team size of the region being lowered (section-arm assignment)
         self._region_threads = 1
         #: per-arm task-queue lowering state (no nesting: one at a time)
@@ -683,6 +689,7 @@ class StructuralLowerer:
             # the acquire may abort with the livelock fault, which hands
             # the runtime the cost lanes itself
             b.emit(_ir.CritEnter())
+            self._crit_in_omp_for += self._in_omp_for
             was = self._in_crit
             self._in_crit = True
             self.block(s.body, tid_var=tid_var)
@@ -757,7 +764,10 @@ class StructuralLowerer:
             loop = partial(_ir.ForRange, lv, _ir.ILit(0), n)
         self.b.ivar(lv)
         self.b.push()
+        was = self._in_omp_for
+        self._in_omp_for = was or s.omp_for
         self.block(s.body, extra=("loop", 1, 1.0), tid_var=tid_var)
+        self._in_omp_for = was
         self.b.emit(loop(self.b.pop()))
         if s.omp_for:
             self.b.emit(_ir.Count("sync"))  # its implicit barrier
@@ -783,7 +793,9 @@ class StructuralLowerer:
         b.emit(_ir.SetIVar(b.ivar(ilv),
                            _ir.IModV(_ir.IVar(kv), _ir.IVar(n2v))))
         # two loop heads' worth of bookkeeping per flattened iteration
+        was, self._in_omp_for = self._in_omp_for, True
         self.block(inner.body, extra=("loop", 2, 2.0), tid_var=tid_var)
+        self._in_omp_for = was
         b.emit(loop(b.pop()))
         b.emit(_ir.Count("sync"))
 
@@ -975,8 +987,7 @@ class StructuralLowerer:
                              fp32=self.fp32)
         return StructuralKernel(
             ir=kernel_ir, sites=tuple(self.sites), regions=self.regions,
-            critical_in_omp_for=extract_features(
-                self.program).critical_in_omp_for)
+            critical_in_omp_for=self._crit_in_omp_for)
 
 
 # ======================================================================

@@ -24,6 +24,8 @@ locals once per call.
 
 from __future__ import annotations
 
+import math
+
 from . import ir as _ir
 from .values import MATH_IMPLS, f32, f32z, fdiv, fma_d, fma_f, ftz_d, ftz_f
 
@@ -62,6 +64,9 @@ _HELPERS = {
     "_ftz": ftz_d,
     "_ftzf": ftz_f,
     "_MATH": MATH_IMPLS,
+    # the names ``repr`` gives a non-finite literal
+    "inf": math.inf,
+    "nan": math.nan,
 }
 
 #: helper parameter defaults appended to the kernel signature so every

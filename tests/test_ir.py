@@ -14,6 +14,7 @@ import math
 import re
 import sys
 import typing
+from contextlib import nullcontext
 
 import pytest
 
@@ -48,7 +49,7 @@ from repro.core.types import (
     VarKind,
 )
 from repro.sim import ir
-from repro.sim.backend import _c_available
+from repro.sim.backend import _c_available, quick_kernel_builds
 from repro.sim.ckernel import bind_c, emit_c
 from repro.sim.lower import (
     CostState,
@@ -58,7 +59,7 @@ from repro.sim.lower import (
     bind_costs,
 )
 from repro.sim.pykernel import bind_py, emit_py
-from repro.sim.values import f32
+from repro.sim.values import MATH_IMPLS, f32
 from repro.vendors.gcc import GCC
 from test_lowering import _mk, _simple_region
 
@@ -611,12 +612,11 @@ class TestKernelObjectEmitter:
     the index."""
 
     def test_no_python_header(self):
+        # no header at all: the prelude declares what a kernel calls
         source = emit_c(_kernel(*[_as_stmt(c) for c in _CASES.values()]))
         assert "Python.h" not in source
         assert re.search(r"\bPy[A-Z_]", source) is None  # no C-API name
-        assert [line for line in source.splitlines()
-                if line.startswith("#include")] == ["#include <math.h>",
-                                                    "#include <stdlib.h>"]
+        assert "#include" not in source
         assert "int krun(rk_ctx *c) {" in source
 
     #: a[3] (constant), a[i % 5] (``% M``), b[_tid] in a 4-thread loop,
@@ -993,3 +993,52 @@ class TestFamilyRuns:
         with pytest.raises(ValueError, match="mode out of range"):
             shape.backend_cache["c"]({"x": 1.0, "a": [1.0]}, None, None,
                                      (), 2 * len(ir.FMA_MODES))
+
+
+@pytest.mark.parametrize("tier", ["full", "quick"])
+class TestLibmAndNonFiniteLiterals:
+    """A kernel object includes no header: its prelude declares the libm
+    functions, and NaN and the infinities are builtins.  Each libm call
+    and each non-finite literal computes interp's bits in both build
+    tiers."""
+
+    NAMES = sorted(MATH_IMPLS)
+    LITERALS = [math.inf, -math.inf, math.nan]
+    ARGS = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.75, -3.0, 100.0, 710.0,
+            -710.0, 1e-300, 5e-324, 1e308, -1e308, math.inf, -math.inf,
+            math.nan]
+
+    @classmethod
+    def _kernel(cls, fp32: bool) -> ir.KernelIR:
+        """``sel`` picks what comp holds: a libm call on ``x`` per name,
+        then each literal, then ``x`` times each literal."""
+        x = ir.FVar("x")
+        forms = ([ir.FCall(name, x) for name in cls.NAMES]
+                 + [ir.FLit(v) for v in cls.LITERALS]
+                 + [ir.FBin("*", x, ir.FLit(v)) for v in cls.LITERALS])
+        return ir.KernelIR(
+            ops=[ir.Prologue(), ir.LoadInt("sel"), ir.LoadScalar("x"),
+                 *[ir.IfIntEq("sel", k, [ir.SetVar("comp", e)])
+                   for k, e in enumerate(forms)],
+                 ir.Return("comp")],
+            comp="comp", fp_vars=("x", "comp"), int_vars=("sel",),
+            math_funcs=tuple(cls.NAMES), fp32=fp32)
+
+    @pytest.mark.parametrize("fp32", [False, True], ids=["fp64", "fp32"])
+    def test_bits_match_interp(self, tier, fp32):
+        _c_entry_or_skip()
+        shape = _shape(self._kernel(fp32))
+        with quick_kernel_builds() if tier == "quick" else nullcontext():
+            c = bind_c(shape, (), PLAIN)
+        assert "c" in shape.backend_cache
+        py = bind_py(shape, (), PLAIN)
+
+        def bits(entry, args):  # the prologue binds the libm names
+            v = entry(dict(args), _Recorder(), None)
+            return "nan" if v != v else v.hex()
+
+        n_forms = len(self.NAMES) + 2 * len(self.LITERALS)
+        for sel in range(n_forms):
+            for x in self.ARGS:
+                args = {"sel": sel, "x": x}
+                assert bits(c, args) == bits(py, args), (sel, x)

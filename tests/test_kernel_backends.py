@@ -14,7 +14,9 @@ each in its own FP mode.  That a program costs one compiler run and
 one module load whatever order its vendors compile and run in, fault
 parity (CRASH/HANG records), that a run enters the runtime only at
 region boundaries, and which backend each kernel entry bound to, are
-pinned separately.  Without a C toolchain there is nothing to compare
+pinned separately.  The battery and fault parity run in both build
+tiers: ``full`` (``-O1``) and ``quick`` (``-O0``, what reducer
+candidates build at).  Without a C toolchain there is nothing to compare
 against, so the cross-backend checks skip (the forced-``c`` CI leg
 fails instead of skipping).
 """
@@ -26,6 +28,7 @@ import gc
 import os
 import warnings
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 
@@ -76,6 +79,7 @@ from repro.sim.backend import (
     BACKENDS,
     active_kernel_backend,
     kernel_backend_info,
+    quick_kernel_builds,
     set_kernel_backend,
     use_kernel_backend,
 )
@@ -137,6 +141,12 @@ def cc_calls(tmp_path, monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(_native, attr, counted)
     return calls
+
+
+def built_at(calls: dict) -> set[str]:
+    """The ``-O`` levels of the compiler runs ``cc_calls`` logged."""
+    return {flag for _, _, _, flags in calls["build"] for flag in flags
+            if flag.startswith("-O")}
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +354,15 @@ class TestBitwiseBattery:
     OPT_LEVELS = ("-O1", "-O3")
 
     def test_records_identical(self, mix, machine, fresh_kernel_cache):
+        self._compare(mix, machine)
+
+    def test_records_identical_quick_tier(self, mix, machine,
+                                          fresh_kernel_cache, cc_calls):
+        with quick_kernel_builds():
+            self._compare(mix, machine)
+        assert built_at(cc_calls) == {"-O0"}
+
+    def _compare(self, mix, machine):
         gen_cfg = apply_directive_mix(
             GeneratorConfig(max_total_iterations=4_000, loop_trip_max=60,
                             num_threads=8), mix)
@@ -472,6 +491,18 @@ class TestFaultParity:
     @pytest.mark.parametrize("index,vendor,status", FAULT_CASES)
     def test_faulting_records_identical(self, index, vendor, status,
                                         machine, fresh_kernel_cache):
+        self._compare(index, vendor, status, machine)
+
+    @pytest.mark.parametrize("index,vendor,status", FAULT_CASES)
+    def test_faulting_records_identical_quick_tier(
+            self, index, vendor, status, machine, fresh_kernel_cache,
+            cc_calls):
+        with quick_kernel_builds():
+            self._compare(index, vendor, status, machine)
+        assert built_at(cc_calls) == {"-O0"}
+
+    @staticmethod
+    def _compare(index, vendor, status, machine):
         program, test_input = _program(index)
         # the faulting vendor runs from the module its siblings share
         binary = {v: get_backend(v).compile(program, "-O3")
@@ -672,6 +703,20 @@ class TestBindTelemetry:
             run_under(binary, test_input, machine, "c")
         assert binds("interp", "fallback") == 1
         assert binds("c", "selected") == 0
+
+    def test_builds_counted_by_tier(self, binds, cc_calls, machine,
+                                    fresh_kernel_cache):
+        def builds(tier):
+            return counter_value(obs.registry_snapshot(),
+                                 "repro_kernel_builds_total", tier=tier)
+
+        for index, tier in ((3, "quick"), (4, "full"), (5, "quick")):
+            program, test_input = _program(index)
+            binary = get_backend("gcc").compile(program, "-O3")
+            with quick_kernel_builds() if tier == "quick" else nullcontext():
+                run_under(binary, test_input, machine, "c")
+        assert (builds("quick"), builds("full")) == (2, 1)
+        assert built_at(cc_calls) == {"-O0", "-O1"}
 
     def test_bound_backend_is_selected(self, binds, cc_calls, machine,
                                        fresh_kernel_cache):

@@ -99,6 +99,18 @@ class TestRegressionGate:
         assert bt.check_regression(
             _profile(10.0, 0.1, cold_tests_per_s=1.7), base)[0]
 
+    def test_cold_yardstick_mismatch_rejected(self):
+        # a cold baseline normalized by the Python spin cannot gate a
+        # cold grid normalized by the reference compile
+        base = _profile(10.0, 0.1)
+        current = _profile(10.0, 0.1)
+        current["end_to_end_cold"]["calibration"] = "cc"
+        ok, msg = bt.check_regression(current, base)
+        assert not ok
+        assert "refresh" in msg
+        base["end_to_end_cold"]["calibration"] = "cc"
+        assert bt.check_regression(current, base)[0]
+
     def test_baseline_without_a_cold_entry_rejected(self):
         old = _profile(10.0, 0.1)
         del old["end_to_end_cold"]
@@ -113,6 +125,13 @@ class TestCalibration:
         assert a > 0 and b > 0
         # same host moments apart: within a loose factor (catches units
         # bugs, not scheduler noise)
+        assert 0.2 < a / b < 5.0
+
+    def test_reference_compile_is_positive_and_repeatable_order(self):
+        if bt._native._find_cc() is None:
+            pytest.skip("no C compiler found")
+        a, b = bt.calibrate_cc(), bt.calibrate_cc()
+        assert a > 0 and b > 0
         assert 0.2 < a / b < 5.0
 
 

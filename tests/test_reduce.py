@@ -232,6 +232,38 @@ class TestReducer:
         assert [r.to_row() for r in verdicts[0].records] == \
             [r.to_row() for r in verdicts[1].records]
 
+    def test_reduction_builds_in_the_quick_tier(self, tmp_path,
+                                                monkeypatch):
+        # every program the oracle runs builds at -O0, and a second
+        # reduction (objects loaded from disk) is the same
+        from repro.sim import _native, kcache
+        from repro.sim.backend import _c_available, use_kernel_backend
+
+        ok, why = _c_available()
+        if not ok:
+            pytest.skip(f"C kernel backend unavailable: {why}")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        builds = []
+        real = _native.build_shared_object
+
+        def counted(cc, source, out, flags):
+            builds.append([f for f in flags if f.startswith("-O")])
+            return real(cc, source, out, flags)
+
+        monkeypatch.setattr(_native, "build_shared_object", counted)
+        [case] = corpus_cases("sync", "n_atomic", "crash", "buggy-atomic", 1)
+        reductions = []
+        for _ in range(2):
+            monkeypatch.setattr(kcache, "_DEFAULT_CACHE", kcache.KernelCache())
+            with use_kernel_backend("c"):
+                result = reduce_case(case)
+            reductions.append((emit_translation_unit(result.reduced_program),
+                               result.reduced_input.values))
+        # the first reduction built every object, the second loaded them
+        assert result.candidates_kept > 1 and len(builds) > 2
+        assert builds == [["-O0"]] * len(builds)
+        assert reductions[0] == reductions[1]
+
 
 # ----------------------------------------------------------------------
 # the acceptance sweep: >=20 injected-fault outliers, >=3 mixes

@@ -287,7 +287,7 @@ class TestNativeLoader:
             pytest.skip("no C compiler found")
         out = tmp_path / "_probe.so"
         ok, why = _native.build_shared_object(
-            cc, "int probe(void) { return 1; }\n", out)
+            cc, "int probe(void) { return 1; }\n", out, _native.SHARED_FLAGS)
         assert ok, why
         assert [p.name for p in tmp_path.iterdir()] == ["_probe.so"]
 
@@ -295,11 +295,13 @@ class TestNativeLoader:
         from repro.sim import _native
         out = tmp_path / "_broken.so"
         ok, why = _native.build_shared_object(
-            str(tmp_path / "no-such-cc"), "int x;\n", out)
+            str(tmp_path / "no-such-cc"), "int x;\n", out,
+            _native.SHARED_FLAGS)
         assert not ok and "did not run" in why
         cc = _native._find_cc()
         if cc is not None:
-            ok, why = _native.build_shared_object(cc, "not C at all\n", out)
+            ok, why = _native.build_shared_object(
+                cc, "not C at all\n", out, _native.SHARED_FLAGS)
             assert not ok and "compiler exited" in why
         assert list(tmp_path.iterdir()) == []
 
