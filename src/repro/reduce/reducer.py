@@ -26,7 +26,7 @@ programs, which the property suite pins.
 A candidate is a one-shot program: it runs once or twice and is never
 seen again, so the oracle builds its C kernel object in the quick tier
 (:func:`repro.sim.backend.quick_kernel_builds`, ``-O0``), which computes
-the same bits as a campaign's ``-O1`` object for a fraction of the
+the same bits as a campaign's ``-Og`` object for a fraction of the
 compiler time.  The case's own program goes through the same oracle (a
 process that already bound it keeps that kernel, whatever its tier).
 """

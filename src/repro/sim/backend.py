@@ -21,7 +21,7 @@ warns once and records the reason, visible via
 :func:`kernel_backend_info`.
 
 C kernel objects build in one of two tiers, which differ only in the
-``-O`` level, never in a result bit: ``full`` (``-O1``) by default, and
+``-O`` level, never in a result bit: ``full`` (``-Og``) by default, and
 ``quick`` (``-O0``) inside :func:`quick_kernel_builds`, for one-shot
 programs such as reducer candidates, which would pay more for an
 optimized build than they save in their few runs.  The tier is a

@@ -57,10 +57,11 @@ Bit-exactness contract (the reason the C backend requires
   runtime library); the flush uses ``__builtin_fabs`` and
   ``__builtin_copysign``, which stay inline under it;
 * none of this depends on the ``-O`` level, so both build tiers
-  (:func:`repro.sim.backend.kernel_build_tier`: ``-O1`` for ``full``,
-  ``-O0`` for ``quick``) compute the same bits: binary64 is SSE2 with no
-  excess precision, contraction is off, and the FMA recovery is the
-  explicit ``long double`` expression above;
+  (:func:`repro.sim.backend.kernel_build_tier`: ``-Og`` for ``full``,
+  ``-O0`` for ``quick``), whose flags differ in nothing else, compute
+  the same bits: binary64 is SSE2 with no excess precision, contraction
+  is off, and the FMA recovery is the explicit ``long double``
+  expression above;
 * FP literals are emitted as hexadecimal float constants
   (``float.hex()``), which round-trip exactly, and NaN and the
   infinities as ``__builtin_nan("")`` and ``__builtin_inf()``;
@@ -120,7 +121,7 @@ _NO_RUNTIME = () if sys.platform == "darwin" else ("-nostdlib", "-lgcc")
 #: the compiler flags of a kernel object, per build tier
 _CFLAGS = {tier: (opt, "-pipe", *_native.SHARED_FLAGS, "-ffp-contract=off",
                   "-fno-builtin", *_NO_RUNTIME)
-           for tier, opt in (("full", "-O1"), ("quick", "-O0"))}
+           for tier, opt in (("full", "-Og"), ("quick", "-O0"))}
 
 #: no system header: the functions a kernel calls, resolved from the
 #: loading process

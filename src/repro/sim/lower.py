@@ -294,9 +294,13 @@ class CostModel:
         raise ValueError(f"unknown extra kind {kind!r}")  # pragma: no cover
 
     def site_cost(self, site: "ChargeSite") -> tuple[float, float]:
-        """Raw (cycles, instructions) of one charge site, pre-scaling."""
-        cy = sum(self.stmt_cost(s)[0] for s in site.stmts)
-        ins = sum(self.stmt_cost(s)[1] for s in site.stmts)
+        """Raw (cycles, instructions) of one charge site, pre-scaling:
+        each statement priced once, each lane a builtin ``sum`` in
+        statement order (compensated since CPython 3.12, so a plain
+        ``+=`` loop would not give the same bits)."""
+        costs = [self.stmt_cost(s) for s in site.stmts]
+        cy = sum(c for c, _ in costs)
+        ins = sum(i for _, i in costs)
         if site.extra is not None:
             ecy, eins = self.extra_cost(site.extra)
             cy, ins = cy + ecy, ins + eins

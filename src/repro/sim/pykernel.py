@@ -70,9 +70,10 @@ _HELPERS = {
 }
 
 #: helper parameter defaults appended to the kernel signature so every
-#: hot-loop helper reference is a LOAD_FAST instead of a LOAD_GLOBAL
+#: hot-loop helper reference is a LOAD_FAST instead of a LOAD_GLOBAL;
+#: the kernel's libm helpers follow them as ``_m_<name>``
 _HELPER_PARAMS = ("_f32", "_f32z", "_ftz", "_ftzf", "_div", "_fma",
-                  "_fmaf", "_MATH", "_chunks")
+                  "_fmaf", "_chunks")
 
 #: accumulator synchronization: the kernel mirrors the four CostState
 #: lanes in fast locals and exchanges them with the shared object only
@@ -197,8 +198,6 @@ class _Emitter:
             self.w(_RELOAD)
         elif t is _ir.Prologue:
             self.w("_thr, _SCH, _DSP = _rt.prologue(); _acq = 0")
-            for name in self.kir.math_funcs:  # libm helpers into locals
-                self.w(f"_m_{name} = _MATH[{name!r}]")
         elif t is _ir.Count:
             self.w(f"_n_{op.event} += 1")
         elif t is _ir.CritEnter:
@@ -275,7 +274,9 @@ class _Emitter:
 
     # -- whole function ------------------------------------------------
     def emit(self) -> str:
-        helpers = ", ".join(f"{h}={h}" for h in _HELPER_PARAMS)
+        helpers = ", ".join([f"{h}={h}" for h in _HELPER_PARAMS]
+                            + [f"_m_{name}=_MATH[{name!r}]"
+                               for name in self.kir.math_funcs])
         self.block(f"def _kernel(_args, _rt, _c, _K=_K, {helpers}):",
                    self.kir.ops)
         n = self.kir.n_constants

@@ -1033,7 +1033,7 @@ class TestLibmAndNonFiniteLiterals:
         assert "c" in shape.backend_cache
         py = bind_py(shape, (), PLAIN)
 
-        def bits(entry, args):  # the prologue binds the libm names
+        def bits(entry, args):  # the prologue calls the runtime
             v = entry(dict(args), _Recorder(), None)
             return "nan" if v != v else v.hex()
 
@@ -1042,3 +1042,32 @@ class TestLibmAndNonFiniteLiterals:
             for x in self.ARGS:
                 args = {"sel": sel, "x": x}
                 assert bits(c, args) == bits(py, args), (sel, x)
+
+    def test_libm_without_prologue(self, tier):
+        """The interpreted kernel binds its libm helpers as parameter
+        defaults, not at the ``Prologue``, so an ``FCall`` in a kernel
+        with no ``Prologue`` runs under both emitters, with the same
+        bits."""
+        _c_entry_or_skip()
+        x = ir.FVar("x")
+        total = ir.FLit(0.0)
+        for name in self.NAMES:
+            total = ir.FBin("+", total, ir.FCall(name, x))
+        shape = _shape(ir.KernelIR(
+            ops=[ir.LoadScalar("x"), ir.SetVar("comp", total),
+                 ir.Return("comp")],
+            comp="comp", fp_vars=("x", "comp"),
+            math_funcs=tuple(self.NAMES)))
+        with quick_kernel_builds() if tier == "quick" else nullcontext():
+            c = bind_c(shape, (), PLAIN)
+        assert "c" in shape.backend_cache
+        py = bind_py(shape, (), PLAIN)
+
+        def bits(v):
+            return v.__name__ if isinstance(v, type) else (
+                "nan" if v != v else v.hex())
+
+        for arg in self.ARGS:
+            ref = _call(py, {"x": arg})
+            assert not isinstance(ref, type), (arg, ref)
+            assert bits(_call(c, {"x": arg})) == bits(ref), arg

@@ -228,6 +228,25 @@ class TestTwoPhaseLowering:
         bind_costs(structural, GCC, "-O3").bind("c")
         assert list(structural.backend_cache) == ["c"]
 
+    def test_site_cost_prices_each_statement_once(self, monkeypatch):
+        # each lane is a builtin sum in statement order, as the classic
+        # lowerer summed it; sum() is compensated since CPython 3.12,
+        # where a plain += loop would drop the 1.0s below
+        from repro.sim.lower import ChargeSite, CostModel
+
+        costs = {"a": (1e16, 1.0), "b": (1.0, 1e16), "c": (-1e16, -1e16)}
+        priced = []
+
+        def stmt_cost(self, s):
+            priced.append(s)
+            return costs[s]
+
+        monkeypatch.setattr(CostModel, "stmt_cost", stmt_cost)
+        site = ChargeSite(tuple(costs), None, 0, 1)
+        assert CostModel(GCC.ops, "none").site_cost(site) == (
+            sum([1e16, 1.0, -1e16]), sum([1.0, 1e16, -1e16]))
+        assert priced == ["a", "b", "c"]
+
     def test_critical_in_omp_for_matches_features(self):
         # the hang fault arms only where this count is nonzero, so the
         # structural kernel must count exactly what the features count

@@ -15,7 +15,7 @@ one module load whatever order its vendors compile and run in, fault
 parity (CRASH/HANG records), that a run enters the runtime only at
 region boundaries, and which backend each kernel entry bound to, are
 pinned separately.  The battery and fault parity run in both build
-tiers: ``full`` (``-O1``) and ``quick`` (``-O0``, what reducer
+tiers: ``full`` (``-Og``) and ``quick`` (``-O0``, what reducer
 candidates build at).  Without a C toolchain there is nothing to compare
 against, so the cross-backend checks skip (the forced-``c`` CI leg
 fails instead of skipping).
@@ -690,6 +690,19 @@ def binds(monkeypatch):
     os.environ.pop("REPRO_OBS", None)
 
 
+class TestTierFlags:
+    """The build tiers differ only in the ``-O`` level, which moves no
+    result bit; campaign programs build at ``-Og``."""
+
+    def test_tiers_differ_only_in_the_opt_level(self):
+        full, quick = ckernel._CFLAGS["full"], ckernel._CFLAGS["quick"]
+        assert len(full) == len(quick)
+        assert [(a, b) for a, b in zip(full, quick) if a != b] == [
+            ("-Og", "-O0")]
+        assert [flag for flag in full if flag.startswith("-O")] == ["-Og"]
+        assert {"-ffp-contract=off", "-fno-builtin"} <= set(full)
+
+
 @needs_c
 class TestBindTelemetry:
     def test_failed_build_binds_interp_as_fallback(
@@ -716,7 +729,7 @@ class TestBindTelemetry:
             with quick_kernel_builds() if tier == "quick" else nullcontext():
                 run_under(binary, test_input, machine, "c")
         assert (builds("quick"), builds("full")) == (2, 1)
-        assert built_at(cc_calls) == {"-O0", "-O1"}
+        assert built_at(cc_calls) == {"-O0", "-Og"}
 
     def test_bound_backend_is_selected(self, binds, cc_calls, machine,
                                        fresh_kernel_cache):
