@@ -117,7 +117,7 @@ def run_binary(binary: Binary, test_input: TestInput,
 
     executor = RegionExecutor(
         binary.vendor,
-        binary.kernel.regions,
+        binary.kernel.structural.teams,
         cost,
         counters,
         profile,

@@ -15,7 +15,7 @@ from .backend import (active_kernel_backend, kernel_backend_info,
                       set_kernel_backend, use_kernel_backend)
 from .counters import PerfCounters
 from .events import ProfileRecorder
-from .lower import CostState, LoweredKernel, RegionMeta
+from .lower import CostState, LoweredKernel
 from .runtime import RegionExecutor
 from .values import (MATH_IMPLS, f32, fdiv, fma_d, fma_f, ftz_d, ftz_f,
                      native_values_active, native_values_info)
@@ -41,7 +41,6 @@ __all__ = [
     "PerfCounters",
     "ProfileRecorder",
     "RegionExecutor",
-    "RegionMeta",
     "active_kernel_backend",
     "backend_info",
     "f32",

@@ -18,13 +18,15 @@ Absolute requirements, enforced here:
   failure, non-CPython interpreter: all silently fall back to Python
   (``REPRO_NATIVE_VALUES=0`` forces the fallback, e.g. for the
   equivalence tests),
-* **no fast-math** — the build uses plain ``-O2``; IEEE semantics of
-  division and rounding are exactly CPython's.
+* **no fast-math** — the build uses ``-O2 -ffp-contract=off``; IEEE
+  semantics of division, rounding and the FMAs are exactly CPython's.
 
 The FMA keeps the x87 ``long double`` trick of the Python implementation
 (``(double)((long double)a * b + c)``): on every platform C ``long
 double`` is precisely the type ``numpy.longdouble`` wraps, so the
-contraction model agrees bit-for-bit with the fallback.
+contraction model agrees bit-for-bit with the fallback.  It and the
+FTZ and binary32 helpers are :data:`KERNEL_ABI` text, the one copy that
+every kernel object includes too.
 
 The same extension carries the **kernel dispatcher** of the C backend
 (:mod:`repro.sim.ckernel`).  A compiled kernel is a plain C shared
@@ -34,7 +36,7 @@ its entry is collected) and ``krun`` runs it with the callbacks that do
 everything Python-side — argument loads, the runtime calls, the
 cost-lane exchange, errors.  So kernels never include ``Python.h``, and
 the dispatcher is built and verified once per machine with the helpers
-whose FTZ flush (``ftz_sel``) it shares.  :func:`build_shared_object`
+it shares with every kernel.  :func:`build_shared_object`
 builds both kinds of object, each with its caller's flags: the helpers
 at ``-O2`` against the Python headers, a kernel object at its build
 tier's ``-O`` level with no system header and, on ELF, no C start files
@@ -64,7 +66,9 @@ from struct import unpack_from
 #: dispatcher fills the context and hands the kernel ``rk_api``, the
 #: callbacks for everything that touches Python: argument loads, the
 #: prologue, region enter and exit, the cost-lane exchange, the livelock
-#: abort and the errors.  ``ftz_sel`` is the FTZ flush both sides apply.
+#: abort and the errors.  ``ftz_sel``, ``f32_sel``, ``h_fmad`` and
+#: ``h_fmaf`` are the value helpers both sides compute with, so the
+#: load-time battery checks the text every kernel includes.
 KERNEL_ABI = r"""
 #define RK_ABI 1
 #define RK_SHORT 1  /* an array is shorter than the kernel's bound */
@@ -106,6 +110,24 @@ typedef struct rk_ctx {
 static inline double ftz_sel(double x, double thr) {
     return __builtin_fabs(x) < thr ? __builtin_copysign(0.0, x) : x;
 }
+
+static inline double f32_sel(double x, double thr) {
+    return ftz_sel((double)(float)x, thr);
+}
+
+/* long-double FMA recovery; a NaN operand gives NaN */
+static inline double h_fmad(double a, double b, double c) {
+    long double r;
+    if (a != a || b != b || c != c) return __builtin_nan("");
+    r = (long double)a * (long double)b + (long double)c;
+    return (double)r;
+}
+
+/* two-rounding binary32 FMA: exact product+add in binary64, one final
+   round (NOT a hardware fma: -ffp-contract=off keeps it that way) */
+static inline double h_fmaf(double a, double b, double c) {
+    return (double)(float)(a * b + c);
+}
 """
 
 _C_SOURCE = r"""
@@ -118,7 +140,7 @@ _C_SOURCE = r"""
 static PyObject *nv_f32(PyObject *self, PyObject *arg) {
     double x = PyFloat_AsDouble(arg);
     if (x == -1.0 && PyErr_Occurred()) return NULL;
-    return PyFloat_FromDouble((double)(float)x);
+    return PyFloat_FromDouble(f32_sel(x, 0.0));
 }
 
 static PyObject *nv_ftz_d(PyObject *self, PyObject *arg) {
@@ -137,7 +159,7 @@ static PyObject *nv_ftz_f(PyObject *self, PyObject *arg) {
 static PyObject *nv_f32z(PyObject *self, PyObject *arg) {
     double x = PyFloat_AsDouble(arg);
     if (x == -1.0 && PyErr_Occurred()) return NULL;
-    return PyFloat_FromDouble(ftz_sel((double)(float)x, RK_MIN_NORMAL_F));
+    return PyFloat_FromDouble(f32_sel(x, RK_MIN_NORMAL_F));
 }
 
 static PyObject *nv_fdiv(PyObject *self, PyObject *const *args,
@@ -157,7 +179,6 @@ static PyObject *nv_fdiv(PyObject *self, PyObject *const *args,
 static PyObject *nv_fma_d(PyObject *self, PyObject *const *args,
                           Py_ssize_t n) {
     double a, b, c;
-    long double r;
     if (n != 3) {
         PyErr_SetString(PyExc_TypeError, "fma_d expects 3 arguments");
         return NULL;
@@ -166,9 +187,7 @@ static PyObject *nv_fma_d(PyObject *self, PyObject *const *args,
     b = PyFloat_AsDouble(args[1]);
     c = PyFloat_AsDouble(args[2]);
     if (PyErr_Occurred()) return NULL;
-    if (a != a || b != b || c != c) return PyFloat_FromDouble(NAN);
-    r = (long double)a * (long double)b + (long double)c;
-    return PyFloat_FromDouble((double)r);
+    return PyFloat_FromDouble(h_fmad(a, b, c));
 }
 
 static PyObject *nv_fma_f(PyObject *self, PyObject *const *args,
@@ -182,7 +201,7 @@ static PyObject *nv_fma_f(PyObject *self, PyObject *const *args,
     b = PyFloat_AsDouble(args[1]);
     c = PyFloat_AsDouble(args[2]);
     if (PyErr_Occurred()) return NULL;
-    return PyFloat_FromDouble((double)(float)(a * b + c));
+    return PyFloat_FromDouble(h_fmaf(a, b, c));
 }
 
 /* IEEE-total math wrappers: C libm already returns nan/inf where
@@ -481,19 +500,6 @@ def load_info() -> dict:
     return dict(_LOAD_INFO)
 
 
-def reset_load_info() -> None:
-    """Restore the load record to its pristine never-called state.
-
-    :func:`load` and its fallback path mutate the module-global record
-    in place; anything that calls them (tests, probes) should reset —
-    or better, use :func:`scoped_load_info` — so later readers of
-    :func:`load_info` see the process's real state, not the probe's.
-    """
-    _LOAD_INFO.clear()
-    _LOAD_INFO.update(active=False, requested=False,
-                      reason="load() not called yet")
-
-
 @contextmanager
 def scoped_load_info():
     """Context manager: any :func:`load` calls inside leave the
@@ -715,6 +721,15 @@ def _fall_back(reason: str):
     return None
 
 
+def _module_path(cache_dir: Path, flags: tuple[str, ...]) -> Path:
+    """The value-helper module's file, named like a kernel object by the
+    hash of its build flags and source (and the interpreter's extension
+    suffix), so a change to either builds a new module."""
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    key = sha256("\0".join((*flags, _C_SOURCE + suffix)).encode())
+    return cache_dir / f"_repro_native_values-{key.hexdigest()[:16]}{suffix}"
+
+
 def load():
     """Return the verified native module, or ``None`` (pure-Python mode).
 
@@ -736,20 +751,18 @@ def load():
         return _fall_back(
             f"non-CPython interpreter ({sys.implementation.name})")
     try:
-        suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-        key = sha256((_C_SOURCE + suffix).encode()).hexdigest()[:16]
         cache_dir = _cache_dir()
         if not _cache_dir_trusted(cache_dir):
             return _fall_back(f"untrusted cache dir {cache_dir} (not "
                               f"uid-owned 0700)")
-        out = cache_dir / f"_repro_native_values-{key}{suffix}"
+        flags = ("-O2", "-ffp-contract=off", *SHARED_FLAGS,
+                 f"-I{sysconfig.get_paths()['include']}")
+        out = _module_path(cache_dir, flags)
         if not out.exists():
             cc = _find_cc()
             if cc is None:
                 return _fall_back("no C compiler found (CC/cc/gcc/clang)")
-            include = sysconfig.get_paths()["include"]
-            ok, why = build_shared_object(
-                cc, _C_SOURCE, out, ("-O2", *SHARED_FLAGS, f"-I{include}"))
+            ok, why = build_shared_object(cc, _C_SOURCE, out, flags)
             if not ok:
                 return _fall_back(f"build failed: {why}")
         native = import_shared_object(out)

@@ -45,7 +45,8 @@ Bit-exactness contract (the reason the C backend requires
 :func:`repro.sim.values.native_values_active`):
 
 * every wrap/FMA/libm helper is the *same C code* as the battery-verified
-  ``_repro_native_values`` module (``ftz_sel`` is its ABI text), so the
+  ``_repro_native_values`` module: ``ftz_sel``, ``f32_sel``, ``h_fmad``
+  and ``h_fmaf`` are defined once, in the ABI text both include, so the
   compiled kernel and the interpreted reference (whose helpers are bound
   to that module) compute identical bits — ``(double)(float)x``
   rounding, subnormal flushes at the exact thresholds, x87 ``long
@@ -132,23 +133,6 @@ _DECLS = ("typedef __SIZE_TYPE__ size_t;\n#define NULL ((void *)0)\n"
 _PRELUDE = "\n" + _DECLS + _native.KERNEL_ABI + r"""
 const int krun_abi = RK_ABI;
 
-static inline double f32_sel(double x, double thr) {
-    return ftz_sel((double)(float)x, thr);
-}
-
-/* long-double FMA recovery with the NaN guard of the reference helper */
-static inline double h_fmad(double a, double b, double c) {
-    long double r;
-    if (a != a || b != b || c != c) return __builtin_nan("");
-    r = (long double)a * (long double)b + (long double)c;
-    return (double)r;
-}
-/* two-rounding binary32 FMA: exact product+add in binary64, one final
-   round (NOT a hardware fma: -ffp-contract=off keeps it that way) */
-static inline double h_fmaf(double a, double b, double c) {
-    return (double)(float)(a * b + c);
-}
-
 /* Python's floored % and // (operands may be negative), branchless:
    a nonzero remainder whose sign differs from the divisor's
    ((r ^ b) < 0) moves one step toward minus infinity */
@@ -216,17 +200,16 @@ def _clit(v: float) -> str:
 
 def _team(ops: list) -> int | None:
     """The bound of ``_tid`` over a kernel's life: it starts at 0 and only
-    the region thread loops (``ForRange`` from a constant ``>= 0`` to a
-    constant) write it, so it stays below the widest team.  ``None`` when
-    anything else writes it."""
+    the region thread loops (``ForRange`` to a constant) write it, so it
+    stays below the widest team.  ``None`` when anything else writes
+    it."""
     team = 1
     stack = list(ops)
     while stack:
         op = stack.pop()
         t = type(op)
         if t is _ir.ForRange and op.var == "_tid":
-            if not (type(op.lo) is _ir.ILit and op.lo.v >= 0
-                    and type(op.hi) is _ir.ILit):
+            if type(op.hi) is not _ir.ILit:
                 return None
             team = max(team, op.hi.v)
         elif (t in (_ir.ForAssign, _ir.ForList) and op.var == "_tid"
@@ -347,9 +330,7 @@ class _Emitter:
         t = type(op)
         if t is _ir.Charge:
             lane = "cy" if op.lane == 0 else "ccy"
-            parts = []
-            if op.k_cy is not None:
-                parts.append(f"{lane} += K[{op.k_cy}];")
+            parts = [f"{lane} += K[{op.k_cy}];"]
             if op.k_ins is not None:
                 parts.append(f"ins += K[{op.k_ins}];")
             if op.br:
@@ -395,8 +376,8 @@ class _Emitter:
             return
         if t is _ir.RegionExit:
             self.max_threads = max(self.max_threads, op.threads)
-            part = ('part, part_n, "' + op.op + '"' if op.has_partials
-                    else "NULL, 0, NULL")
+            part = ("NULL, 0, NULL" if op.op is None
+                    else f'part, part_n, "{op.op}"')
             self.w(f"if (api->region_exit(env, {op.rid}, &v_{op.comp}, "
                    f"{part}, n_sync, n_atomic, acq - acq0, sch, lcy, lccy, "
                    f"{op.threads})) goto out;")
@@ -416,19 +397,15 @@ class _Emitter:
             return
         if t is _ir.ForRange:
             u = self.uid()
-            self.w("{")
-            self.w(f"    long _lo{u} = {self.iexpr(op.lo)}, "
-                   f"_hi{u} = {self.iexpr(op.hi)};")
             # C for-increment would leave var==hi where Python leaves the
             # last value; generated code never reads a loop var after its
             # loop, but keep the exact final value anyway
-            self.w(f"    for (long _k{u} = _lo{u}; _k{u} < _hi{u}; "
-                   f"_k{u}++) {{")
-            self.depth += 2
+            self.w(f"for (long _k{u} = 0, _hi{u} = {self.iexpr(op.hi)}; "
+                   f"_k{u} < _hi{u}; _k{u}++) {{")
+            self.depth += 1
             self.w(f"i_{op.var} = _k{u};")
             self.block(op.body)
-            self.depth -= 2
-            self.w("    }")
+            self.depth -= 1
             self.w("}")
             return
         if t is _ir.ForAssign:
@@ -459,9 +436,6 @@ class _Emitter:
             self.w(f"    q_{q} = _np; qc_{q} = _nc;")
             self.w("}")
             self.w(f"q_{q}[qn_{q}++] = {op.k};")
-            return
-        if t is _ir.QClear:
-            self.w(f"qn_{op.queue} = 0;")
             return
         if t is _ir.If:
             u = self.uid()

@@ -46,7 +46,10 @@ Value semantics carried by the IR:
 
 The IR is deliberately structured (loops and ifs nest) rather than a
 flat CFG: both backends are tree-walking source emitters, and neither
-needs more.
+needs more.  It carries only what a run reads, and no field that every
+lowered program sets alike: a :class:`ForRange` starts at 0, a
+:class:`RegionExit` passes partials exactly when it has a reduction op,
+and :class:`QNew` also empties a drained task queue.
 """
 
 from __future__ import annotations
@@ -266,15 +269,14 @@ class Charge:
     """One fused accumulator update.
 
     ``lane`` is 0 for ``_cy``, 1 for ``_ccy`` (inside critical
-    sections); ``k_cy``/``k_ins`` index the ``_K`` constants tuple
-    (``None`` when that component is structurally zero); ``br`` is the
-    vendor-independent branch literal.  Runtime-parameter constants
-    (atomic RMW, single arrival, ...) are a ``Charge`` with only
-    ``k_cy`` set — always on lane 0.
+    sections); ``k_cy``/``k_ins`` index the ``_K`` constants tuple;
+    ``br`` is the vendor-independent branch literal.  Runtime-parameter
+    constants (atomic RMW, single arrival, ...) are a ``Charge`` with
+    ``k_ins`` ``None`` — always on lane 0.
     """
 
     lane: int
-    k_cy: int | None
+    k_cy: int
     k_ins: int | None
     br: float
 
@@ -343,11 +345,11 @@ class RegionExit:
     """``comp = _rt.region_exit(rid, comp, partials|None, op, sync,
     atomics, acquires, sched, compute, critical)``: the region block's
     counts, schedule cycles and the ``threads`` thread lanes, in one
-    call."""
+    call; the partials go with the reduction ``op`` (``None``: no
+    reduction, no partials)."""
 
     rid: int
     comp: str
-    has_partials: bool
     op: str | None
     threads: int
 
@@ -366,10 +368,9 @@ class AppendPartial:
 
 @dataclass(slots=True)
 class ForRange:
-    """``for var in range(lo, hi)`` (bounds evaluated once, at entry)."""
+    """``for var in range(hi)`` (the bound evaluated once, at entry)."""
 
     var: str
-    lo: IExpr
     hi: IExpr
     body: list
 
@@ -422,7 +423,8 @@ class ForList:
 
 @dataclass(slots=True)
 class QNew:
-    """``<queue> = []`` — a section arm's deterministic task queue."""
+    """``<queue> = []`` — a section arm's deterministic task queue, fresh
+    at the arm's start and after each drain."""
 
     queue: str
 
@@ -433,13 +435,6 @@ class QPush:
 
     queue: str
     k: int
-
-
-@dataclass(slots=True)
-class QClear:
-    """``del <queue>[:]`` after the drain."""
-
-    queue: str
 
 
 @dataclass(slots=True)
@@ -489,7 +484,7 @@ class Return:
 Stmt = (SetVar | SetIVar | AStore | Charge | Flush | Reload | Prologue
         | Count | CritEnter | RegionEnter | ThreadBegin | ThreadEnd
         | RegionExit | InitPartials | AppendPartial | ForRange | ForAssign
-        | ForList | QNew | QPush | QClear | If | IfIntEq | LoadInt
+        | ForList | QNew | QPush | If | IfIntEq | LoadInt
         | LoadScalar | LoadArray | Return)
 
 
@@ -509,7 +504,6 @@ class KernelIR:
 
     ops: list = field(default_factory=list)
     n_constants: int = 0
-    comp: str = ""
     fp_vars: tuple[str, ...] = ()
     int_vars: tuple[str, ...] = ()
     arrays: tuple[str, ...] = ()
@@ -564,11 +558,11 @@ class IrBuilder:
         self._q[name] = None
         return name
 
-    def finish(self, *, n_constants: int, comp: str,
-               math_funcs: tuple[str, ...], fp32: bool) -> KernelIR:
+    def finish(self, *, n_constants: int, math_funcs: tuple[str, ...],
+               fp32: bool) -> KernelIR:
         if len(self._stack) != 1:
             raise ValueError("unbalanced IR builder at finish")
-        return KernelIR(ops=self.ops, n_constants=n_constants, comp=comp,
+        return KernelIR(ops=self.ops, n_constants=n_constants,
                         fp_vars=tuple(self._fp), int_vars=tuple(self._int),
                         arrays=tuple(self._arr), queues=tuple(self._q),
                         math_funcs=math_funcs, fp32=fp32)

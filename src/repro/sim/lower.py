@@ -43,15 +43,16 @@ Lowering is split into two passes so the vendors and opt levels of one
 program share one walk of its tree:
 
 1. a **structural pass** (:class:`StructuralLowerer`) — expression and
-   statement lowering, constant folding, region metadata, charge-site
-   discovery — runs once per program and produces a
-   :class:`StructuralKernel`: the program's
-   :class:`~repro.sim.ir.KernelIR`, whose cost charges read slots of a
-   constants tuple ``_K`` (two per charge site: cycles, instructions)
-   and whose contraction sites (:class:`~repro.sim.ir.FSite`) hold both
-   their fused and their two-rounding form, plus the program's count of
-   critical sections inside ``omp for`` loops, which gates the hang
-   fault;
+   statement lowering, constant folding, charge-site discovery — runs
+   once per program and produces a :class:`StructuralKernel`: the
+   program's :class:`~repro.sim.ir.KernelIR`, whose cost charges read
+   slots of a constants tuple ``_K`` (two per charge site: cycles,
+   instructions) and whose contraction sites
+   (:class:`~repro.sim.ir.FSite`) hold both their fused and their
+   two-rounding form, plus each region's team size (all the
+   :class:`~repro.sim.runtime.RegionExecutor` knows of a region) and the
+   program's count of critical sections inside ``omp for`` loops, which
+   gates the hang fault;
 2. a **cost pass** (:func:`bind_costs`) — pure arithmetic over the
    vendor's :class:`~repro.vendors.base.OpCosts` and scale factors —
    fills in the per-vendor ``_K`` values without touching the IR,
@@ -128,29 +129,6 @@ class CostState:
         self.ccy = 0.0
         self.ins = 0.0
         self.br = 0.0
-
-
-@dataclass
-class RegionMeta:
-    """Static facts about one parallel region, indexed by region id."""
-
-    has_omp_for: bool = False
-    has_critical: bool = False
-    reduction_op: str | None = None
-    n_threads: int = 32
-    combined_for: bool = False
-    has_atomic: bool = False
-    has_single: bool = False
-    has_barrier: bool = False
-    has_collapse: bool = False
-    #: worksharing-graph constructs (round-robin arm assignment / the
-    #: deterministic cost-accounted task queue)
-    has_sections: bool = False
-    has_tasks: bool = False
-    n_section_arms: int = 0
-    n_tasks: int = 0
-    #: explicit schedule kinds appearing on the region's worksharing loops
-    schedules: tuple[str, ...] = ()
 
 
 _OPSYM = {BinOpKind.ADD: "+", BinOpKind.SUB: "-", BinOpKind.MUL: "*",
@@ -350,7 +328,8 @@ class StructuralKernel:
 
     ir: _ir.KernelIR = field(repr=False)
     sites: tuple[object, ...]  # ChargeSite | RuntimeConstSite, in _K order
-    regions: list[RegionMeta]
+    #: each parallel region's team size (``num_threads``), by region id
+    teams: tuple[int, ...]
     #: critical sections nested in ``omp for`` loops
     #: (:attr:`~repro.core.features.ProgramFeatures.critical_in_omp_for`):
     #: the hang fault arms only where this is nonzero
@@ -371,7 +350,6 @@ class LoweredKernel:
     #: ``(ftz, fma)``: the FTZ wraps and contraction sites the kernel runs
     mode: _ir.Mode
     constants: tuple[float, ...] = ()
-    regions: list[RegionMeta] = field(default_factory=list)
     _entries: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bind(self, backend: str | None = None) -> object:
@@ -436,7 +414,9 @@ class StructuralLowerer:
         self.program = program
         self.fp32 = program.fp_type is FPType.FLOAT
         self.b = _ir.IrBuilder()
-        self.regions: list[RegionMeta] = []
+        #: each region's team size, by region id: the last is the team of
+        #: the region being lowered (worksharing, section-arm assignment)
+        self.teams: list[int] = []
         self.math_used: set[str] = set()
         self.sites: list[object] = []
         self._n_constants = 0
@@ -450,8 +430,6 @@ class StructuralLowerer:
         #: count, taken on this walk
         self._in_omp_for = False
         self._crit_in_omp_for = 0
-        #: team size of the region being lowered (section-arm assignment)
-        self._region_threads = 1
         #: per-arm task-queue lowering state (no nesting: one at a time)
         self._arm: dict | None = None
         self._uniq = 0
@@ -753,7 +731,7 @@ class StructuralLowerer:
         current thread (no clause: the default static blocks)."""
         kind = "static" if s.schedule is None else s.schedule.value
         return partial(_ir.ForAssign, var, n, kind, s.schedule_chunk,
-                       self._region_threads)
+                       self.teams[-1])
 
     def _emit_for(self, s: ForLoop, *, tid_var: str | None) -> None:
         lv = s.loop_var.name
@@ -765,7 +743,7 @@ class StructuralLowerer:
             assert tid_var is not None, "omp for outside region"
             loop = self._schedule(s, n, lv)
         else:
-            loop = partial(_ir.ForRange, lv, _ir.ILit(0), n)
+            loop = partial(_ir.ForRange, lv, n)
         self.b.ivar(lv)
         self.b.push()
         was = self._in_omp_for
@@ -817,7 +795,7 @@ class StructuralLowerer:
         dispatch cost and one guard branch per arm; the implicit barrier
         at the construct's end is a sync round counted by the runtime.
         """
-        t = self._region_threads
+        t = self.teams[-1]
         self._runtime_const("sections_dispatch_cycles")
         for i, sec in enumerate(s.sections):
             self._charge((), ("branch",), 1.0)
@@ -879,49 +857,16 @@ class StructuralLowerer:
             self.block(task.body, tid_var=arm["tid_var"])
             b.emit(_ir.IfIntEq(tk, k, b.pop()))
         b.emit(_ir.ForList(qn, tk, b.pop()))
-        b.emit(_ir.QClear(qn))
+        b.emit(_ir.QNew(qn))  # a fresh queue for the tasks spawned next
         arm["pending"] = False
 
     # ==================================================================
     # parallel regions
     # ==================================================================
-    def _region_meta(self, s: OmpParallel) -> RegionMeta:
-        from ..core.nodes import walk
-
-        meta = RegionMeta(n_threads=s.clauses.num_threads,
-                          combined_for=s.combined_for)
-        schedules: list[str] = []
-        for n in walk(s):
-            if isinstance(n, ForLoop) and n.omp_for:
-                meta.has_omp_for = True
-                if n.schedule is not None:
-                    schedules.append(n.schedule.value)
-                if n.collapse > 1:
-                    meta.has_collapse = True
-            elif isinstance(n, OmpCritical):
-                meta.has_critical = True
-            elif isinstance(n, OmpAtomic):
-                meta.has_atomic = True
-            elif isinstance(n, OmpSingle):
-                meta.has_single = True
-            elif isinstance(n, OmpBarrier):
-                meta.has_barrier = True
-            elif isinstance(n, OmpSections):
-                meta.has_sections = True
-                meta.n_section_arms += len(n.sections)
-            elif isinstance(n, OmpTask):
-                meta.has_tasks = True
-                meta.n_tasks += 1
-        meta.schedules = tuple(schedules)
-        if s.clauses.reduction is not None:
-            meta.reduction_op = s.clauses.reduction.value
-        return meta
-
     def _emit_region(self, s: OmpParallel) -> None:
-        rid = len(self.regions)
-        meta = self._region_meta(s)
-        self.regions.append(meta)
-        self._region_threads = meta.n_threads
+        rid = len(self.teams)
+        t = s.clauses.num_threads
+        self.teams.append(t)
         privs = list(s.clauses.private)
         fprivs = list(s.clauses.firstprivate)
         reduction = s.clauses.reduction
@@ -958,12 +903,10 @@ class StructuralLowerer:
         if reduction is not None:
             b.emit(_ir.AppendPartial("_rcomp"))
         b.emit(_ir.ThreadEnd())
-        b.emit(_ir.ForRange("_tid", _ir.ILit(0), _ir.ILit(meta.n_threads),
-                            b.pop()))
+        b.emit(_ir.ForRange("_tid", _ir.ILit(t), b.pop()))
         b.emit(_ir.Flush())
-        b.emit(_ir.RegionExit(rid, b.fvar(comp), reduction is not None,
-                              None if reduction is None
-                              else reduction.value, meta.n_threads))
+        b.emit(_ir.RegionExit(rid, b.fvar(comp), None if reduction is None
+                              else reduction.value, t))
         b.emit(_ir.Reload())
         for v in privs + fprivs:
             b.emit(_ir.SetVar(v.name, _ir.FVar(f"_save_{v.name}")))
@@ -986,11 +929,10 @@ class StructuralLowerer:
         b.emit(_ir.Flush())  # the driver reads the shared state after return
         b.emit(_ir.Return(b.fvar(self.program.comp.name)))
         kernel_ir = b.finish(n_constants=self._n_constants,
-                             comp=self.program.comp.name,
                              math_funcs=tuple(sorted(self.math_used)),
                              fp32=self.fp32)
         return StructuralKernel(
-            ir=kernel_ir, sites=tuple(self.sites), regions=self.regions,
+            ir=kernel_ir, sites=tuple(self.sites), teams=tuple(self.teams),
             critical_in_omp_for=self._crit_in_omp_for)
 
 
@@ -1026,5 +968,4 @@ def bind_costs(structural: StructuralKernel, vendor: "VendorModel",
         constants[site.k_cy] = float(f"{cy * cy_scale:.1f}")
         constants[site.k_ins] = float(f"{ins * ins_scale:.1f}")
     return LoweredKernel(structural=structural, constants=tuple(constants),
-                         regions=structural.regions,
                          mode=(vendor.traits.flush_subnormals, fma))

@@ -178,9 +178,7 @@ class _Emitter:
         t = type(op)
         if t is _ir.Charge:
             lane = "_ccy" if op.lane else "_cy"
-            parts = []
-            if op.k_cy is not None:
-                parts.append(f"{lane} += _K{op.k_cy}")
+            parts = [f"{lane} += _K{op.k_cy}"]
             if op.k_ins is not None:
                 parts.append(f"_ins += _K{op.k_ins}")
             if op.br:
@@ -213,8 +211,8 @@ class _Emitter:
         elif t is _ir.ThreadEnd:
             self.w("_lcy.append(_cy - _tcy); _lccy.append(_ccy - _tccy)")
         elif t is _ir.RegionExit:
-            tail = (f"_partials, {op.op!r}" if op.has_partials
-                    else "None, None")
+            tail = ("None, None" if op.op is None
+                    else f"_partials, {op.op!r}")
             self.w(f"{op.comp} = _rt.region_exit({op.rid}, {op.comp}, "
                    f"{tail}, _n_sync, _n_atomic, _acq - _acq0, _sch, _lcy, "
                    "_lccy)")
@@ -223,10 +221,8 @@ class _Emitter:
         elif t is _ir.AppendPartial:
             self.w(f"_partials.append({op.name})")
         elif t is _ir.ForRange:
-            hi = self.iexpr(op.hi)
-            span = (hi if op.lo == _ir.ILit(0)
-                    else f"{self.iexpr(op.lo)}, {hi}")
-            self.block(f"for {op.var} in range({span}):", op.body)
+            self.block(f"for {op.var} in range({self.iexpr(op.hi)}):",
+                       op.body)
         elif t is _ir.ForAssign:
             self._for_assign(op)
         elif t is _ir.ForList:
@@ -235,8 +231,6 @@ class _Emitter:
             self.w(f"{op.queue} = []")
         elif t is _ir.QPush:
             self.w(f"{op.queue}.append({op.k})")
-        elif t is _ir.QClear:
-            self.w(f"del {op.queue}[:]")
         elif t is _ir.If:
             c = op.cond
             self.block(f"if ({self.fexpr(c.lhs)}) {c.op} "

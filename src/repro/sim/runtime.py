@@ -4,7 +4,10 @@ One :class:`RegionExecutor` instance drives a single execution of a
 lowered binary.  The lowered kernel keeps every per-event interaction in
 its own locals — event counts, critical-section acquires, the ``omp
 for`` schedule walks and their cycles, each team member's lane deltas —
-and enters the executor only at region boundaries:
+and enters the executor only at region boundaries.  Of the program the
+executor knows only each region's team size
+(:attr:`~repro.sim.lower.StructuralKernel.teams`), which prices locks,
+atomics, barriers, the reduction combine and the livelock split:
 
 * ``prologue`` at kernel entry: the no-region crash fallback, and the
   run's constants the kernel needs (the livelock threshold, the schedule
@@ -21,7 +24,7 @@ and enters the executor only at region boundaries:
 * **profile samples** — cycles are charged to the vendor's runtime symbol
   names so Fig. 6/7 listings can be rendered;
 * ``livelock``: the queuing-lock hang (Fig. 9), raised once the kernel's
-  acquire count reaches the prologue's threshold.
+  acquire count reaches the prologue's threshold inside a region.
 
 The kernel mirrors the :class:`CostState` lanes in fast locals and
 synchronizes them with it around ``region_enter`` and ``region_exit``
@@ -43,7 +46,7 @@ from ..errors import SimulatedCrash, SimulatedHang
 from ..rng import stable_hash
 from .counters import PerfCounters
 from .events import ProfileRecorder
-from .lower import CostState, RegionMeta
+from .lower import CostState
 
 if TYPE_CHECKING:  # typing-only: breaks the sim <-> vendors import cycle
     from ..vendors.base import VendorModel
@@ -60,12 +63,13 @@ class _RegionAccounting:
 
 
 class RegionExecutor:
-    """Vendor runtime model bound to one run of one binary."""
+    """Vendor runtime model bound to one run of one binary; ``teams``
+    holds each parallel region's team size, by region id."""
 
     def __init__(
         self,
         vendor: VendorModel,
-        regions: list[RegionMeta],
+        teams: tuple[int, ...],
         cost: CostState,
         counters: PerfCounters,
         profile: ProfileRecorder,
@@ -77,7 +81,7 @@ class RegionExecutor:
         fingerprint: str = "",
     ):
         self.vendor = vendor
-        self.regions = regions
+        self.teams = teams
         self.c = cost
         self.counters = counters
         self.profile = profile
@@ -103,7 +107,7 @@ class RegionExecutor:
         it is armed for this run), and the cycles one static schedule
         and one dynamic/guided chunk dispatch cost.
         """
-        if self.crash_active and not self.regions:
+        if self.crash_active and not self.teams:
             self._crash()
         rt = self.vendor.runtime
         threshold = (self.vendor.faults.hang_min_acquires
@@ -167,13 +171,12 @@ class RegionExecutor:
         threshold, with the aborted region's acquires and atomic updates
         so far and its four cost lanes, which become the run's partial
         cost."""
+        t = self.teams[self._require_region().rid]
         # the abort skips region_exit's folding of these counters
         self.counters.critical_acquires += acquires
         self.counters.atomic_updates += atomics
         c = self.c
         c.cy, c.ccy, c.ins, c.br = cy, ccy, ins, br
-        meta = self.regions[self._cur.rid] if self._cur else RegionMeta()
-        t = meta.n_threads
         sym = self.vendor.symbols
         # faults are functions of the program text, never of the fuzzer's
         # RNG mode: pin the compat derivation explicitly
@@ -204,8 +207,7 @@ class RegionExecutor:
         acc = self._require_region()
         rt = self.vendor.runtime
         sym = self.vendor.symbols
-        meta = self.regions[rid]
-        t = meta.n_threads
+        t = self.teams[rid]
         self.counters.critical_acquires += acquires
         self.counters.atomic_updates += atomics
 

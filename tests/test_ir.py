@@ -48,7 +48,7 @@ from repro.core.types import (
     Variable,
     VarKind,
 )
-from repro.sim import ir
+from repro.sim import _native, ir
 from repro.sim.backend import _c_available, quick_kernel_builds
 from repro.sim.ckernel import bind_c, emit_c
 from repro.sim.lower import (
@@ -78,7 +78,7 @@ def _body(kir: ir.KernelIR) -> list:
     and Return."""
     ops = kir.ops
     assert ops[0] == ir.Prologue()
-    assert ops[-2:] == [ir.Flush(), ir.Return(kir.comp)]
+    assert ops[-2:] == [ir.Flush(), ir.Return("comp")]
     start = ops.index(ir.Reload()) + 1
     return ops[start:-2]
 
@@ -291,13 +291,12 @@ class TestRegion:
         assert ops[1] == ir.RegionEnter(0)
         assert ops[3] == ir.SetVar("_save_var_p", ir.FVar("var_p"))
         team = ops[4]
-        assert (team.var, team.lo, team.hi) == ("_tid", ir.ILit(0),
-                                                ir.ILit(4))
+        assert (team.var, team.hi) == ("_tid", ir.ILit(4))
         assert team.body[0] == ir.ThreadBegin()
         assert team.body[-1] == ir.ThreadEnd()
         assert not _find_all(team.body, ir.Flush)  # no per-thread flush
-        assert ops[5:8] == [ir.Flush(), ir.RegionExit(0, "comp", False, None,
-                                                      4), ir.Reload()]
+        assert ops[5:8] == [ir.Flush(), ir.RegionExit(0, "comp", None, 4),
+                            ir.Reload()]
         assert ops[8] == ir.SetVar("var_p", ir.FVar("_save_var_p"))
 
     def test_reduction_region_collects_partials(self):
@@ -318,7 +317,7 @@ class TestRegion:
         (update,) = [op for op in _find_all(thread, ir.SetVar)
                      if op.name == "_rcomp" and isinstance(op.e, ir.FBin)]
         assert update.e.a == ir.FVar("_rcomp")
-        assert ir.RegionExit(0, "comp", True, "+", 4) in ops
+        assert ir.RegionExit(0, "comp", "+", 4) in ops
 
 
 # ----------------------------------------------------------------------
@@ -421,18 +420,18 @@ class TestTasks:
         arm = self._arm(lambda x: [self._task(x, 1.0), self._task(x, 2.0),
                                    OmpTaskwait()])
         assert _names(arm) == ["QNew", "Charge", "QPush", "Charge", "QPush",
-                               "Charge", "ForList", "QClear"]
+                               "Charge", "ForList", "QNew"]
         assert arm[0] == ir.QNew("_tq0")
         assert [op.k for op in arm if isinstance(op, ir.QPush)] == [0, 1]
         drain = arm[6]
         assert (drain.queue, drain.var) == ("_tq0", "_tk0")
         assert [(g.var, g.k) for g in drain.body
                 if isinstance(g, ir.IfIntEq)] == [("_tk0", 0), ("_tk0", 1)]
-        assert arm[7] == ir.QClear("_tq0")
+        assert arm[7] == ir.QNew("_tq0")  # a fresh queue after the drain
 
     def test_unjoined_tasks_drain_at_arm_end(self):
         arm = self._arm(lambda x: [self._task(x, 1.0)])
-        assert _names(arm)[-2:] == ["ForList", "QClear"]
+        assert _names(arm)[-2:] == ["ForList", "QNew"]
 
     def test_arm_without_tasks_has_no_queue(self):
         arm = self._arm(lambda x: [
@@ -460,12 +459,12 @@ _SAMPLES = {type(op): op for op in (
     ir.AStore("a", ir.ILit(0), _X), ir.Charge(1, 0, 1, 1.0), ir.Flush(),
     ir.Reload(), ir.Prologue(), ir.Count("sync"), ir.CritEnter(),
     ir.RegionEnter(0), ir.ThreadBegin(), ir.ThreadEnd(),
-    ir.RegionExit(0, "comp", True, "+", 4), ir.InitPartials(),
+    ir.RegionExit(0, "comp", "+", 4), ir.InitPartials(),
     ir.AppendPartial("_rcomp"),
-    ir.ForRange("i", ir.ILit(0), ir.ILit(4), [ir.Flush()]),
+    ir.ForRange("i", ir.ILit(4), [ir.Flush()]),
     ir.ForAssign("i", ir.ILit(8), "dynamic", 2, 4, [ir.Flush()]),
     ir.ForList("_tq0", "_tk0", [ir.Flush()]), ir.QNew("_tq0"),
-    ir.QPush("_tq0", 0), ir.QClear("_tq0"),
+    ir.QPush("_tq0", 0),
     ir.If(ir.Cmp(_X, "<", ir.FLit(1.0)), [ir.Flush()]),
     ir.IfIntEq("_tid", 0, [ir.Flush()]), ir.LoadInt("n"),
     ir.LoadScalar("x"), ir.LoadArray("a"),
@@ -483,7 +482,7 @@ def _as_stmt(op):
 
 
 def _kernel(*ops, n_constants=2) -> ir.KernelIR:
-    return ir.KernelIR(ops=list(ops), n_constants=n_constants, comp="comp",
+    return ir.KernelIR(ops=list(ops), n_constants=n_constants,
                        fp_vars=("x", "comp", "_rcomp"),
                        int_vars=("i", "j", "n", "_tk0"), arrays=("a",),
                        queues=("_tq0",), math_funcs=("sin",))
@@ -529,12 +528,8 @@ class TestPythonEmitter:
         assert _py_line(ir.SetVar("x", ir.FBin("/", _X, divisor))) == text
 
     def test_zero_lower_bound_ranges_to_n(self):
-        assert _py_line(ir.ForRange("i", ir.ILit(0), ir.IMax0("n"),
-                                    [ir.Flush()])) \
+        assert _py_line(ir.ForRange("i", ir.IMax0("n"), [ir.Flush()])) \
             == "for i in range(max(0, n)):"
-        assert _py_line(ir.ForRange("i", ir.IVar("lo"), ir.IVar("hi"),
-                                    [ir.Flush()])) \
-            == "for i in range(lo, hi):"
 
     def test_empty_body_is_pass(self):
         lines = emit_py(_kernel(ir.IfIntEq("_tid", 0, []), ir.Flush(),
@@ -619,19 +614,30 @@ class TestKernelObjectEmitter:
         assert "#include" not in source
         assert "int krun(rk_ctx *c) {" in source
 
+    def test_value_helpers_are_the_abi_copy(self):
+        # the battery checks the helpers of the value-helper module, so a
+        # kernel must compute with that very text: each helper defined
+        # once, inside the ABI both include
+        source = emit_c(_kernel(*[_as_stmt(c) for c in _CASES.values()]))
+        assert _native.KERNEL_ABI in source
+        for helper in ("ftz_sel", "f32_sel", "h_fmad", "h_fmaf"):
+            definition = re.compile(rf"\bdouble\s+{helper}\s*\(")
+            assert len(definition.findall(_native.KERNEL_ABI)) == 1, helper
+            assert len(definition.findall(source)) == 1, helper
+
     #: a[3] (constant), a[i % 5] (``% M``), b[_tid] in a 4-thread loop,
     #: and b[j] over a loop variable
     BOUNDED = ir.KernelIR(
         ops=[ir.LoadInt("i"), ir.LoadArray("a"), ir.LoadArray("b"),
              ir.SetVar("comp", ir.ALoad("a", ir.ILit(3))),
              ir.AStore("a", ir.IMod(ir.IVar("i"), 5), ir.FLit(1.0)),
-             ir.ForRange("_tid", ir.ILit(0), ir.ILit(4), [
+             ir.ForRange("_tid", ir.ILit(4), [
                  ir.SetVar("comp", ir.FBin("+", ir.FVar("comp"),
                                            ir.ALoad("b", ir.IVar("_tid"))))]),
-             ir.ForRange("j", ir.ILit(0), ir.IVar("i"), [
+             ir.ForRange("j", ir.IVar("i"), [
                  ir.AStore("b", ir.IVar("j"), ir.FVar("comp"))]),
              ir.Return("comp")],
-        comp="comp", fp_vars=("comp",), int_vars=("i", "j"),
+        fp_vars=("comp",), int_vars=("i", "j"),
         arrays=("a", "b"))
 
     def test_bounded_sites_skip_idx_fix(self):
@@ -653,7 +659,7 @@ class TestKernelObjectEmitter:
         assert 'if (api->array_len(env, "b") < 4) return RK_SHORT;' in body
         # before the prologue's first runtime call
         kir = ir.KernelIR(ops=[ir.Prologue(), *self.BOUNDED.ops],
-                          comp="comp", fp_vars=("comp",),
+                          fp_vars=("comp",),
                           int_vars=("i", "j"), arrays=("a", "b"))
         body = emit_c(kir).split("int krun(rk_ctx *c) {")[1]
         assert body.index("api->array_len(") < body.index("api->prologue(")
@@ -663,7 +669,7 @@ class TestKernelObjectEmitter:
             ops=[ir.LoadInt("_tid"), ir.LoadArray("a"),
                  ir.SetVar("comp", ir.ALoad("a", ir.IVar("_tid"))),
                  ir.Return("comp")],
-            comp="comp", fp_vars=("comp",), arrays=("a",))
+            fp_vars=("comp",), arrays=("a",))
         body = emit_c(kir).split("int krun(rk_ctx *c) {")[1]
         assert "a_a[idx_fix(i__tid, an_a, &ierr)]" in body
         assert "array_len" not in body
@@ -673,7 +679,7 @@ class TestKernelObjectEmitter:
             ops=[ir.LoadArray("a"),
                  ir.SetVar("comp", ir.ALoad("a", ir.ILit(-1))),
                  ir.Return("comp")],
-            comp="comp", fp_vars=("comp",), arrays=("a",))
+            fp_vars=("comp",), arrays=("a",))
         body = emit_c(kir).split("int krun(rk_ctx *c) {")[1]
         assert "a_a[idx_fix(-1, an_a, &ierr)]" in body
 
@@ -686,7 +692,7 @@ def _c_entry_or_skip():
 
 def _shape(kir: ir.KernelIR) -> StructuralKernel:
     """A hand-built kernel (no hooks, no constants) as a shape."""
-    return StructuralKernel(ir=kir, sites=(), regions=[])
+    return StructuralKernel(ir=kir, sites=(), teams=())
 
 
 def _call(entry, args: dict):
@@ -716,7 +722,7 @@ class TestCPreludeIntSemantics:
              ir.SetVar("comp", ir.FBin("+", ir.FVar("comp"),
                                        ir.ALoad("a", ir.ILit(0)))),
              ir.Return("comp")],
-        comp="comp", fp_vars=("comp",), int_vars=("i",), arrays=("a",))
+        fp_vars=("comp",), int_vars=("i",), arrays=("a",))
 
     #: comp = (i // j) * 10000 + (i % j) * 100 + i % 5
     INTS = ir.KernelIR(
@@ -729,7 +735,7 @@ class TestCPreludeIntSemantics:
                               ir.IToF(ir.IMul(ir.IVar("m"), ir.ILit(100)))),
                  ir.IToF(ir.IMod(ir.IVar("i"), 5)))),
              ir.Return("comp")],
-        comp="comp", fp_vars=("comp",), int_vars=("i", "j", "q", "m"))
+        fp_vars=("comp",), int_vars=("i", "j", "q", "m"))
 
     @pytest.mark.parametrize("i,expected", [
         (0, 15.0), (2, 40.0),        # in range
@@ -778,7 +784,7 @@ class TestShortArrays:
              ir.IfIntEq("i", 1, [ir.SetVar("comp", ir.FBin(
                  "+", ir.FVar("comp"), ir.ALoad("a", ir.ILit(3))))]),
              ir.Charge(0, 0, None, 1.0), ir.Flush(), ir.Return("comp")],
-        n_constants=1, comp="comp", fp_vars=("comp",), int_vars=("i",),
+        n_constants=1, fp_vars=("comp",), int_vars=("i",),
         arrays=("a",))
 
     @staticmethod
@@ -869,7 +875,7 @@ class TestFamilyRuns:
                      ir.FFma(x, a0, comp),
                      ir.FBin("+", ir.FBin("*", x, a0), comp), "basic")),
                  ir.Return("comp")],
-            comp="comp", fp_vars=("x", "comp"), arrays=("a",))
+            fp_vars=("x", "comp"), arrays=("a",))
 
     @pytest.mark.parametrize("x,a0", [
         (1e-155, 1e-155),   # subnormal products
@@ -891,7 +897,7 @@ class TestFamilyRuns:
         kernel = ir.KernelIR(
             ops=[ir.LoadScalar("x"), ir.LoadScalar("y"),
                  ir.SetVar("comp", site), ir.Return("comp")],
-            comp="comp", fp_vars=("x", "y", "comp"))
+            fp_vars=("x", "y", "comp"))
         v = 1 + 2.0 ** -30
         runs = self._run_modes(kernel, args={"x": v, "y": v})
         assert [got for _, got in runs] == [ref for ref, _ in runs]
@@ -926,7 +932,7 @@ class TestFamilyRuns:
         kernel = ir.KernelIR(
             ops=[ir.LoadScalar("var_a"), ir.LoadScalar("var_b"),
                  ir.LoadScalar("var_c"), store, ir.Return("comp")],
-            comp="comp", fp_vars=("var_a", "var_b", "var_c", "comp"),
+            fp_vars=("var_a", "var_b", "var_c", "comp"),
             fp32=fp is FPType.FLOAT)
         eps = 2.0 ** (-12 if fp is FPType.FLOAT else -30)
         runs = self._run_modes(kernel, args={
@@ -963,7 +969,7 @@ class TestFamilyRuns:
                  *[ir.IfIntEq("sel", k, [ir.SetVar("comp", e)])
                    for k, e in enumerate(forms)],
                  ir.Return("comp")],
-            comp="comp", fp_vars=("x", "comp"), int_vars=("sel",),
+            fp_vars=("x", "comp"), int_vars=("sel",),
             arrays=("a",), fp32=fp32)
 
     @pytest.mark.parametrize("fp32", [False, True], ids=["fp64", "fp32"])
@@ -1021,7 +1027,7 @@ class TestLibmAndNonFiniteLiterals:
                  *[ir.IfIntEq("sel", k, [ir.SetVar("comp", e)])
                    for k, e in enumerate(forms)],
                  ir.Return("comp")],
-            comp="comp", fp_vars=("x", "comp"), int_vars=("sel",),
+            fp_vars=("x", "comp"), int_vars=("sel",),
             math_funcs=tuple(cls.NAMES), fp32=fp32)
 
     @pytest.mark.parametrize("fp32", [False, True], ids=["fp64", "fp32"])
@@ -1056,7 +1062,7 @@ class TestLibmAndNonFiniteLiterals:
         shape = _shape(ir.KernelIR(
             ops=[ir.LoadScalar("x"), ir.SetVar("comp", total),
                  ir.Return("comp")],
-            comp="comp", fp_vars=("x", "comp"),
+            fp_vars=("x", "comp"),
             math_funcs=tuple(self.NAMES)))
         with quick_kernel_builds() if tier == "quick" else nullcontext():
             c = bind_c(shape, (), PLAIN)

@@ -12,11 +12,14 @@ from repro.config import (DIRECTIVE_MIXES, GeneratorConfig, MachineConfig,
 from repro.core.features import extract_features
 from repro.core.generator import ProgramGenerator
 from repro.core.inputs import InputGenerator
+from repro.core.nodes import Block, OmpParallel, walk
+from repro.core.types import OmpClauses
 from repro.sim.kcache import KernelCache, get_kernel_cache, set_kernel_cache
 from repro.sim.lower import StructuralLowerer, bind_costs
 from repro.driver.execution import run_binary
 from repro.vendors import CLANG, GCC, INTEL
 from repro.vendors.toolchain import compile_binary
+from test_lowering import _mk
 
 
 @pytest.fixture()
@@ -264,11 +267,19 @@ class TestTwoPhaseLowering:
                 counts.append(got)
         assert 0 in counts and max(counts) > 0
 
-    def test_regions_metadata_preserved(self, program):
-        kernel = bind_costs(StructuralLowerer(program).lower(),
-                            GCC, "-O3")
-        legacy_meta = [m.n_threads for m in kernel.regions]
-        assert legacy_meta  # generated programs always have a region
+    def test_teams_are_the_regions_num_threads(self, program_stream):
+        # a region is its team size to the runtime: one entry per
+        # ``omp parallel``, by region id, which is program order
+        def three_teams(comp):
+            return Block([OmpParallel(OmpClauses(num_threads=t), Block([]))
+                          for t in (3, 5, 2)])
+
+        for program in (*program_stream, _mk(three_teams)):
+            teams = tuple(n.clauses.num_threads for n in walk(program)
+                          if isinstance(n, OmpParallel))
+            assert teams  # generated programs always have a region
+            assert StructuralLowerer(program).lower().teams == teams
+        assert StructuralLowerer(_mk(three_teams)).lower().teams == (3, 5, 2)
 
 
 class TestVendorVariantKeys:

@@ -27,8 +27,7 @@ from repro.errors import SimulatedCrash, SimulatedHang
 from repro.sim.backend import _c_available
 from repro.sim.counters import PerfCounters
 from repro.sim.events import ProfileRecorder
-from repro.sim.lower import (CostState, RegionMeta, StructuralLowerer,
-                             bind_costs)
+from repro.sim.lower import CostState, StructuralLowerer, bind_costs
 from repro.sim.runtime import RegionExecutor
 from repro.vendors import CLANG, GCC, INTEL
 from test_lowering import _mk
@@ -38,10 +37,10 @@ from test_schedules import walk
 BACKENDS = ("interp", "c") if _c_available()[0] else ("interp",)
 
 
-def _executor(vendor=GCC, *, regions=None, threads=4, **kw):
-    regions = regions if regions is not None else [RegionMeta(n_threads=threads)]
+def _executor(vendor=GCC, *, teams=None, threads=4, **kw):
+    teams = teams if teams is not None else (threads,)
     cost = CostState()
-    return RegionExecutor(vendor, regions, cost, PerfCounters(),
+    return RegionExecutor(vendor, teams, cost, PerfCounters(),
                           ProfileRecorder(binary_name="t"),
                           wrap_fn=lambda x: x, **kw), cost
 
@@ -134,6 +133,25 @@ class TestRegionAccounting:
         with pytest.raises(RuntimeError):
             _exit(ex, compute=(0.0,) * 4, critical=(0.0,) * 4, acquires=1)
 
+    def test_livelock_outside_region_rejected(self):
+        # the livelock splits the open region's team, so with no region
+        # open it fails as region_exit does
+        ex, _ = _executor(vendor=INTEL)
+        with pytest.raises(RuntimeError) as exit_error:
+            _exit(ex)
+        with pytest.raises(RuntimeError) as livelock_error:
+            ex.livelock(1, 0, 0.0, 0.0, 0.0, 0.0)
+        assert str(livelock_error.value) == str(exit_error.value)
+        assert ex.counters.critical_acquires == 0  # rejected before use
+
+    def test_livelock_splits_the_open_regions_team(self):
+        ex, _ = _executor(vendor=INTEL, teams=(4, 8))
+        ex.region_enter(1)
+        with pytest.raises(SimulatedHang) as exc:
+            ex.livelock(1, 0, 0.0, 0.0, 0.0, 0.0)
+        states = exc.value.thread_states
+        assert sorted(t for v in states.values() for t in v) == list(range(8))
+
     def test_counts_fold_into_the_counters(self):
         ex, _ = _executor(threads=4)
         ex.region_enter(0)
@@ -192,7 +210,7 @@ class TestFaults:
         assert exc.value.signal_name == "SIGSEGV"
 
     def test_crash_in_prologue_when_no_regions(self):
-        ex, _ = _executor(regions=[], crash_active=True)
+        ex, _ = _executor(teams=(), crash_active=True)
         with pytest.raises(SimulatedCrash):
             ex.prologue()
 
@@ -220,7 +238,7 @@ class TestFaults:
         threshold = INTEL.faults.hang_min_acquires
         kernel = self._critical_loop(threshold + 10)
         for backend in BACKENDS:
-            ex, cost = _executor(vendor=INTEL, regions=kernel.regions,
+            ex, cost = _executor(vendor=INTEL, teams=kernel.structural.teams,
                                  hang_active=True)
             assert ex.prologue()[0] == threshold
             with pytest.raises(SimulatedHang) as exc:
@@ -238,7 +256,7 @@ class TestFaults:
         trips = INTEL.faults.hang_min_acquires + 10
         kernel = self._critical_loop(trips)
         for backend in BACKENDS:
-            ex, cost = _executor(vendor=INTEL, regions=kernel.regions,
+            ex, cost = _executor(vendor=INTEL, teams=kernel.structural.teams,
                                  hang_active=False)
             assert kernel.bind(backend)({"comp": 0.0}, ex, cost) == trips
             assert ex.counters.critical_acquires == trips, backend

@@ -141,17 +141,17 @@ def schedule_kernel(cases: tuple) -> StructuralKernel:
                 ir.AppendPartial("x")])
             body += [ir.Flush(), ir.RegionEnter(rid), ir.Reload(),
                      ir.InitPartials(),
-                     ir.ForRange("_tid", ir.ILit(0), ir.ILit(t), [
+                     ir.ForRange("_tid", ir.ILit(t), [
                          ir.ThreadBegin(), ir.IfIntEq("_tid", r, [loop]),
                          ir.ThreadEnd()]),
-                     ir.Flush(), ir.RegionExit(rid, "comp", True, "+", t),
+                     ir.Flush(), ir.RegionExit(rid, "comp", "+", t),
                      ir.Reload()]
             rid += 1
         ops.append(ir.IfIntEq("sel", j, body))
     ops += [ir.Flush(), ir.Return("comp")]
-    kir = ir.KernelIR(ops=ops, comp="comp", fp_vars=("comp", "x"),
+    kir = ir.KernelIR(ops=ops, fp_vars=("comp", "x"),
                       int_vars=("sel", "n", "i"))
-    return StructuralKernel(ir=kir, sites=(), regions=[])
+    return StructuralKernel(ir=kir, sites=(), teams=())
 
 
 @lru_cache(maxsize=None)

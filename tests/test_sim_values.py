@@ -425,15 +425,26 @@ class TestNativeLoader:
                 raise RuntimeError("boom")
         assert _native.load_info() == before
 
-    def test_reset_load_info_returns_to_pristine(self):
+    def test_module_name_hashes_its_flags(self, monkeypatch, tmp_path):
         from repro.sim import _native
+        assert (_native._module_path(tmp_path, ("-O2",))
+                != _native._module_path(tmp_path, ("-O1",)))
+        builds = []
+
+        def build(cc, source, out, flags):
+            builds.append((out, flags))
+            return False, "not built"
+
+        monkeypatch.delenv("REPRO_NATIVE_VALUES", raising=False)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "c"))
+        monkeypatch.setattr(_native, "_find_cc", lambda: "cc")
+        monkeypatch.setattr(_native, "build_shared_object", build)
         with _native.scoped_load_info():
-            _native._LOAD_INFO.update(active=True, requested=True,
-                                      reason="left over", stray=1)
-            _native.reset_load_info()
-            info = _native.load_info()
-        assert info == {"active": False, "requested": False,
-                        "reason": "load() not called yet"}
+            assert _native.load() is None
+        # load() builds the module under the name of the flags it passes
+        ((out, flags),) = builds
+        assert out == _native._module_path(tmp_path / "c", flags)
+        assert "-ffp-contract=off" in flags
 
     def test_find_cc_returns_path_or_none(self):
         from repro.sim import _native
