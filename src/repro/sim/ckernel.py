@@ -19,7 +19,9 @@ each call.  The FTZ flag becomes a threshold, computed once per call:
 the smallest normal under FTZ, else ``0.0``, and every wrap, load flush
 and contraction flush is ``ftz_sel(x, thr)``, which flushes nothing at
 ``thr = 0``.  Each contraction site (:class:`~repro.sim.ir.FSite`)
-selects on the FMA level, ``(fm >= level ? fused : plain)``.
+selects on the FMA level, ``(fm >= level ? fused : plain)``; the
+operands both forms share are evaluated once, into locals ahead of the
+statement.
 
 Inside the function FP scalars are C ``double`` locals, int scalars are
 ``long``, arrays are malloc'd ``double*`` copies of the input lists, and
@@ -66,7 +68,9 @@ Bit-exactness contract (the reason the C backend requires
 * FP literals are emitted as hexadecimal float constants
   (``float.hex()``), which round-trip exactly, and NaN and the
   infinities as ``__builtin_nan("")`` and ``__builtin_inf()``;
-* int arithmetic uses Python's floored ``%``/``//`` semantics.
+* int arithmetic uses Python's floored ``%``/``//`` semantics; a
+  ``% M`` over a value that is never negative (a loop counter or
+  ``_tid``) is C's ``%``, which agrees there.
 
 A kernel object pays no fixed build cost it does not need: its prelude
 includes no system header, only declaring the functions a kernel calls
@@ -187,6 +191,26 @@ static int sched_next(int kind, long c, long t, long tid, long *w,
 """
 
 
+#: FP expressions a contraction site reads in place: no work to share
+_LEAVES = (_ir.FLit, _ir.FVar)
+
+
+def _children(e) -> tuple:
+    """The FP operands of an FP expression node."""
+    t = type(e)
+    if t is _ir.FBin:
+        return e.a, e.b
+    if t is _ir.FFma:
+        return e.a, e.b, e.c
+    if t is _ir.FSite:
+        return e.fused, e.plain
+    if t is _ir.FNeg:
+        return (e.x,)
+    if t is _ir.FCall:
+        return (e.arg,)
+    return ()
+
+
 def _clit(v: float) -> str:
     """Exact C literal for a Python float (hexfloat round-trips)."""
     if v != v:
@@ -198,25 +222,38 @@ def _clit(v: float) -> str:
     return v.hex()
 
 
-def _team(ops: list) -> int | None:
-    """The bound of ``_tid`` over a kernel's life: it starts at 0 and only
-    the region thread loops (``ForRange`` to a constant) write it, so it
-    stays below the widest team.  ``None`` when anything else writes
-    it."""
+def _int_facts(ops: list) -> tuple[int, int | None, frozenset[str]]:
+    """One walk over a kernel's int writes: its widest team (the largest
+    thread-loop bound or region team, 1 without regions), the bound of
+    ``_tid`` (that team, when only thread loops to a constant write it,
+    else ``None``), and the int variables that never go negative, which
+    only loop heads write: a loop variable counts up from 0, a task
+    variable takes queued task numbers."""
     team = 1
+    tid_bounded = True
+    loop_vars: set[str] = set()
+    other: set[str] = set()
     stack = list(ops)
     while stack:
         op = stack.pop()
         t = type(op)
-        if t is _ir.ForRange and op.var == "_tid":
-            if type(op.hi) is not _ir.ILit:
-                return None
-            team = max(team, op.hi.v)
-        elif (t in (_ir.ForAssign, _ir.ForList) and op.var == "_tid"
-              or t in (_ir.SetIVar, _ir.LoadInt) and op.name == "_tid"):
-            return None
+        if t is _ir.ForRange:
+            loop_vars.add(op.var)
+            if op.var == "_tid":
+                if type(op.hi) is _ir.ILit:
+                    team = max(team, op.hi.v)
+                else:
+                    tid_bounded = False
+        elif t is _ir.ForAssign or t is _ir.ForList:
+            loop_vars.add(op.var)
+            tid_bounded &= op.var != "_tid"
+        elif t is _ir.SetIVar or t is _ir.LoadInt:
+            other.add(op.name)
+        elif t is _ir.RegionExit:
+            team = max(team, op.threads)
         stack.extend(getattr(op, "body", ()))
-    return team
+    tid_bounded &= "_tid" not in other
+    return team, team if tid_bounded else None, frozenset(loop_vars - other)
 
 
 class _Emitter:
@@ -230,15 +267,26 @@ class _Emitter:
         self.lines: list[str] = []
         self.depth = 1
         self.uniq = 0
-        self.max_threads = 0              # widest team: thread-lane size
-        self.team = _team(kir.ops)        # bound of ``_tid``, or None
+        # thread-lane size, bound of ``_tid`` (or None), and the int
+        # variables that are never negative
+        self.team, self.tid_bound, self.counters = _int_facts(kir.ops)
         self.bounds: dict[str, int] = {}  # array -> length checked at entry
         self.labels: set[str] = set()     # shared labels the body jumps to
         self._ierr = False                # statement used idx_fix
+        # contraction-site operands evaluated ahead of the statement that
+        # reads them: their declarations, and id(node) -> local name
+        self.pre: list[str] = []
+        self.shared: dict[int, str] = {}
 
     # -- plumbing ------------------------------------------------------
     def w(self, line: str) -> None:
-        self.lines.append("    " * self.depth + line)
+        """Write one line, after the operands its statement hoisted."""
+        indent = "    " * self.depth
+        if self.pre:
+            self.lines.extend(indent + decl for decl in self.pre)
+            self.pre.clear()
+            self.shared.clear()
+        self.lines.append(indent + line)
 
     def uid(self) -> int:
         self.uniq += 1
@@ -269,7 +317,7 @@ class _Emitter:
         t = type(idx)
         need = (idx.v + 1 if t is _ir.ILit and idx.v >= 0
                 else idx.modulus if t is _ir.IMod and idx.modulus > 0
-                else self.team if t is _ir.IVar and idx.name == "_tid"
+                else self.tid_bound if t is _ir.IVar and idx.name == "_tid"
                 else None)
         if need is None:
             self._ierr = True
@@ -277,8 +325,39 @@ class _Emitter:
         self.bounds[arr] = max(self.bounds.get(arr, 0), need)
         return f"a_{arr}[{self.iexpr(idx)}]"
 
+    def site(self, e: _ir.FSite) -> str:
+        """A contraction site's select on the FMA level.  The two forms
+        hold the same operand nodes (:meth:`StructuralLowerer._site`):
+        each one that is more than a literal or a variable is evaluated
+        once, into a local ahead of the statement, and both forms read
+        the local.  Evaluating an operand is pure (an ``idx_fix`` only
+        sets the statement's sticky flag), and either form evaluates
+        every operand, so hoisting them changes no bit."""
+        plain: set[int] = set()
+        stack = [e.plain]
+        while stack:
+            n = stack.pop()
+            plain.add(id(n))
+            stack.extend(_children(n))
+        stack = [e.fused]
+        while stack:
+            n = stack.pop()
+            if id(n) not in plain:
+                stack.extend(_children(n))
+            elif type(n) not in _LEAVES and id(n) not in self.shared:
+                value = self.fexpr(n)
+                name = f"_s{self.uid()}"
+                self.pre.append(f"double {name} = {value};")
+                self.shared[id(n)] = name
+        return (f"(fm >= {_ir.FMA_MODES.index(e.fma)} ? "
+                f"{self.fexpr(e.fused)} : {self.fexpr(e.plain)})")
+
     # -- expressions ---------------------------------------------------
     def fexpr(self, e) -> str:
+        if self.shared:
+            hoisted = self.shared.get(id(e))
+            if hoisted is not None:
+                return hoisted
         t = type(e)
         if t is _ir.FLit:
             return _clit(e.v)
@@ -293,8 +372,7 @@ class _Emitter:
         if t is _ir.FBin:
             return self.wrap(f"{self.fexpr(e.a)} {e.op} {self.fexpr(e.b)}")
         if t is _ir.FSite:
-            return (f"(fm >= {_ir.FMA_MODES.index(e.fma)} ? "
-                    f"{self.fexpr(e.fused)} : {self.fexpr(e.plain)})")
+            return self.site(e)
         if t is _ir.FFma:
             fn = "h_fmaf" if self.kir.fp32 else "h_fmad"
             return (f"ftz_sel({fn}({self.fexpr(e.a)}, {self.fexpr(e.b)}, "
@@ -312,7 +390,12 @@ class _Emitter:
         if t is _ir.IMax0:
             return f"(i_{e.name} > 0 ? i_{e.name} : 0)"
         if t is _ir.IMod:
-            return f"py_mod({self.iexpr(e.base)}, {e.modulus})"
+            base = e.base
+            if (e.modulus > 0 and type(base) is _ir.IVar
+                    and base.name in self.counters):
+                # never negative: C's % is Python's
+                return f"(i_{base.name} % {e.modulus})"
+            return f"py_mod({self.iexpr(base)}, {e.modulus})"
         if t is _ir.IMul:
             return f"({self.iexpr(e.a)} * {self.iexpr(e.b)})"
         if t is _ir.IFloorDiv:
@@ -375,7 +458,6 @@ class _Emitter:
             self.w("lcy[i__tid] = cy - tcy; lccy[i__tid] = ccy - tccy;")
             return
         if t is _ir.RegionExit:
-            self.max_threads = max(self.max_threads, op.threads)
             part = ("NULL, 0, NULL" if op.op is None
                     else f'part, part_n, "{op.op}"')
             self.w(f"if (api->region_exit(env, {op.rid}, &v_{op.comp}, "
@@ -439,15 +521,14 @@ class _Emitter:
             return
         if t is _ir.If:
             u = self.uid()
+            self.w("{")
+            self.depth += 1
             cond = (f"({self.fexpr(op.cond.lhs)}) {op.cond.op} "
                     f"({self.fexpr(op.cond.rhs)})")
-            self.w("{")
-            self.w(f"    int _b{u} = {cond};")
-            self.depth += 1
+            self.w(f"int _b{u} = {cond};")
             self.chk()  # index check before entering the branch
-            self.depth -= 1
-            self.w(f"    if (_b{u}) {{")
-            self.depth += 2
+            self.w(f"if (_b{u}) {{")
+            self.depth += 1
             self.block(op.body)
             self.depth -= 2
             self.w("    }")
@@ -519,9 +600,7 @@ class _Emitter:
         w("    long thr = 0, acq = 0, acq0 = 0, n_sync = 0, n_atomic = 0;")
         w("    double sch = 0.0, k_sch = 0.0, k_dsp = 0.0, tcy = 0.0, "
           "tccy = 0.0;")
-        if self.max_threads:
-            w(f"    double lcy[{self.max_threads}], "
-              f"lccy[{self.max_threads}];")
+        w(f"    double lcy[{self.team}], lccy[{self.team}];")
         if "index_error" in self.labels:
             w("    int ierr = 0;")
         w("    double *part = NULL; long part_n = 0, part_cap = 0;")

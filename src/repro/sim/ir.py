@@ -1,7 +1,8 @@
 """Typed register IR for lowered kernels — the lowering's only product.
 
 The structural pass (:class:`repro.sim.lower.StructuralLowerer`) lowers
-each program to one :class:`KernelIR`, and both kernel backends are
+each program to one :class:`KernelIR`, which the passes of
+:mod:`repro.sim.irpasses` then prune, and both kernel backends are
 emitted from it: :mod:`repro.sim.pykernel` writes the Python function
 the interpreted reference ``exec``'s, :mod:`repro.sim.ckernel` the C
 extension.  That is what makes the compiled backend byte-identical to the

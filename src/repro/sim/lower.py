@@ -43,7 +43,9 @@ Lowering is split into two passes so the vendors and opt levels of one
 program share one walk of its tree:
 
 1. a **structural pass** (:class:`StructuralLowerer`) — expression and
-   statement lowering, constant folding, charge-site discovery — runs
+   statement lowering, constant folding, charge-site discovery, then the
+   IR passes of :data:`repro.sim.irpasses.PASSES` (dead-code
+   elimination: statements whose values reach no output go) — runs
    once per program and produces a :class:`StructuralKernel`: the
    program's :class:`~repro.sim.ir.KernelIR`, whose cost charges read
    slots of a constants tuple ``_K`` (two per charge site: cycles,
@@ -106,7 +108,7 @@ from typing import TYPE_CHECKING
 
 from ..core.types import AssignOpKind, BinOpKind, FPType
 from ..obs import metrics as _obs
-from . import ir as _ir
+from . import ir as _ir, irpasses as _irpasses
 from .pykernel import bind_py
 from .values import MATH_IMPLS, f32, f32z, fdiv, fma_d, fma_f, ftz_d
 
@@ -931,6 +933,8 @@ class StructuralLowerer:
         kernel_ir = b.finish(n_constants=self._n_constants,
                              math_funcs=tuple(sorted(self.math_used)),
                              fp32=self.fp32)
+        for ir_pass in _irpasses.PASSES:
+            kernel_ir = ir_pass(kernel_ir)
         return StructuralKernel(
             ir=kernel_ir, sites=tuple(self.sites), teams=tuple(self.teams),
             critical_in_omp_for=self._crit_in_omp_for)

@@ -14,7 +14,9 @@ must agree on:
   three agree bit-for-bit on race-free schedule-independent programs;
 * **native**: the emitted C++ compiles under ``g++ -fopenmp`` and — for
   schedule-independent candidates — prints the simulator's exact value
-  (skipped cleanly when no ``g++`` is on PATH).
+  (skipped cleanly when no ``g++`` is on PATH);
+* **IR passes**: the passes lowering runs over the kernel IR move no
+  record byte on any mix, and the dead-code pass really prunes.
 
 The sweep sizes satisfy the acceptance bar: >= 500 programs spanning all
 five families pass conformance; set ``REPRO_FULL_NATIVE=1`` to also
@@ -30,7 +32,8 @@ import pytest
 
 from repro.backends import gcc_native
 from repro.codegen.emit_main import emit_translation_unit
-from repro.config import GeneratorConfig, MachineConfig
+from repro.config import (DIRECTIVE_MIXES, CampaignConfig, GeneratorConfig,
+                          MachineConfig, apply_directive_mix)
 from repro.core.features import ProgramFeatures, extract_features
 from repro.core.generator import ProgramGenerator
 from repro.core.grammar import check_conformance
@@ -38,6 +41,9 @@ from repro.core.inputs import InputGenerator
 from repro.core.races import find_races
 from repro.driver import RunStatus, run_binary
 from repro.driver.records import values_equal
+from repro.sim import ir, irpasses, use_kernel_backend
+from repro.sim.kcache import KernelCache
+from repro.sim.lower import StructuralLowerer
 from repro.vendors import CLANG, GCC, INTEL, compile_binary
 
 #: small, fast base configuration shared by every family sweep
@@ -329,3 +335,50 @@ class TestAcceptanceSweep:
                 total += 1
         assert total >= 500
         assert set(family_seen) == set(FAMILIES), family_seen
+
+
+def _assignments(ops) -> int:
+    """``SetVar`` and ``AStore`` ops in a block and the bodies in it."""
+    return sum(isinstance(op, (ir.SetVar, ir.AStore))
+               + _assignments(getattr(op, "body", ())) for op in ops)
+
+
+class TestIrPassEquivalence:
+    """The pass list :meth:`StructuralLowerer.lower` runs over the kernel
+    IR (:data:`repro.sim.irpasses.PASSES`) against the walk's IR alone:
+    the same full records, and fewer ops."""
+
+    @pytest.mark.parametrize("mix", sorted(DIRECTIVE_MIXES))
+    def test_passes_move_no_record_byte(self, mix, monkeypatch):
+        cfg = apply_directive_mix(_BASE, mix)
+        gen = ProgramGenerator(cfg, seed=_SEED)
+        inputs = InputGenerator(cfg, seed=_SEED + 1)
+        machine = MachineConfig()
+        programs = [gen.generate(i) for i in range(6)]
+        test_inputs = [[inputs.generate(p, k) for k in range(2)]
+                       for p in programs]
+
+        def rows(passes) -> list:
+            monkeypatch.setattr(irpasses, "PASSES", passes)
+            cache = KernelCache()  # lowered afresh under these passes
+            return [run_binary(compile_binary(p, vendor, opt, cache=cache),
+                               inp, machine).to_row()
+                    for p, ins in zip(programs, test_inputs)
+                    for vendor in (GCC, CLANG, INTEL)
+                    for opt in ("-O0", "-O3") for inp in ins]
+
+        with use_kernel_backend("interp"):
+            assert rows(irpasses.PASSES) == rows(()), mix
+
+    def test_default_stream_loses_ops(self, monkeypatch):
+        """A pass list gone quiet would still pass the test above; about
+        30% of the default stream's assignments feed no record."""
+        cfg = CampaignConfig()
+        gen = ProgramGenerator(cfg.generator, seed=cfg.seed)
+        programs = [gen.generate(i) for i in range(8)]
+        pruned = sum(_assignments(StructuralLowerer(p).lower().ir.ops)
+                     for p in programs)
+        monkeypatch.setattr(irpasses, "PASSES", ())
+        walked = sum(_assignments(StructuralLowerer(p).lower().ir.ops)
+                     for p in programs)
+        assert pruned < 0.9 * walked, (pruned, walked)

@@ -48,7 +48,7 @@ from repro.core.types import (
     Variable,
     VarKind,
 )
-from repro.sim import _native, ir
+from repro.sim import _native, ir, irpasses
 from repro.sim.backend import _c_available, quick_kernel_builds
 from repro.sim.ckernel import bind_c, emit_c
 from repro.sim.lower import (
@@ -70,6 +70,13 @@ PLAIN = (False, "none")
 
 def _lower(program):
     return StructuralLowerer(program).lower()
+
+
+def _walk_ir(program, monkeypatch) -> ir.KernelIR:
+    """The IR of the lowering walk alone, before the pass list runs (the
+    passes drop statements whose values reach no output)."""
+    monkeypatch.setattr(irpasses, "PASSES", ())
+    return _lower(program).ir
 
 
 def _body(kir: ir.KernelIR) -> list:
@@ -181,13 +188,14 @@ class TestAssignments:
         assert store == ir.SetVar("comp", ir.FBin(
             "/", ir.FVar("comp"), ir.FVar("var_x")))
 
-    def test_array_compound_assign_loads_and_stores_the_element(self):
+    def test_array_compound_assign_loads_and_stores_the_element(
+            self, monkeypatch):
         arr = Variable("var_a", FPType.DOUBLE, VarKind.PARAM, is_array=True,
                        array_size=4)
         p = _mk(lambda comp: Block([Assignment(
             ArrayRef(arr, IntNumeral(2)), AssignOpKind.ADD_ASSIGN,
             FPNumeral(1.0))]), extra_params=[arr])
-        kir = _lower(p).ir
+        kir = _walk_ir(p, monkeypatch)
         assert ir.LoadArray("var_a") in kir.ops
         (store,) = _find_all(kir.ops, ir.AStore)
         assert store == ir.AStore("var_a", ir.ILit(2), ir.FBin(
@@ -277,14 +285,14 @@ class TestRuntimeConstants:
 # ----------------------------------------------------------------------
 
 class TestRegion:
-    def test_region_protocol(self):
+    def test_region_protocol(self, monkeypatch):
         def body(comp):
             region, self._x = _simple_region(comp, trip=8)
             return Block([region])
 
         p = _mk(body)
         p.params.append(self._x)
-        ops = _body(_lower(p).ir)
+        ops = _body(_walk_ir(p, monkeypatch))
         assert _names(ops) == ["Flush", "RegionEnter", "Reload", "SetVar",
                                "ForRange", "Flush", "RegionExit", "Reload",
                                "SetVar"]
@@ -299,14 +307,14 @@ class TestRegion:
                             ir.Reload()]
         assert ops[8] == ir.SetVar("var_p", ir.FVar("_save_var_p"))
 
-    def test_reduction_region_collects_partials(self):
+    def test_reduction_region_collects_partials(self, monkeypatch):
         def body(comp):
             region, self._x = _simple_region(comp, reduction=ReductionOp.SUM)
             return Block([region])
 
         p = _mk(body)
         p.params.append(self._x)
-        kir = _lower(p).ir
+        kir = _walk_ir(p, monkeypatch)
         ops = _body(kir)
         assert _names(ops)[:5] == ["Flush", "RegionEnter", "Reload",
                                    "SetVar", "InitPartials"]
@@ -991,6 +999,66 @@ class TestFamilyRuns:
                     assert bits(_call(c, args)) == bits(ref), (mode, x, sel)
                     flushed += mode[0] and ref == 0.0 and x != 0.0
         assert flushed  # FTZ flushed some subnormal on every path
+
+    def test_counter_mod_is_cs_mod(self):
+        """``% M`` over a loop counter, which never goes negative, is C's
+        ``%``; over a loaded int, which may, it keeps ``py_mod``."""
+        x = ir.FVar("x")
+        counted = ir.ALoad("a", ir.IMod(ir.IVar("i"), 3))
+        loaded = ir.ALoad("a", ir.IMod(ir.IVar("j"), 3))
+        kir = ir.KernelIR(
+            ops=[ir.LoadInt("j"), ir.LoadScalar("x"), ir.LoadArray("a"),
+                 ir.SetVar("comp", ir.FLit(0.0)),
+                 ir.ForRange("i", ir.ILit(7), [ir.SetVar("comp", ir.FSite(
+                     ir.FFma(ir.FVar("comp"), x, counted),
+                     ir.FBin("+", ir.FBin("*", ir.FVar("comp"), x), counted),
+                     "basic"))]),
+                 ir.SetVar("comp", ir.FBin("+", ir.FVar("comp"), loaded)),
+                 ir.Return("comp")],
+            fp_vars=("x", "comp"), int_vars=("i", "j"), arrays=("a",))
+        source = emit_c(kir)
+        assert "a_a[(i_i % 3)]" in source
+        assert "a_a[py_mod(i_j, 3)]" in source
+        a = [1.0 + 2.0 ** -30, -3.5, 1e-310]
+        for j in (-4, -1, 2):
+            runs = self._run_modes(kir, {"j": j, "x": 1 + 2.0 ** -30,
+                                         "a": a})
+            for ref, got in runs:
+                assert got.hex() == ref.hex(), j
+
+    def test_shared_site_operands_are_evaluated_once(self):
+        """A contraction site's operands that are more than a literal or
+        a variable — here a difference, array elements and a nested site
+        — are evaluated once, ahead of the select, and each mode still
+        computes interp's bits."""
+        x, y, z = ir.FVar("x"), ir.FVar("y"), ir.FVar("z")
+        a1, a2 = ir.ALoad("a", ir.ILit(1)), ir.ALoad("a", ir.ILit(2))
+        lhs = ir.FBin("-", x, ir.ALoad("a", ir.ILit(0)))
+        inner = ir.FSite(ir.FFma(y, z, a1),
+                         ir.FBin("+", ir.FBin("*", y, z), a1), "basic")
+        site = ir.FSite(ir.FFma(lhs, inner, ir.FNeg(a2)),
+                        ir.FBin("-", ir.FBin("*", lhs, inner), a2),
+                        "aggressive")
+        kir = ir.KernelIR(
+            ops=[ir.LoadScalar("x"), ir.LoadScalar("y"), ir.LoadScalar("z"),
+                 ir.LoadArray("a"), ir.SetVar("comp", site),
+                 ir.Return("comp")],
+            fp_vars=("x", "y", "z", "comp"), arrays=("a",))
+        body = emit_c(kir).split("int krun(rk_ctx *c) {")[1]
+        for operand in ("a_a[0]", "a_a[1]", "a_a[2]"):
+            assert body.count(operand) == 1, operand
+        assert body.count("double _s") == 4  # lhs, inner, a[1], a[2]
+        eps = 2.0 ** -30
+        results = set()
+        for x_val in (2 + eps, 1e-300, -7.25):
+            runs = self._run_modes(kir, {
+                "x": x_val, "y": 1 + eps, "z": 1 + eps,
+                "a": [1.0, -(1 + 2 * eps), 0.0]})
+            for ref, got in runs:
+                assert got.hex() == ref.hex(), x_val
+            results |= {ref for ref, _ in runs}
+        # the nested site's fused and plain forms differ on these inputs
+        assert (1 + eps) * eps * eps in results and 0.0 in results
 
     def test_mode_out_of_range_is_rejected(self):
         _c_entry_or_skip()
